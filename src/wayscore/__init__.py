@@ -9,7 +9,6 @@ from .network import Edge, RoadNetwork, build_network, load_network, save_networ
 from .profiles import ArrivalProfile, ScoreProfile
 from .solver import (
     Constraint,
-    Label,
     PathResult,
     SolveResult,
     STATUS_INFEASIBLE,
@@ -25,7 +24,6 @@ __all__ = [
     "ArrivalProfile",
     "Constraint",
     "Edge",
-    "Label",
     "PathResult",
     "Query",
     "RoadNetwork",

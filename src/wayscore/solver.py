@@ -1,12 +1,11 @@
 """Exact score-maximizing route search under an arrival deadline.
 
-The search expands labels ``(node, arrival, score, predecessor)`` depth
-first from the source.  A label is extended along an out-edge only if the
-head is not already on the candidate path (looplessness) and the arrival at
-the head does not exceed the head's latest feasible departure time (the
-temporal bound from :func:`wayscore.traversal.latest_departures`).  Within
-those rules the search is exhaustive, so the returned path is optimal, not
-heuristic.
+One depth-first engine, :func:`_fast_search`, extends a path prefix one
+edge at a time.  An edge is taken only if its head is not already on the
+prefix (looplessness) and the arrival at the head does not exceed the
+head's latest feasible departure time (the temporal bound from
+:func:`wayscore.traversal.latest_departures`).  Within those rules the
+search is exhaustive, so the returned path is optimal, not heuristic.
 
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
@@ -15,10 +14,11 @@ results for any worker count: subtree searches are independent tasks joined
 by a commutative max-reduction.
 
 Parallel execution uses forked worker processes because the recursion is
-pure Python and threads would serialize on the interpreter lock.  The tree
-is expanded breadth first down to a small fork depth; every frontier label
-becomes a task, and workers pull tasks from the shared queue, which keeps
-them busy even when subtree sizes are wildly uneven.
+pure Python and threads would serialize on the interpreter lock.  The same
+engine expands the tree breadth first down to a small fork depth, handing
+each child prefix to a task list instead of recursing into it; workers pull
+the tasks from the shared queue and search each subtree to the end, which
+keeps them busy even when subtree sizes are wildly uneven.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .network import Edge, RoadNetwork
 from .profiles import TIME_EPS
-from .traversal import DepartureBounds, Query, latest_departures
+from .traversal import Query, latest_departures
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -44,7 +44,7 @@ STATUS_LIMIT = "exploration-limit"
 
 
 class ConsistencyError(RuntimeError):
-    """A reconstructed path disagrees with its labels: solver bug."""
+    """A returned path disagrees with its recomputation: solver bug."""
 
 
 class _LimitHit(Exception):
@@ -67,17 +67,6 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-@dataclass(slots=True, eq=False)
-class Label:
-    """One unit of search state; ``pred`` chains back to the source label."""
-
-    node: int
-    arrival: float
-    score: float
-    pred: Optional["Label"]
-    extras: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -133,17 +122,6 @@ class SolveResult:
         return self.status == STATUS_OK
 
 
-def label_sequence(label: Label) -> tuple[int, ...]:
-    """Node sequence of a label's predecessor chain, source first."""
-    seq = []
-    cur: Optional[Label] = label
-    while cur is not None:
-        seq.append(cur.node)
-        cur = cur.pred
-    seq.reverse()
-    return tuple(seq)
-
-
 class _SearchState:
     """Per-solve bundle shared by every recursion frame."""
 
@@ -157,18 +135,16 @@ class _SearchState:
         "cap",
     )
 
-    def __init__(self, net, bounds, destination, t_arr, constraints, cap, adj=None):
+    def __init__(self, net, bounds, destination, t_arr, constraints, cap):
         # (head, arrival evaluator, score evaluator, edge) per out-edge,
-        # cached once so the hot loop avoids attribute lookups.
-        if adj is None:
-            adj = [
-                [
-                    (e.head, e.arrival.arrival, e.score.value, e)
-                    for e in (net.edges[i] for i in out)
-                ]
-                for out in net.out_edges
+        # built once per solve so the hot loop avoids attribute lookups.
+        self.adj = [
+            [
+                (e.head, e.arrival.arrival, e.score.value, e)
+                for e in (net.edges[i] for i in out)
             ]
-        self.adj = adj
+            for out in net.out_edges
+        ]
         self.bounds = bounds
         self.destination = destination
         self.t_arr = t_arr
@@ -177,52 +153,29 @@ class _SearchState:
         self.cap = cap
 
 
-def _extensions(state, label: Label, visited) -> Iterator[Label]:
-    """Admissible one-step extensions of ``label``, in adjacency order."""
-    t = label.arrival
-    score = label.score
-    extras = label.extras
-    bounds = state.bounds
-    constraints = state.constraints
-    for head, arrival_at, score_at, edge in state.adj[label.node]:
-        if head in visited:
-            continue
-        arr = arrival_at(t)
-        if arr > bounds[head] + TIME_EPS:
-            continue
-        if constraints:
-            new_extras = tuple(
-                x + c.cost(edge, t) for x, c in zip(extras, constraints)
-            )
-            if any(
-                x > c.budget + TIME_EPS for x, c in zip(new_extras, constraints)
-            ):
-                continue
-        else:
-            new_extras = ()
-        state.explored += 1
-        if state.cap is not None and state.explored > state.cap:
-            raise _LimitHit
-        yield Label(head, arr, score + score_at(t), label, new_extras)
-
-
 def _fast_search(
     state: _SearchState,
-    node: int,
+    path: Sequence[int],
     t: float,
     score: float,
     extras: tuple[float, ...],
-    visited: set,
-    path: list[int],
+    sink: Optional[list] = None,
 ) -> Optional["_Candidate"]:
-    """Hot search engine used by solve().
+    """Best destination candidate among the loopless extensions of ``path``.
 
-    Same expansion rules and tie-breaking as :func:`_process`, but the
-    recursion stack itself holds the candidate path, so no label objects
-    are allocated until a destination is actually reached.  That keeps the
-    allocation rate (and with it memory-system pressure, which is what
-    limits the parallel workers) low.
+    ``path`` is a prefix from the source that does not end at the
+    destination, reached at time ``t`` with the accumulated ``score`` and
+    constraint costs ``extras``.  The recursion stack itself holds the
+    candidate path, so nothing is allocated per label until a destination
+    is actually reached.  That keeps the allocation rate (and with it
+    memory-system pressure, which is what limits the parallel workers) low.
+
+    With a ``sink``, the search goes one edge deep only: each admissible
+    child that is not the destination is appended to ``sink`` as a task
+    ``(prefix, arrival, score, extras)`` instead of being searched.
     """
+    path = list(path)
+    visited = set(path)
     adj = state.adj
     bounds = state.bounds
     dest = state.destination
@@ -273,138 +226,24 @@ def _fast_search(
                 continue
             visited.add(head)
             path.append(head)
-            rec(head, arr, new_score, new_extras)
+            step(head, arr, new_score, new_extras)
             path.pop()
             visited.discard(head)
 
-    if node == dest:
-        if t <= deadline:
-            best_score, best_arrival, best_seq = score, t, tuple(path)
+    # Bound once, so the per-label loop above has no branch on the mode.
+    if sink is None:
+        step = rec
     else:
-        try:
-            rec(node, t, score, extras)
-        finally:
-            state.explored += explored
+        def step(head: int, t: float, score: float, extras: tuple[float, ...]) -> None:
+            sink.append((tuple(path), t, score, extras))
+
+    try:
+        rec(path[-1], t, score, extras)
+    finally:
+        state.explored += explored
     if best_seq == ():
         return None
     return best_score, best_arrival, best_seq
-
-
-def _process(state: _SearchState, label: Label, visited: set) -> Optional[Label]:
-    """Recursive expansion; returns the best reachable destination label.
-
-    Reference form of the engine, one call frame per label; solve() runs
-    the allocation-free :func:`_fast_search` instead, which implements the
-    identical expansion rules and tie-breaking.
-
-    ``visited`` holds exactly the nodes on the label's chain; children are
-    explored with add-before-recurse / remove-after-return backtracking,
-    which is equivalent to copying the list at each branch.
-    """
-    if label.node == state.destination:
-        if label.arrival <= state.t_arr + TIME_EPS:
-            return label
-        return None
-    best: Optional[Label] = None
-    best_seq: Optional[tuple[int, ...]] = None
-    for child in _extensions(state, label, visited):
-        visited.add(child.node)
-        found = _process(state, child, visited)
-        visited.discard(child.node)
-        if found is None:
-            continue
-        if best is None:
-            best = found
-            best_seq = None
-            continue
-        if found.score != best.score:
-            if found.score > best.score:
-                best, best_seq = found, None
-            continue
-        if found.arrival != best.arrival:
-            if found.arrival < best.arrival:
-                best, best_seq = found, None
-            continue
-        if best_seq is None:
-            best_seq = label_sequence(best)
-        found_seq = label_sequence(found)
-        if found_seq < best_seq:
-            best, best_seq = found, found_seq
-    return best
-
-
-def process_label(
-    net: RoadNetwork,
-    bounds: Optional[DepartureBounds],
-    query: Query,
-    label: Label,
-    visited: set,
-    constraints: Sequence[Constraint] = (),
-    max_expansions: Optional[int] = None,
-) -> Optional[Label]:
-    """Expand one label recursively; public wrapper around the engine.
-
-    ``bounds`` of None disables temporal pruning.  ``visited`` must contain
-    exactly the nodes on the label's chain and is restored on return.
-    """
-    times = bounds.times if bounds is not None else [math.inf] * net.node_count
-    state = _SearchState(
-        net, times, query.destination, query.t_arr, constraints, max_expansions
-    )
-    return _process(state, label, visited)
-
-
-def child_labels(
-    net: RoadNetwork,
-    bounds: Optional[DepartureBounds],
-    query: Query,
-    label: Label,
-    visited: set,
-    constraints: Sequence[Constraint] = (),
-) -> list[Label]:
-    """The admissible immediate children of a label (no recursion)."""
-    times = bounds.times if bounds is not None else [math.inf] * net.node_count
-    state = _SearchState(
-        net, times, query.destination, query.t_arr, constraints, None
-    )
-    return list(_extensions(state, label, visited))
-
-
-def reconstruct_path(
-    net: RoadNetwork, label: Label, t_dep: Optional[float] = None
-) -> PathResult:
-    """Turn a destination label's chain into a verified PathResult.
-
-    Every per-edge time and the total score are recomputed forward and must
-    match the stored label values to within the time tolerance; a mismatch
-    or a repeated node means the chain was corrupted and raises
-    ConsistencyError.
-    """
-    chain: list[Label] = []
-    cur: Optional[Label] = label
-    while cur is not None:
-        chain.append(cur)
-        cur = cur.pred
-    chain.reverse()
-    nodes = tuple(l.node for l in chain)
-    if len(set(nodes)) != len(nodes):
-        raise ConsistencyError(f"label chain repeats a node: {nodes}")
-    start = chain[0].arrival if t_dep is None else t_dep
-    if abs(chain[0].arrival - start) > TIME_EPS:
-        raise ConsistencyError(
-            f"chain starts at t={chain[0].arrival}, expected {start}"
-        )
-    result = path_from_nodes(net, start, nodes)
-    for stored, recomputed in zip((l.arrival for l in chain[1:]), result.arrivals):
-        if abs(stored - recomputed) > TIME_EPS:
-            raise ConsistencyError(
-                f"stored arrival {stored} != recomputed {recomputed}"
-            )
-    if abs(chain[-1].score - result.score) > TIME_EPS:
-        raise ConsistencyError(
-            f"stored score {chain[-1].score} != recomputed {result.score}"
-        )
-    return result
 
 
 def path_from_nodes(
@@ -446,41 +285,40 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return a[2] < b[2]
 
 
-# State inherited by forked workers; guarded by _PARALLEL_LOCK because two
-# concurrent parallel solves in one process would clobber each other.
-_WORKER_STATE: dict = {}
+# Serialises parallel solves within one process, so at most one worker pool,
+# sized to the cores, runs at a time.
 _PARALLEL_LOCK = threading.Lock()
-# Per-process reuse of the adjacency cache across tasks of one solve; the
-# epoch token distinguishes solves so a stale cache can never leak.
-_WORKER_CACHE: dict = {}
+
+# The search state of the solve that forked this worker; set by _init_worker
+# in worker processes only.
+_worker_state: _SearchState
 
 
-def _worker_search_state() -> _SearchState:
-    st = _WORKER_STATE
-    cached = _WORKER_CACHE.get("state")
-    if cached is not None and _WORKER_CACHE.get("epoch") == st["epoch"]:
-        return cached
-    state = _SearchState(
-        st["net"], st["bounds"], st["destination"], st["t_arr"],
-        st["constraints"], st["cap"], adj=st.get("adj"),
-    )
-    _WORKER_CACHE["state"] = state
-    _WORKER_CACHE["epoch"] = st["epoch"]
-    return state
+def _init_worker(state: _SearchState) -> None:
+    """Pool initializer: keep the parent's search state in this worker.
+
+    Under ``fork`` the state is inherited, not pickled, so ``Constraint``
+    cost functions need not be picklable.
+    """
+    global _worker_state
+    _worker_state = state
 
 
-def _run_subtree(task) -> tuple[Optional[_Candidate], int, bool]:
-    node, arrival, score, extras, visited, prefix = task
-    state = _worker_search_state()
+def _run_subtree(task) -> tuple[Optional[_Candidate], int]:
+    """Search one frontier task under its own expansion cap.
+
+    A task that hits its cap returns no candidate and a count above the cap,
+    which pushes the parent's total over ``max_expansions``.
+    """
+    prefix, arrival, score, extras, cap = task
+    state = _worker_state
     state.explored = 0
+    state.cap = cap
     try:
         with _gc_paused():
-            cand = _fast_search(
-                state, node, arrival, score, extras, set(visited), list(prefix)
-            )
+            return _fast_search(state, prefix, arrival, score, extras), state.explored
     except _LimitHit:
-        return None, state.explored, True
-    return cand, state.explored, False
+        return None, state.explored
 
 
 def _default_fork_depth(threads: int) -> int:
@@ -495,112 +333,83 @@ _TASKS_PER_WORKER = 32
 
 def _build_frontier(
     state: _SearchState,
-    root: Label,
-    source: int,
+    root: tuple,
     fork_depth: int,
     target_tasks: int,
 ) -> tuple[list[tuple], list[_Candidate]]:
     """Breadth-first expansion of the shallow tree into independent tasks.
 
-    Destination labels met on the way become candidates immediately; every
-    surviving frontier label becomes a task carrying its own visited set
-    (the copy-at-fork scheme).
+    Each level expands every frontier prefix by one engine call with a task
+    sink; destination children come back as that call's candidate.  Tasks
+    are ``(prefix, arrival, score, extras)``, like ``root``.
     """
     found: list[_Candidate] = []
-    frontier: list[tuple[Label, frozenset]] = [(root, frozenset((source,)))]
+    frontier = [root]
     depth = 0
     while frontier and depth < fork_depth and len(frontier) < target_tasks:
-        nxt: list[tuple[Label, frozenset]] = []
-        for lbl, vis in frontier:
-            for child in _extensions(state, lbl, vis):
-                if child.node == state.destination:
-                    if child.arrival <= state.t_arr + TIME_EPS:
-                        found.append(
-                            (child.score, child.arrival, label_sequence(child))
-                        )
-                else:
-                    nxt.append((child, vis | {child.node}))
+        nxt: list[tuple] = []
+        for prefix, t, score, extras in frontier:
+            cand = _fast_search(state, prefix, t, score, extras, nxt)
+            if cand is not None:
+                found.append(cand)
         frontier = nxt
         depth += 1
-    tasks = [
-        (
-            lbl.node,
-            lbl.arrival,
-            lbl.score,
-            lbl.extras,
-            vis,
-            label_sequence(lbl),
-        )
-        for lbl, vis in frontier
-    ]
-    return tasks, found
+    return frontier, found
 
 
 def _solve_parallel(
     net: RoadNetwork,
     query: Query,
     state: _SearchState,
-    root: Label,
+    root: tuple,
     threads: int,
     fork_depth: Optional[int],
     max_expansions: Optional[int],
 ) -> SolveResult:
     depth = fork_depth if fork_depth is not None else _default_fork_depth(threads)
     target = max(64, threads * _TASKS_PER_WORKER)
-    remaining_cap = max_expansions
     # More processes than cores cannot help a CPU-bound search and multiply
     # copy-on-write traffic.
     cores = os.cpu_count() or threads
     ctx = multiprocessing.get_context("fork")
-    limit_hit = False
     with _PARALLEL_LOCK:
-        _WORKER_STATE.update(
-            net=net,
-            adj=state.adj,
-            bounds=state.bounds,
-            destination=query.destination,
-            t_arr=query.t_arr,
-            constraints=state.constraints,
-            cap=remaining_cap,
-            epoch=object(),
-        )
         pool = None
         try:
             if net.node_count >= 256:
                 # On real networks the fork cost is worth hiding behind the
                 # frontier expansion; tiny instances usually end up with no
                 # tasks at all, so they fork lazily below.
-                pool = ctx.Pool(processes=max(1, min(threads, cores)))
+                pool = ctx.Pool(max(1, min(threads, cores)), _init_worker, (state,))
             try:
-                tasks, candidates = _build_frontier(
-                    state, root, query.source, depth, target
-                )
+                tasks, candidates = _build_frontier(state, root, depth, target)
             except _LimitHit:
                 return SolveResult(STATUS_LIMIT, None, state.explored)
             explored = state.explored
             if tasks:
+                remaining_cap = None  # the frontier stayed within the cap
                 if max_expansions is not None:
-                    remaining_cap = max(0, max_expansions - explored)
-                    _WORKER_STATE["cap"] = remaining_cap
+                    remaining_cap = max_expansions - explored
                 if pool is None:
                     workers = max(1, min(threads, len(tasks), cores))
-                    pool = ctx.Pool(processes=workers)
+                    pool = ctx.Pool(workers, _init_worker, (state,))
                 # chunksize 1: subtree sizes are heavy-tailed, so let idle
                 # workers pull single tasks (the balancing matters far more
                 # than the per-task dispatch cost).
-                for cand, count, hit in pool.imap_unordered(
-                    _run_subtree, tasks, chunksize=1
+                for cand, count in pool.imap_unordered(
+                    _run_subtree,
+                    [(*task, remaining_cap) for task in tasks],
+                    chunksize=1,
                 ):
                     explored += count
-                    limit_hit = limit_hit or hit
+                    if max_expansions is not None and explored > max_expansions:
+                        break  # the outcome is settled; the pool is terminated below
                     if cand is not None:
                         candidates.append(cand)
         finally:
             if pool is not None:
                 pool.terminate()
                 pool.join()
-            _WORKER_STATE.clear()
-    if limit_hit or (max_expansions is not None and explored > max_expansions):
+    if max_expansions is not None and explored > max_expansions:
         return SolveResult(STATUS_LIMIT, None, explored)
     if not candidates:
         return SolveResult(STATUS_INFEASIBLE, None, explored)
@@ -612,12 +421,23 @@ def _solve_parallel(
 
 
 def _verified_path(net: RoadNetwork, query: Query, cand: _Candidate) -> PathResult:
-    """Rebuild a candidate by forward simulation and cross-check its claim."""
-    path = path_from_nodes(net, query.t_dep, cand[2])
-    if abs(path.score - cand[0]) > TIME_EPS or abs(path.arrival - cand[1]) > TIME_EPS:
+    """Rebuild a candidate by forward simulation and cross-check its claim.
+
+    Every path a search returns passes through here.  A repeated node, a
+    missing edge, or a score or arrival the recomputation does not reproduce
+    means the search is wrong, and raises ConsistencyError.
+    """
+    score, arrival, nodes = cand
+    if len(set(nodes)) != len(nodes):
+        raise ConsistencyError(f"candidate path repeats a node: {nodes}")
+    path = path_from_nodes(net, query.t_dep, nodes)
+    if abs(path.score - score) > TIME_EPS:
         raise ConsistencyError(
-            f"candidate {cand[:2]} does not match recomputation "
-            f"({path.score}, {path.arrival})"
+            f"candidate score {score} != recomputed {path.score}"
+        )
+    if abs(path.arrival - arrival) > TIME_EPS:
+        raise ConsistencyError(
+            f"candidate arrival {arrival} != recomputed {path.arrival}"
         )
     return path
 
@@ -667,24 +487,14 @@ def solve(
         net, times, query.destination, query.t_arr, constraints, max_expansions
     )
     state.explored = 1  # the source label
-    root = Label(
-        query.source, query.t_dep, 0.0, None, (0.0,) * len(state.constraints)
-    )
+    root = ((query.source,), query.t_dep, 0.0, (0.0,) * len(state.constraints))
     if mode == "parallel" and threads > 1:
         return _solve_parallel(
             net, query, state, root, threads, fork_depth, max_expansions
         )
     try:
         with _gc_paused():
-            best = _fast_search(
-                state,
-                query.source,
-                query.t_dep,
-                0.0,
-                root.extras,
-                {query.source},
-                [query.source],
-            )
+            best = _fast_search(state, *root)
     except _LimitHit:
         return SolveResult(STATUS_LIMIT, None, state.explored)
     if best is None:

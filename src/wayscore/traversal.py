@@ -87,6 +87,8 @@ class Query:
         cls, source: int, destination: int, t_dep: float, budget: float
     ) -> "Query":
         """Bypass budget derivation when the budget is already known."""
+        if not (math.isfinite(t_dep) and math.isfinite(budget)):
+            raise QueryError(f"departure {t_dep} and budget {budget} must be finite")
         if budget < 0:
             raise QueryError(f"budget must be >= 0, got {budget}")
         return cls(source, destination, t_dep, "abs", budget, budget, t_dep + budget)
@@ -103,10 +105,14 @@ def build_query(
     """Derive the budget: fastest travel time plus the requested overhead.
 
     Exactly one overhead form must be given.  Raises QueryError when the
-    destination is unreachable from the source.
+    destination is unreachable from the source, or when the departure time
+    or the overhead is not finite.
     """
     if (overhead_minutes is None) == (overhead_percent is None):
         raise QueryError("give exactly one of overhead_minutes / overhead_percent")
+    overhead = overhead_minutes if overhead_minutes is not None else overhead_percent
+    if not (math.isfinite(t_dep) and math.isfinite(overhead)):
+        raise QueryError(f"departure {t_dep} and overhead {overhead} must be finite")
     reached = earliest_arrival(net, source, destination, t_dep)
     if reached is None:
         raise QueryError(

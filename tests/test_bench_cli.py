@@ -103,6 +103,21 @@ class TestQueryCommand:
                    "--to", "1", "--depart", "0", "--budget", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--depart", "0", "--budget", "nan"],
+        ["--depart", "0", "--budget", "inf"],
+        ["--depart", "nan", "--budget", "8"],
+        ["--depart", "inf", "--overhead-pct", "30"],
+        ["--depart", "0", "--overhead-abs", "nan"],
+        ["--depart", "0", "--overhead-pct", "inf"],
+    ])
+    def test_non_finite_number_is_data_error(self, toy_file, capsys, flags):
+        rc = main(["query", "--graph", toy_file, "--from", "A", "--to", "B", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_conflicting_overheads_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:
             main(["query", "--graph", toy_file, "--from", "A", "--to", "B",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wayscore.datagen import GenConfig, generate_network, generate_query_sets
 from wayscore.network import Edge, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
 from wayscore.reference import (
@@ -12,14 +13,14 @@ from wayscore.reference import (
 from wayscore.solver import (
     Constraint,
     ConsistencyError,
-    Label,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OK,
-    child_labels,
-    label_sequence,
-    process_label,
-    reconstruct_path,
+    _better,
+    _build_frontier,
+    _fast_search,
+    _SearchState,
+    _verified_path,
     solve,
 )
 from wayscore.traversal import Query, latest_departures
@@ -31,6 +32,25 @@ def _query(net, s, d, t_dep, budget):
 
 def _edge(u, v, tt, score):
     return Edge(u, v, ArrivalProfile.constant(tt), ScoreProfile.constant(score))
+
+
+def _state(net, q):
+    """The search state solve() builds for ``q``, with no expansion cap."""
+    bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep)
+    return _SearchState(net, bounds.times, q.destination, q.t_arr, (), None)
+
+
+@pytest.fixture(scope="module")
+def grid16():
+    """A 256-node rush-hour grid (large enough for the pool to fork before
+    the frontier is built) and queries of a few thousand labels or more."""
+    net = generate_network(
+        GenConfig(rows=16, cols=16, score_density=0.2, seed=5)
+    ).network
+    records = generate_query_sets(
+        net, seed=3, count_per_set=3, buckets=((2.0, 4.0), (4.0, 6.0), (6.0, 8.0))
+    )
+    return net, [rec.to_query() for rec in records]
 
 
 class TestWorkedExample:
@@ -63,56 +83,66 @@ class TestWorkedExample:
 
 
 class TestProcessLabel:
+    """Expanding one label, seen through solve() or the engine on the
+    worked example.
+
+    With budget 8 the search counts 4 labels: the source, both root
+    children (A->B and A->C) and C->B.  C->A would return to the source.
+    """
+
     def test_root_expansion_creates_both_children(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
-        bounds = latest_departures(toy_network, 1, 8.0, 0.0)
-        root = Label(0, 0.0, 0.0, None)
-        children = child_labels(toy_network, bounds, q, root, {0})
-        assert [(c.node, c.arrival, c.score) for c in children] == [
-            (1, 2.0, 5.0),
-            (2, 3.0, 0.0),
-        ]
-        assert all(c.pred is root for c in children)
+        assert solve(toy_network, q).explored == 4
+        # the cap fires on the fourth label, after both root children
+        assert solve(toy_network, q, max_expansions=3).status == STATUS_LIMIT
+        assert solve(toy_network, q, max_expansions=4).status == STATUS_OK
 
     def test_visited_list_blocks_return_to_source(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
-        bounds = latest_departures(toy_network, 1, 8.0, 0.0)
-        root = Label(0, 0.0, 0.0, None)
-        at_c = Label(2, 3.0, 0.0, root)
-        children = child_labels(toy_network, bounds, q, at_c, {0, 2})
-        # the would-be label back at the source (node 0, t=4, score 4) is gone
-        assert [(c.node, c.arrival, c.score) for c in children] == [(1, 5.0, 7.0)]
+        for pruning in (True, False):
+            res = solve(toy_network, q, pruning=pruning)
+            # C->A (t=4, score 4) is within every bound but revisits A
+            assert res.explored == 4
+            assert res.path.nodes.count(0) == 1
 
     def test_boundary_pruning_skips_late_children(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 2.0)
-        bounds = latest_departures(toy_network, 1, 2.0, 0.0)
-        root = Label(0, 0.0, 0.0, None)
-        children = child_labels(toy_network, bounds, q, root, {0})
         # C arrives at 3 > its boundary, so only the direct child exists
-        assert [c.node for c in children] == [1]
+        assert solve(toy_network, q).explored == 2
+        assert solve(toy_network, q, pruning=False).explored == 4
 
     def test_recursion_returns_best_descendant(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
-        bounds = latest_departures(toy_network, 1, 8.0, 0.0)
-        root = Label(0, 0.0, 0.0, None)
-        best = process_label(toy_network, bounds, q, root, {0})
-        assert best is not None
-        assert (best.node, best.arrival, best.score) == (1, 5.0, 7.0)
-        assert label_sequence(best) == (0, 2, 1)
+        state = _state(toy_network, q)
+        # searching on from the prefix A->C, reached at t=3 with score 0
+        best = _fast_search(state, (0, 2), 3.0, 0.0, ())
+        assert best == (7.0, 5.0, (0, 2, 1))
+        assert state.explored == 1
 
     def test_label_at_destination_returns_itself(self, toy_network):
+        # A->C reaches the destination C; its out-edges C->A and C->B are
+        # not expanded.  Without bounds the count is the source, A->B, A->C.
+        res = solve(toy_network, _query(toy_network, 0, 2, 0.0, 8.0), pruning=False)
+        assert res.path.nodes == (0, 2)
+        assert res.explored == 3
+
+    def test_sink_collects_children_instead_of_searching(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
-        bounds = latest_departures(toy_network, 1, 8.0, 0.0)
-        dest = Label(1, 2.0, 5.0, Label(0, 0.0, 0.0, None))
-        assert process_label(toy_network, bounds, q, dest, {0, 1}) is dest
+        state = _state(toy_network, q)
+        tasks = []
+        best = _fast_search(state, (0,), 0.0, 0.0, (), tasks)
+        # the destination child is a candidate; the other child is a task
+        assert best == (5.0, 2.0, (0, 1))
+        assert tasks == [((0, 2), 3.0, 0.0, ())]
+        assert state.explored == 2
 
 
 class TestReconstruction:
+    """Every returned path is rebuilt and checked by _verified_path."""
+
     def test_chain_to_path(self, toy_network):
-        l1 = Label(0, 0.0, 0.0, None)
-        l3 = Label(2, 3.0, 0.0, l1)
-        l5 = Label(1, 5.0, 7.0, l3)
-        path = reconstruct_path(toy_network, l5, t_dep=0.0)
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        path = _verified_path(toy_network, q, (7.0, 5.0, (0, 2, 1)))
         assert path.nodes == (0, 2, 1)
         assert path.departures == (0.0, 3.0)
         assert path.arrivals == (3.0, 5.0)
@@ -120,28 +150,31 @@ class TestReconstruction:
         assert path.travel_time == 5.0
 
     def test_source_only_label(self, toy_network):
-        path = reconstruct_path(toy_network, Label(0, 4.0, 0.0, None))
+        q = _query(toy_network, 0, 1, 4.0, 8.0)
+        path = _verified_path(toy_network, q, (0.0, 4.0, (0,)))
         assert path.nodes == (0,)
         assert path.arrival == 4.0
 
     def test_forged_repeat_node_detected(self, toy_network):
-        l1 = Label(0, 0.0, 0.0, None)
-        l3 = Label(2, 3.0, 0.0, l1)
-        l4 = Label(0, 4.0, 4.0, l3)
+        # A->C->A is a real walk whose score and arrival both check out
+        q = _query(toy_network, 0, 0, 0.0, 8.0)
         with pytest.raises(ConsistencyError, match="repeats"):
-            reconstruct_path(toy_network, l4)
+            _verified_path(toy_network, q, (4.0, 4.0, (0, 2, 0)))
 
     def test_wrong_stored_arrival_detected(self, toy_network):
-        l1 = Label(0, 0.0, 0.0, None)
-        bad = Label(1, 2.5, 5.0, l1)  # true arrival is 2.0
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
         with pytest.raises(ConsistencyError, match="arrival"):
-            reconstruct_path(toy_network, bad)
+            _verified_path(toy_network, q, (5.0, 2.5, (0, 1)))  # true: 2.0
 
     def test_wrong_stored_score_detected(self, toy_network):
-        l1 = Label(0, 0.0, 0.0, None)
-        bad = Label(1, 2.0, 6.0, l1)  # true score is 5.0
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
         with pytest.raises(ConsistencyError, match="score"):
-            reconstruct_path(toy_network, bad)
+            _verified_path(toy_network, q, (6.0, 2.0, (0, 1)))  # true: 5.0
+
+    def test_missing_edge_detected(self, toy_network):
+        q = _query(toy_network, 1, 0, 0.0, 8.0)
+        with pytest.raises(ConsistencyError, match="no edge"):
+            _verified_path(toy_network, q, (0.0, 1.0, (1, 0)))
 
 
 class TestTieBreaking:
@@ -167,22 +200,31 @@ class TestTieBreaking:
 
 
 class TestEngineEquivalence:
-    def test_fast_engine_matches_reference_recursion(self):
-        """solve() and the label-based process_label expand the same rules."""
+    def test_frontier_tasks_reduce_to_sequential_search(self):
+        """Splitting the search into frontier tasks, searching each to the
+        end and reducing the candidates gives solve()'s path and count."""
         rng = random.Random(88)
         for _ in range(40):
             net, q = random_instance(rng)
             res = solve(net, q)
-            bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep)
-            root = Label(q.source, q.t_dep, 0.0, None)
-            best = process_label(net, bounds, q, root, {q.source})
+            if res.explored == 0:  # ruled out by the bounds before searching
+                continue
+            state = _state(net, q)
+            state.explored = 1
+            tasks, found = _build_frontier(
+                state, ((q.source,), q.t_dep, 0.0, ()), 2, 10**9
+            )
+            found += [_fast_search(state, *task) for task in tasks]
+            found = [c for c in found if c is not None]
+            assert state.explored == res.explored
             if res.path is None:
-                assert best is None
-            else:
-                assert best is not None
-                assert label_sequence(best) == res.path.nodes
-                assert best.score == res.path.score
-                assert best.arrival == res.path.arrival
+                assert found == []
+                continue
+            best = found[0]
+            for cand in found[1:]:
+                if _better(cand, best):
+                    best = cand
+            assert best == (res.path.score, res.path.arrival, res.path.nodes)
 
 
 class TestAgainstOracle:
@@ -213,8 +255,6 @@ class TestAgainstOracle:
         assert strict > 0
 
     def test_exactness_on_generated_rush_hour_grids(self):
-        from wayscore.datagen import GenConfig, generate_network, generate_query_sets
-
         for seed in (1, 2, 3):
             gen = generate_network(
                 GenConfig(rows=3, cols=3, score_density=0.4, seed=seed)
@@ -260,6 +300,17 @@ class TestParallel:
             if seq.path is not None:
                 assert par.path.to_json() == seq.path.to_json()
             assert par.explored == seq.explored
+
+    def test_eager_fork_agrees_with_sequential(self, grid16):
+        # 256 nodes: the pool forks before the frontier is built
+        net, queries = grid16
+        for q in queries[:6]:
+            seq = solve(net, q)
+            for depth in (1, None):
+                par = solve(net, q, mode="parallel", threads=2, fork_depth=depth)
+                assert par.status == seq.status
+                assert par.path.to_json() == seq.path.to_json()
+                assert par.explored == seq.explored
 
     def test_unknown_mode_rejected(self, toy_network):
         with pytest.raises(ValueError):
@@ -315,6 +366,18 @@ class TestExplorationCap:
         assert res.status == STATUS_LIMIT
         assert res.path is None
         assert res.explored >= 2
+
+    def test_parallel_cap_stops_the_search(self, grid16):
+        net, queries = grid16
+        cap = 2000
+        for q in queries[6:]:
+            assert solve(net, q, max_expansions=cap).status == STATUS_LIMIT
+            res = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
+            assert res.status == STATUS_LIMIT
+            assert res.path is None
+            # the frontier and the finished tasks stay within the cap, and
+            # the task that crosses it adds at most the remainder plus one
+            assert cap < res.explored <= 2 * cap + 1
 
     def test_generous_cap_is_invisible(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
