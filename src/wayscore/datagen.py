@@ -24,6 +24,7 @@ configuration reproduces the same network byte for byte.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -293,6 +294,11 @@ def generate_query_sets(
     """
     if (overhead_percent is None) == (overhead_minutes is None):
         raise ConfigError("give exactly one of overhead_percent / overhead_minutes")
+    overhead = overhead_percent if overhead_percent is not None else overhead_minutes
+    if not (math.isfinite(overhead) and overhead > 0):
+        # build_query would reject every draw, and the sampler would report
+        # only the unfilled buckets after the attempt cap.
+        raise ConfigError(f"overhead must be finite and positive, got {overhead}")
     if count_per_set < 0:
         raise ConfigError("count_per_set must be >= 0")
     if attempt_cap is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 
@@ -55,6 +55,20 @@ class Edge:
     length_m: Optional[float] = None
 
 
+class PreparedNetwork(NamedTuple):
+    """The adjacency every traversal walks, with each edge's evaluators bound.
+
+    ``out_adj[u]`` holds ``(head, arrival_at, score_at, edge)`` for each
+    out-edge of ``u``, and ``in_adj[v]`` holds ``(tail, latest_departure_at,
+    edge index)`` for each in-edge of ``v``, in the order of ``out_edges``
+    and ``in_edges``.  Binding the methods once keeps attribute lookups out
+    of the hot loops.
+    """
+
+    out_adj: list[list[tuple]]
+    in_adj: list[list[tuple]]
+
+
 @dataclass
 class RoadNetwork:
     """Directed graph with per-edge time profiles and both adjacency indexes."""
@@ -70,6 +84,41 @@ class RoadNetwork:
             self._name_to_id = {name: nid for nid, name in self.labels.items()}
         else:
             self._name_to_id = {}
+        self._prepared: Optional[tuple[tuple, PreparedNetwork]] = None
+
+    def prepared(self) -> PreparedNetwork:
+        """The prepared adjacency, built on first use and then reused.
+
+        The bound evaluators capture the profile classes' methods as they
+        are when the adjacency is built, so the cache is keyed on those
+        methods and rebuilt when one of them has been replaced: a wrapped
+        method (a counter, a tracer) must see every later call.  Two threads
+        that build at once build equal values, so no lock is needed.
+        """
+        key = (
+            ArrivalProfile.arrival,
+            ScoreProfile.value,
+            ArrivalProfile.latest_departure,
+        )
+        cached = self._prepared
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        edges = self.edges
+        prepared = PreparedNetwork(
+            [
+                [
+                    (e.head, e.arrival.arrival, e.score.value, e)
+                    for e in (edges[i] for i in out)
+                ]
+                for out in self.out_edges
+            ],
+            [
+                [(edges[i].tail, edges[i].arrival.latest_departure, i) for i in into]
+                for into in self.in_edges
+            ],
+        )
+        self._prepared = (key, prepared)
+        return prepared
 
     def node_name(self, node: int) -> str:
         if self.labels and node in self.labels:
@@ -180,6 +229,11 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``1.0`` are not node ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_network(path: str) -> RoadNetwork:
     """Load and fully validate a network file."""
     with open(path) as fh:
@@ -191,7 +245,7 @@ def load_network(path: str) -> RoadNetwork:
         raise FormatError(f"{path}: top-level document must be an object")
     node_count = _require(doc, "node_count", path)
     raw_edges = _require(doc, "edges", path)
-    if not isinstance(node_count, int) or not isinstance(raw_edges, list):
+    if not _is_int(node_count) or not isinstance(raw_edges, list):
         raise FormatError(f"{path}: bad types for node_count/edges")
     edges = []
     for idx, raw in enumerate(raw_edges):
@@ -200,6 +254,10 @@ def load_network(path: str) -> RoadNetwork:
             raise FormatError(f"{where}: edge must be an object")
         tail = _require(raw, "from", where)
         head = _require(raw, "to", where)
+        if not (_is_int(tail) and _is_int(head)):
+            raise FormatError(
+                f"{where}: node ids must be integers, got {tail!r} -> {head!r}"
+            )
         pairs = _require(raw, "arrival", where)
         try:
             arrival = ArrivalProfile([(float(x), float(y)) for x, y in pairs])
@@ -216,7 +274,7 @@ def load_network(path: str) -> RoadNetwork:
             )
         except ProfileError as exc:
             raise EdgeError(f"{where}: {exc}") from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"{where}: malformed score object") from exc
         length = raw.get("length_m")
         edges.append(Edge(tail, head, arrival, score, length))

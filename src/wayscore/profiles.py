@@ -48,12 +48,17 @@ def check_fifo(pairs: Sequence[tuple[float, float]]) -> Optional[FifoViolation]:
     """Validate a breakpoint list; return the first violation or None.
 
     Valid means: departures strictly increasing, arrivals non-decreasing,
-    and every arrival >= its departure.
+    and every arrival >= its departure.  Raises ProfileError for an empty
+    list or a non-finite number, which no ordering test can judge.
     """
     if not pairs:
         raise ProfileError("arrival profile needs at least one breakpoint")
     prev_x, prev_y = None, None
     for i, (x, y) in enumerate(pairs):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ProfileError(
+                f"breakpoint {i} is not finite: departure={x!r}, arrival={y!r}"
+            )
         if y < x:
             return FifoViolation(i, "negative-travel", x, y)
         if prev_x is not None:
@@ -183,6 +188,8 @@ class ScoreProfile:
                 f"expected {expected} score values for {len(bounds)} boundaries, "
                 f"got {len(vals)}"
             )
+        if not all(math.isfinite(x) for x in (*bounds, *vals, default)):
+            raise ProfileError("score boundaries and values must be finite")
         if default < 0.0 or any(v < 0.0 for v in vals):
             raise ProfileError("scores must be non-negative")
         self.boundaries = bounds

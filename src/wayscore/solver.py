@@ -7,6 +7,12 @@ head's latest feasible departure time (the temporal bound from
 :func:`wayscore.traversal.latest_departures`).  Within those rules the
 search is exhaustive, so the returned path is optimal, not heuristic.
 
+The search, the bounds and the budget derivation all walk the network's
+prepared adjacency (:meth:`wayscore.network.RoadNetwork.prepared`), which
+binds each edge's profile evaluators once per network, on first use.  A
+solve therefore does no per-network preparation after the first, and forked
+workers inherit the prepared adjacency with the search state.
+
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
 optimum unique, which is what lets the parallel mode return byte-identical
@@ -123,7 +129,11 @@ class SolveResult:
 
 
 class _SearchState:
-    """Per-solve bundle shared by every recursion frame."""
+    """Per-solve bundle shared by every recursion frame.
+
+    ``adj`` is the network's prepared out-adjacency
+    (:meth:`RoadNetwork.prepared`), built once per network, not per solve.
+    """
 
     __slots__ = (
         "adj",
@@ -135,16 +145,8 @@ class _SearchState:
         "cap",
     )
 
-    def __init__(self, net, bounds, destination, t_arr, constraints, cap):
-        # (head, arrival evaluator, score evaluator, edge) per out-edge,
-        # built once per solve so the hot loop avoids attribute lookups.
-        self.adj = [
-            [
-                (e.head, e.arrival.arrival, e.score.value, e)
-                for e in (net.edges[i] for i in out)
-            ]
-            for out in net.out_edges
-        ]
+    def __init__(self, adj, bounds, destination, t_arr, constraints, cap):
+        self.adj = adj
         self.bounds = bounds
         self.destination = destination
         self.t_arr = t_arr
@@ -484,7 +486,12 @@ def solve(
     if sys.getrecursionlimit() < limit:
         sys.setrecursionlimit(limit)
     state = _SearchState(
-        net, times, query.destination, query.t_arr, constraints, max_expansions
+        net.prepared().out_adj,
+        times,
+        query.destination,
+        query.t_arr,
+        constraints,
+        max_expansions,
     )
     state.explored = 1  # the source label
     root = ((query.source,), query.t_dep, 0.0, (0.0,) * len(state.constraints))

@@ -39,10 +39,10 @@ def earliest_arrival(
         return t_dep, [source]
     n = net.node_count
     best = [math.inf] * n
-    via = [-1] * n
+    via = [-1] * n  # predecessor on the best path found so far
     best[source] = t_dep
     heap = [(t_dep, source)]
-    edges = net.edges
+    out_adj = net.prepared().out_adj
     while heap:
         t, u = heapq.heappop(heap)
         if t > best[u]:
@@ -51,18 +51,16 @@ def earliest_arrival(
             path = [destination]
             node = destination
             while node != source:
-                edge = edges[via[node]]
-                node = edge.tail
+                node = via[node]
                 path.append(node)
             path.reverse()
             return t, path
-        for idx in net.out_edges[u]:
-            e = edges[idx]
-            arr = e.arrival.arrival(t)
-            if arr < best[e.head]:
-                best[e.head] = arr
-                via[e.head] = idx
-                heapq.heappush(heap, (arr, e.head))
+        for head, arrival_at, _, _ in out_adj[u]:
+            arr = arrival_at(t)
+            if arr < best[head]:
+                best[head] = arr
+                via[head] = u
+                heapq.heappush(heap, (arr, head))
     return None
 
 
@@ -71,7 +69,8 @@ class Query:
     """A fully-derived query: budget and deadline are already computed.
 
     ``overhead_kind`` is "abs" (minutes on top of the fastest travel time)
-    or "pct" (percentage of the fastest travel time).
+    or "pct" (percentage of the fastest travel time).  The departure, the
+    budget and the deadline must be finite, or QueryError is raised.
     """
 
     source: int
@@ -82,13 +81,18 @@ class Query:
     budget: float
     t_arr: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_dep, self.budget, self.t_arr))):
+            raise QueryError(
+                f"departure {self.t_dep}, budget {self.budget} and deadline "
+                f"{self.t_arr} must be finite"
+            )
+
     @classmethod
     def from_budget(
         cls, source: int, destination: int, t_dep: float, budget: float
     ) -> "Query":
         """Bypass budget derivation when the budget is already known."""
-        if not (math.isfinite(t_dep) and math.isfinite(budget)):
-            raise QueryError(f"departure {t_dep} and budget {budget} must be finite")
         if budget < 0:
             raise QueryError(f"budget must be >= 0, got {budget}")
         return cls(source, destination, t_dep, "abs", budget, budget, t_dep + budget)
@@ -184,26 +188,28 @@ def latest_departures(
     closed = [False] * n
     times[destination] = t_arr
     heap = [(-t_arr, destination)]
-    edges = net.edges
+    in_adj = net.prepared().in_adj
     while heap:
         neg, v = heapq.heappop(heap)
         label = -neg
         if label < t_dep:
+            heap.append((neg, v))  # still open: the reset below must see it
             break
         if closed[v] or label < times[v]:
             continue
         closed[v] = True
-        for idx in net.in_edges[v]:
-            e = edges[idx]
-            u = e.tail
+        for u, latest_departure_at, idx in in_adj[v]:
             if closed[u]:
                 continue
-            cand = e.arrival.latest_departure(times[v])
+            cand = latest_departure_at(label)
             if cand is not None and cand > times[u]:
                 times[u] = cand
                 witness[u] = idx
                 heapq.heappush(heap, (-cand, u))
-    for v in range(n):
+    # Only a node pushed but never closed has a label to clear, and its
+    # newest entry is still on the heap: an entry popped without closing its
+    # node was stale, so the node's larger, newer entry had closed it before.
+    for _, v in heap:
         if not closed[v]:
             times[v] = UNREACHABLE
             witness[v] = -1

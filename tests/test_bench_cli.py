@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -23,6 +24,18 @@ def grid_files(tmp_path_factory):
     queries_path = str(root / "queries.csv")
     write_queries_csv(records, queries_path)
     return graph_path, queries_path, gen.network, records
+
+
+def _one_edge_doc(**fields):
+    """A two-node network document whose single edge 0->1 has ``fields``."""
+    edge = {
+        "from": 0,
+        "to": 1,
+        "arrival": [[0.0, 2.0]],
+        "score": {"boundaries": [], "values": [], "default": 1.0},
+    }
+    edge.update(fields)
+    return {"node_count": 2, "edges": [edge]}
 
 
 @pytest.fixture
@@ -117,6 +130,32 @@ class TestQueryCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("doc, message", [
+        (_one_edge_doc(**{"from": "0"}), "must be integers"),
+        (_one_edge_doc(**{"from": 0.0}), "must be integers"),
+        (_one_edge_doc(**{"from": True}), "must be integers"),
+        (_one_edge_doc(to=1.0), "must be integers"),
+        ({**_one_edge_doc(), "node_count": True}, "node_count"),
+        (_one_edge_doc(arrival=[[0.0, math.nan]]), "not finite"),
+        (_one_edge_doc(arrival=[[0.0, 2.0], [math.nan, 3.0]]), "not finite"),
+        (_one_edge_doc(arrival=[[0.0, 2.0], [math.inf, math.inf]]), "not finite"),
+        (_one_edge_doc(score={"default": math.nan}), "must be finite"),
+        (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": [math.nan]}),
+         "must be finite"),
+        (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": ["x"]}),
+         "malformed score"),
+    ])
+    def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["query", "--graph", str(path), "--from", "0", "--to", "1",
+                   "--depart", "0", "--budget", "8"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_conflicting_overheads_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:
@@ -216,3 +255,13 @@ class TestGenQueriesCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8  # 2 per default bucket
         assert {r["set"] for r in rows} == {"set-1", "set-2", "set-3", "set-4"}
+
+    @pytest.mark.parametrize("flag", ["--overhead-pct", "--overhead-abs"])
+    def test_non_finite_overhead_is_data_error(self, grid_files, tmp_path, capsys, flag):
+        graph_path, _, _, _ = grid_files
+        out = str(tmp_path / "q.csv")
+        rc = main(["gen-queries", "--graph", graph_path, "--seed", "5",
+                   "--count", "2", flag, "nan", "--out", out])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "overhead must be finite" in captured.err and "nan" in captured.err

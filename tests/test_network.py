@@ -58,6 +58,22 @@ class TestBuild:
                 assert (idx in net.out_edges[node]) == (node == e.tail)
                 assert (idx in net.in_edges[node]) == (node == e.head)
 
+    def test_prepared_adjacency_is_built_once(self, toy_network, monkeypatch):
+        e = toy_network.edges
+        prepared = toy_network.prepared()
+        assert toy_network.prepared() is prepared
+        assert prepared.out_adj[2] == [
+            (0, e[2].arrival.arrival, e[2].score.value, e[2]),
+            (1, e[3].arrival.arrival, e[3].score.value, e[3]),
+        ]
+        assert prepared.in_adj[1] == [
+            (0, e[0].arrival.latest_departure, 0),
+            (2, e[3].arrival.latest_departure, 3),
+        ]
+        # replacing a method the adjacency binds rebuilds it
+        monkeypatch.setattr(ScoreProfile, "value", lambda self, t: 0.0)
+        assert toy_network.prepared() is not prepared
+
     def test_resolve_node(self, toy_network):
         assert toy_network.resolve_node("A") == 0
         assert toy_network.resolve_node("2") == 2

@@ -37,7 +37,9 @@ def _edge(u, v, tt, score):
 def _state(net, q):
     """The search state solve() builds for ``q``, with no expansion cap."""
     bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep)
-    return _SearchState(net, bounds.times, q.destination, q.t_arr, (), None)
+    return _SearchState(
+        net.prepared().out_adj, bounds.times, q.destination, q.t_arr, (), None
+    )
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +317,50 @@ class TestParallel:
     def test_unknown_mode_rejected(self, toy_network):
         with pytest.raises(ValueError):
             solve(toy_network, _query(toy_network, 0, 1, 0.0, 8.0), mode="magic")
+
+
+class TestPreparedNetwork:
+    """Solves reuse the network's prepared adjacency; reuse changes nothing."""
+
+    def test_replaced_profile_methods_see_every_call(self, grid16, monkeypatch):
+        net, queries = grid16
+        q = queries[0]
+        before = solve(net, q)  # the prepared adjacency binds the originals
+        counts = {}
+        for cls, name in (
+            (ArrivalProfile, "arrival"),
+            (ArrivalProfile, "latest_departure"),
+            (ScoreProfile, "value"),
+        ):
+            def counted(profile, t, name=name, method=getattr(cls, name)):
+                counts[name] += 1
+                return method(profile, t)
+
+            monkeypatch.setattr(cls, name, counted)
+        answers, seen = [], []
+        for network in (net, build_network(net.node_count, net.edges)):
+            counts.update(arrival=0, latest_departure=0, value=0)
+            answers.append(solve(network, q))
+            seen.append(dict(counts))
+        reused, fresh = seen
+        assert min(reused.values()) > 0
+        # the solved-before network counts exactly what a fresh one does
+        assert reused == fresh
+        for res in answers:
+            assert res.status == before.status
+            assert res.path.to_json() == before.path.to_json()
+            assert res.explored == before.explored
+
+    def test_repeated_solves_match_a_fresh_network(self, grid16):
+        net, queries = grid16
+        for q in queries[:6]:  # the rest take a minute to solve
+            fresh = solve(build_network(net.node_count, net.edges), q)
+            for _ in range(2):
+                for kwargs in ({}, {"mode": "parallel", "threads": 2}):
+                    res = solve(net, q, **kwargs)
+                    assert res.status == fresh.status
+                    assert res.path.to_json() == fresh.path.to_json()
+                    assert res.explored == fresh.explored
 
 
 class TestConstraints:

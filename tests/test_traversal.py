@@ -5,6 +5,7 @@ import pytest
 
 from wayscore.reference import latest_departure_by_enumeration, random_network
 from wayscore.traversal import (
+    Query,
     QueryError,
     UNREACHABLE,
     build_query,
@@ -94,6 +95,18 @@ class TestBudget:
         with pytest.raises(QueryError):
             build_query(ten_minute_net, 0, 1, 0.0, overhead_minutes=0.0)
 
+    @pytest.mark.parametrize("t_dep, budget, t_arr", [
+        (0.0, math.nan, math.nan),
+        (0.0, 8.0, math.nan),
+        (0.0, 8.0, math.inf),
+        (0.0, math.inf, math.inf),
+        (math.nan, 8.0, 8.0),
+        (-math.inf, 8.0, 8.0),
+    ])
+    def test_directly_built_query_must_be_finite(self, t_dep, budget, t_arr):
+        with pytest.raises(QueryError, match="must be finite"):
+            Query(0, 1, t_dep, "abs", budget, budget, t_arr)
+
 
 class TestLatestDepartures:
     def test_destination_labelled_with_deadline(self, toy_network):
@@ -120,6 +133,21 @@ class TestLatestDepartures:
         assert bounds.times[3] == 2.0
         assert bounds.label(0) is None
         assert bounds.label(1) is None
+
+    def test_pushed_but_unclosed_node_is_cleared(self):
+        # D=3 is the destination.  A=0 closes (label 3) and so does C=2
+        # (3.5); B=1 is pushed with label 1 < t_dep and never closed, and
+        # E=4 is never pushed (only B leads to it).
+        edges = [
+            Edge(0, 3, ArrivalProfile.constant(1.0), ScoreProfile.constant(0.0)),
+            Edge(1, 3, ArrivalProfile.constant(3.0), ScoreProfile.constant(0.0)),
+            Edge(2, 3, ArrivalProfile.constant(0.5), ScoreProfile.constant(0.0)),
+            Edge(4, 1, ArrivalProfile.constant(0.5), ScoreProfile.constant(0.0)),
+        ]
+        net = build_network(5, edges)
+        bounds = latest_departures(net, 3, 4.0, 2.0)
+        assert bounds.times == [3.0, UNREACHABLE, 3.5, 4.0, UNREACHABLE]
+        assert bounds.witness == [0, -1, 2, -1, -1]
 
     def test_witness_paths_arrive_in_time(self):
         rng = random.Random(9)
