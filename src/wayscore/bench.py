@@ -3,11 +3,12 @@
 One output row per (query set, thread count).  Wall time is measured
 around :func:`wayscore.solver.solve` only, which includes the backward
 bound computation (it is part of answering a query) but excludes file
-loading.  Parallel runs pay their worker startup inside that window too,
-so thread counts above one only pay off once queries take hundreds of
-milliseconds.  Averages cover feasible queries only; queries that came
-back infeasible or hit the expansion cap are tallied in the
-``infeasible`` column.
+loading.  The first parallel query at a new worker count (the thread
+count, capped at the cores) pays the worker start-up inside that window
+too; the workers then stay alive for the next queries at that count, which
+pay only the task dispatch.  Averages cover
+feasible queries only; queries that came back infeasible or hit the
+expansion cap are tallied in the ``infeasible`` column.
 """
 
 from __future__ import annotations

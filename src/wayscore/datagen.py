@@ -397,7 +397,20 @@ def write_queries_csv(records: Sequence[QueryRecord], path: str) -> None:
             )
 
 
+# How read_queries_csv converts each of the QUERY_CSV_FIELDS.
+_QUERY_CSV_PARSERS = (
+    lambda tag: int(tag.removeprefix("set-")),
+    int,
+    int,
+    float,
+    str,
+    float,
+    float,
+)
+
+
 def read_queries_csv(path: str) -> list[QueryRecord]:
+    """Read a query CSV; raises ConfigError naming the line of a bad field."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -405,15 +418,14 @@ def read_queries_csv(path: str) -> list[QueryRecord]:
         if missing:
             raise ConfigError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            records.append(
-                QueryRecord(
-                    int(row["set"].removeprefix("set-")),
-                    int(row["source"]),
-                    int(row["destination"]),
-                    float(row["t_dep"]),
-                    row["overhead_kind"],
-                    float(row["overhead_value"]),
-                    float(row["budget"]),
-                )
-            )
+            values = []
+            for name, parse in zip(QUERY_CSV_FIELDS, _QUERY_CSV_PARSERS):
+                text = row[name]  # None when the row is short
+                try:
+                    values.append(parse(text))
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: bad {name} {text!r}"
+                    ) from None
+            records.append(QueryRecord(*values))
     return records

@@ -22,12 +22,14 @@ File format (JSON document)::
 
 Times are decimal minutes with at most six fractional digits; the loader
 preserves that precision exactly.  A single-breakpoint "arrival" encodes a
-static edge.
+static edge.  Node ids are JSON integers, every number is finite, a
+length is a number >= 0, and labels name nodes in range.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -260,10 +262,12 @@ def load_network(path: str) -> RoadNetwork:
             )
         pairs = _require(raw, "arrival", where)
         try:
+            if type(pairs) is not list:
+                raise TypeError(f"breakpoints must be a list, got {pairs!r}")
             arrival = ArrivalProfile([(float(x), float(y)) for x, y in pairs])
         except ProfileError as exc:
             raise EdgeError(f"{where}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{where}: malformed arrival breakpoints") from exc
         raw_score = raw.get("score", {})
         try:
@@ -274,9 +278,15 @@ def load_network(path: str) -> RoadNetwork:
             )
         except ProfileError as exc:
             raise EdgeError(f"{where}: {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, OverflowError, AttributeError) as exc:
             raise FormatError(f"{where}: malformed score object") from exc
         length = raw.get("length_m")
+        if length is not None and not (
+            type(length) in (int, float) and 0.0 <= length <= sys.float_info.max
+        ):
+            raise FormatError(
+                f"{where}: length_m must be a finite number >= 0, got {length!r}"
+            )
         edges.append(Edge(tail, head, arrival, score, length))
     labels = None
     if "labels" in doc:
@@ -284,4 +294,9 @@ def load_network(path: str) -> RoadNetwork:
             labels = {int(k): str(v) for k, v in doc["labels"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"{path}: malformed labels map") from exc
+        outside = [k for k in labels if not 0 <= k < node_count]
+        if outside:
+            raise FormatError(
+                f"{path}: label for node {outside[0]} outside [0, {node_count})"
+            )
     return build_network(node_count, edges, labels)

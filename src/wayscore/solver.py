@@ -24,7 +24,13 @@ pure Python and threads would serialize on the interpreter lock.  The same
 engine expands the tree breadth first down to a small fork depth, handing
 each child prefix to a task list instead of recursing into it; workers pull
 the tasks from the shared queue and search each subtree to the end, which
-keeps them busy even when subtree sizes are wildly uneven.
+keeps them busy even when subtree sizes are wildly uneven.  The workers
+persist while a network is in use: one pool per process, forked on the
+first parallel solve on a network, before its frontier is built, and reused
+by the next ones on the same network, constraints and worker count, which
+start no process; a query whose frontier leaves no tasks sends the workers
+nothing.  The pool is closed when the network is collected, or at exit.  Where ``fork`` is not available, parallel mode runs
+the sequential search, which returns the same result.
 """
 
 from __future__ import annotations
@@ -32,17 +38,20 @@ from __future__ import annotations
 import gc
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import sys
 import threading
+import weakref
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .network import Edge, RoadNetwork
 from .profiles import TIME_EPS
-from .traversal import Query, latest_departures
+from .traversal import Query, QueryError, latest_departures
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -287,33 +296,108 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return a[2] < b[2]
 
 
-# Serialises parallel solves within one process, so at most one worker pool,
-# sized to the cores, runs at a time.
-_PARALLEL_LOCK = threading.Lock()
-
-# The search state of the solve that forked this worker; set by _init_worker
-# in worker processes only.
-_worker_state: _SearchState
+# Serialises parallel solves within one process, and guards the worker pool
+# slot ``_pool`` and the shared bounds buffer of the pool in it.  Reentrant,
+# because a network's finalizer may close its pool from whatever thread the
+# collector happens to run in, including one inside a parallel solve.
+_PARALLEL_LOCK = threading.RLock()
 
 
-def _init_worker(state: _SearchState) -> None:
-    """Pool initializer: keep the parent's search state in this worker.
+class _WorkerPool:
+    """Forked search workers, kept alive across the solves on one network.
 
-    Under ``fork`` the state is inherited, not pickled, so ``Constraint``
-    cost functions need not be picklable.
+    The workers inherit the prepared out-adjacency, the constraints and an
+    anonymous shared buffer of one double per node, all made before the
+    fork, so ``Constraint`` cost functions need not be picklable.  A query's
+    bounds reach the workers through the buffer: the parent writes them and
+    bumps ``token``; a worker re-reads the buffer when a task carries a token
+    it has not seen.  The pool holds no reference to the network, whose
+    finalizer closes it when the network is collected, or at exit.
     """
-    global _worker_state
-    _worker_state = state
+
+    def __init__(self, net: RoadNetwork, adj: list, constraints: tuple, workers: int):
+        self.adj = adj
+        self.constraints = constraints
+        self.workers = workers
+        self.token = 0
+        self.bounds = mmap.mmap(-1, 8 * len(adj))
+        self.pool = multiprocessing.get_context("fork").Pool(
+            workers, _init_worker, (adj, constraints, self.bounds)
+        )
+        self._finalizer = weakref.finalize(net, _close_pool, self)
+
+    def serves(self, adj: list, constraints: tuple, workers: int) -> bool:
+        """Whether the workers inherited exactly these objects."""
+        return (
+            self.adj is adj
+            and self.workers == workers
+            and len(self.constraints) == len(constraints)
+            and all(a is b for a, b in zip(self.constraints, constraints))
+        )
+
+    def close(self) -> None:
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        self._finalizer.detach()
+        pool.terminate()
+        pool.join()
+        self.bounds.close()
+
+
+# The worker pool of the most recent parallel solve, or None.
+_pool: Optional[_WorkerPool] = None
+
+
+def _close_pool(holder: _WorkerPool) -> None:
+    """Close ``holder``'s workers, and empty the slot if it holds them."""
+    global _pool
+    with _PARALLEL_LOCK:
+        if _pool is holder:
+            _pool = None
+        holder.close()
+
+
+def _worker_pool(net: RoadNetwork, state: _SearchState, workers: int) -> _WorkerPool:
+    """The pool whose workers inherited ``state``'s adjacency and constraints.
+
+    Any other pool is closed first, so no pool threads are alive at the fork.
+    The caller holds ``_PARALLEL_LOCK``.
+    """
+    global _pool
+    if _pool is not None:
+        if _pool.serves(state.adj, state.constraints, workers):
+            return _pool
+        _close_pool(_pool)
+    _pool = _WorkerPool(net, state.adj, state.constraints, workers)
+    return _pool
+
+
+# In a worker process: its search state, the shared bounds buffer and the
+# query token the state was last loaded for; set by _init_worker.
+_worker: list
+
+
+def _init_worker(adj: list, constraints: tuple, bounds: mmap.mmap) -> None:
+    """Pool initializer: keep the objects inherited from the parent."""
+    global _worker
+    _worker = [_SearchState(adj, (), -1, 0.0, constraints, None), bounds, None]
 
 
 def _run_subtree(task) -> tuple[Optional[_Candidate], int]:
     """Search one frontier task under its own expansion cap.
 
-    A task that hits its cap returns no candidate and a count above the cap,
-    which pushes the parent's total over ``max_expansions``.
+    A task is ``(token, destination, t_arr, cap, prefix, arrival, score,
+    extras)``.  A task that hits its cap returns no candidate and a count
+    above the cap, which pushes the parent's total over ``max_expansions``.
     """
-    prefix, arrival, score, extras, cap = task
-    state = _worker_state
+    token, destination, t_arr, cap, prefix, arrival, score, extras = task
+    state, bounds, seen = _worker
+    if token != seen:
+        state.bounds = memoryview(bounds).cast("d").tolist()
+        state.destination = destination
+        state.t_arr = t_arr
+        _worker[2] = token
     state.explored = 0
     state.cap = cap
     try:
@@ -372,45 +456,45 @@ def _solve_parallel(
     target = max(64, threads * _TASKS_PER_WORKER)
     # More processes than cores cannot help a CPU-bound search and multiply
     # copy-on-write traffic.
-    cores = os.cpu_count() or threads
-    ctx = multiprocessing.get_context("fork")
+    workers = max(1, min(threads, os.cpu_count() or threads))
     with _PARALLEL_LOCK:
-        pool = None
+        # The first parallel solve on a network forks its workers before the
+        # frontier is built, whatever the frontier turns out to be, so the
+        # fork overlaps the expansion and a network in parallel use always
+        # has its workers, whichever query came first.
+        holder = _worker_pool(net, state, workers)
         try:
-            if net.node_count >= 256:
-                # On real networks the fork cost is worth hiding behind the
-                # frontier expansion; tiny instances usually end up with no
-                # tasks at all, so they fork lazily below.
-                pool = ctx.Pool(max(1, min(threads, cores)), _init_worker, (state,))
+            tasks, candidates = _build_frontier(state, root, depth, target)
+        except _LimitHit:
+            return SolveResult(STATUS_LIMIT, None, state.explored)
+        explored = state.explored
+        if tasks:
+            remaining_cap = None  # the frontier stayed within the cap
+            if max_expansions is not None:
+                remaining_cap = max_expansions - explored
+            holder.bounds[:] = array("d", state.bounds).tobytes()
+            holder.token += 1
+            head = (holder.token, state.destination, state.t_arr, remaining_cap)
+            drained = False
             try:
-                tasks, candidates = _build_frontier(state, root, depth, target)
-            except _LimitHit:
-                return SolveResult(STATUS_LIMIT, None, state.explored)
-            explored = state.explored
-            if tasks:
-                remaining_cap = None  # the frontier stayed within the cap
-                if max_expansions is not None:
-                    remaining_cap = max_expansions - explored
-                if pool is None:
-                    workers = max(1, min(threads, len(tasks), cores))
-                    pool = ctx.Pool(workers, _init_worker, (state,))
                 # chunksize 1: subtree sizes are heavy-tailed, so let idle
                 # workers pull single tasks (the balancing matters far more
                 # than the per-task dispatch cost).
-                for cand, count in pool.imap_unordered(
-                    _run_subtree,
-                    [(*task, remaining_cap) for task in tasks],
-                    chunksize=1,
+                for cand, count in holder.pool.imap_unordered(
+                    _run_subtree, [head + task for task in tasks], chunksize=1
                 ):
                     explored += count
                     if max_expansions is not None and explored > max_expansions:
-                        break  # the outcome is settled; the pool is terminated below
+                        break  # the outcome is settled
                     if cand is not None:
                         candidates.append(cand)
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+                else:
+                    drained = True
+            finally:
+                if not drained:
+                    # A cap hit, a worker exception or an interrupt leaves
+                    # workers busy with this query's tasks.
+                    _close_pool(holder)
     if max_expansions is not None and explored > max_expansions:
         return SolveResult(STATUS_LIMIT, None, explored)
     if not candidates:
@@ -467,11 +551,11 @@ def solve(
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (0 <= query.source < net.node_count):
-        raise ValueError(f"source {query.source} out of range")
+        raise QueryError(f"source {query.source} out of range")
     if not (0 <= query.destination < net.node_count):
-        raise ValueError(f"destination {query.destination} out of range")
+        raise QueryError(f"destination {query.destination} out of range")
     if query.t_arr < query.t_dep:
-        raise ValueError("arrival deadline precedes departure")
+        raise QueryError("arrival deadline precedes departure")
     if query.source == query.destination:
         path = PathResult((query.source,), (), (), 0.0, 0.0, query.t_dep)
         return SolveResult(STATUS_OK, path, 1)
@@ -495,7 +579,13 @@ def solve(
     )
     state.explored = 1  # the source label
     root = ((query.source,), query.t_dep, 0.0, (0.0,) * len(state.constraints))
-    if mode == "parallel" and threads > 1:
+    # Workers inherit the search state by fork; without it, the sequential
+    # search gives the same answer.
+    if (
+        mode == "parallel"
+        and threads > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+    ):
         return _solve_parallel(
             net, query, state, root, threads, fork_depth, max_expansions
         )

@@ -145,6 +145,12 @@ class TestQueryCommand:
          "must be finite"),
         (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": ["x"]}),
          "malformed score"),
+        (_one_edge_doc(arrival=[[0, 10**400]]), "malformed arrival"),
+        (_one_edge_doc(arrival={"02": 1}), "malformed arrival"),
+        (_one_edge_doc(score={"default": 10**400}), "malformed score"),
+        (_one_edge_doc(length_m="far"), "length_m must be"),
+        (_one_edge_doc(length_m=-1.0), "length_m must be"),
+        ({**_one_edge_doc(), "labels": {"9": "1"}}, "label for node 9 outside"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
@@ -206,6 +212,32 @@ class TestBenchCommand:
         rows = run_bench(net, records, threads_list=[1], max_expansions=1)
         # every query trips the cap; rows still come back, tallied infeasible
         assert all(row.infeasible == row.queries for row in rows)
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("budget", "abc", "line 2: bad budget 'abc'"),
+        ("set", "x", "line 2: bad set 'x'"),
+        ("source", "99", "source 99 out of range"),
+        ("budget", "-5", "arrival deadline precedes departure"),
+    ])
+    def test_malformed_query_row_is_data_error(
+        self, grid_files, tmp_path, capsys, column, value, message
+    ):
+        graph_path, queries_path, _, _ = grid_files
+        with open(queries_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            fields, rows = reader.fieldnames, list(reader)
+        rows[0][column] = value
+        bad = str(tmp_path / "bad.csv")
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fields)
+            writer.writeheader()
+            writer.writerows(rows)
+        rc = main(["bench", "--graph", graph_path, "--queries", bad])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_write_bench_csv_stable_header(self):
         buf = io.StringIO()

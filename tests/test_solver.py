@@ -1,7 +1,11 @@
+import gc
+import multiprocessing
+import os
 import random
 
 import pytest
 
+from wayscore import solver
 from wayscore.datagen import GenConfig, generate_network, generate_query_sets
 from wayscore.network import Edge, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
@@ -44,8 +48,8 @@ def _state(net, q):
 
 @pytest.fixture(scope="module")
 def grid16():
-    """A 256-node rush-hour grid (large enough for the pool to fork before
-    the frontier is built) and queries of a few thousand labels or more."""
+    """A 256-node rush-hour grid and queries of up to a few thousand labels
+    (the last, of ten million, only ever runs under a cap)."""
     net = generate_network(
         GenConfig(rows=16, cols=16, score_density=0.2, seed=5)
     ).network
@@ -303,8 +307,7 @@ class TestParallel:
                 assert par.path.to_json() == seq.path.to_json()
             assert par.explored == seq.explored
 
-    def test_eager_fork_agrees_with_sequential(self, grid16):
-        # 256 nodes: the pool forks before the frontier is built
+    def test_grid_frontiers_agree_with_sequential(self, grid16):
         net, queries = grid16
         for q in queries[:6]:
             seq = solve(net, q)
@@ -317,6 +320,128 @@ class TestParallel:
     def test_unknown_mode_rejected(self, toy_network):
         with pytest.raises(ValueError):
             solve(toy_network, _query(toy_network, 0, 1, 0.0, 8.0), mode="magic")
+
+
+def _workers() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _assert_agrees(net, q, threads=2, constraints=()):
+    """A parallel solve equals the sequential one, and it forked workers."""
+    seq = solve(net, q, constraints=constraints)
+    par = solve(net, q, constraints=constraints, mode="parallel", threads=threads)
+    assert par.status == seq.status
+    assert par.path.to_json() == seq.path.to_json()
+    assert par.explored == seq.explored
+    assert _workers()
+
+
+class TestWorkerPool:
+    """Parallel solves on one network share a pool of forked workers."""
+
+    def test_two_solves_reuse_the_pool(self, grid16):
+        net, queries = grid16
+        _assert_agrees(net, queries[0])
+        workers = _workers()
+        _assert_agrees(net, queries[1])
+        assert _workers() == workers
+
+    def test_new_pool_after_a_prepared_rebuild(self, grid16, monkeypatch):
+        net, queries = grid16
+        _assert_agrees(net, queries[0])
+        workers = _workers()
+        arrival = ArrivalProfile.arrival
+        monkeypatch.setattr(
+            ArrivalProfile, "arrival", lambda profile, t: arrival(profile, t)
+        )
+        _assert_agrees(net, queries[0])
+        assert _workers().isdisjoint(workers)
+
+    def test_new_pool_after_a_constraints_change(self, grid16):
+        net, queries = grid16
+        loose = [Constraint(cost=lambda edge, t: 1.0, budget=1000.0)]
+        _assert_agrees(net, queries[0])
+        workers = _workers()
+        _assert_agrees(net, queries[0], constraints=loose)
+        assert _workers().isdisjoint(workers)
+        workers = _workers()
+        _assert_agrees(net, queries[1], constraints=list(loose))  # same objects
+        assert _workers() == workers
+        other = [Constraint(cost=lambda edge, t: 1.0, budget=1000.0)]
+        _assert_agrees(net, queries[1], constraints=other)
+        assert _workers().isdisjoint(workers)
+
+    def test_new_pool_after_a_thread_count_change(self, grid16, monkeypatch):
+        net, queries = grid16
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _assert_agrees(net, queries[0], threads=2)
+        workers = _workers()
+        assert len(workers) == 2
+        _assert_agrees(net, queries[0], threads=3)
+        assert len(_workers()) == 3 and _workers().isdisjoint(workers)
+
+    def test_solve_after_a_cap_hit_agrees(self, grid16):
+        net, queries = grid16
+        _assert_agrees(net, queries[0])
+        capped = solve(net, queries[-1], mode="parallel", threads=2,
+                       max_expansions=2000)
+        assert capped.status == STATUS_LIMIT
+        assert not _workers()  # the busy workers were terminated
+        _assert_agrees(net, queries[0])
+
+    def test_two_networks_solved_alternately(self, grid16):
+        net, queries = grid16
+        twin = build_network(net.node_count, net.edges)
+        for q in (queries[0], queries[3]):
+            for network in (net, twin):
+                _assert_agrees(network, q)
+
+    def test_pool_closes_when_the_network_is_collected(self, grid16):
+        net, queries = grid16
+        own = build_network(net.node_count, net.edges)
+        _assert_agrees(own, queries[0])
+        del own
+        gc.collect()
+        assert multiprocessing.active_children() == []
+
+    def test_first_solve_forks_the_pool_without_tasks(self, toy_network):
+        # Whichever query comes first, a network in parallel use has workers.
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        res = solve(toy_network, q, mode="parallel", threads=2)
+        assert res.path.to_json() == solve(toy_network, q).path.to_json()
+        assert _workers()
+
+    def test_later_query_without_tasks_starts_no_process(
+        self, toy_network, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process or a task was requested")
+
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        solve(toy_network, q, mode="parallel", threads=2)
+        workers = _workers()
+        monkeypatch.setattr(solver, "_WorkerPool", refuse)
+        monkeypatch.setattr(solver._pool.pool, "imap_unordered", refuse)
+        res = solve(toy_network, q, mode="parallel", threads=2)
+        assert res.path.to_json() == solve(toy_network, q).path.to_json()
+        assert _workers() == workers
+
+    def test_without_fork_parallel_runs_sequential(self, grid16, monkeypatch):
+        net, queries = grid16
+
+        def no_parallel(*args):
+            raise AssertionError("the parallel search ran")
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(solver, "_solve_parallel", no_parallel)
+        for q in queries[:2]:
+            seq = solve(net, q)
+            par = solve(net, q, mode="parallel", threads=2)
+            assert par.status == seq.status
+            assert par.path.to_json() == seq.path.to_json()
+            assert par.explored == seq.explored
 
 
 class TestPreparedNetwork:
