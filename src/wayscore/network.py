@@ -22,8 +22,9 @@ File format (JSON document)::
 
 Times are decimal minutes with at most six fractional digits; the loader
 preserves that precision exactly.  A single-breakpoint "arrival" encodes a
-static edge.  Node ids are JSON integers, every number is finite, a
-length is a number >= 0, and labels name nodes in range.
+static edge.  Node ids are JSON integers, ``node_count`` is at most
+``MAX_NODES``, every number is finite, a length is a number >= 0, and
+labels name nodes in range.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
+
+
+# The largest node count a network may declare.  Indexing allocates per
+# declared node, about 130 bytes each, so the bound keeps a file's count
+# from taking memory without limit; 2**24 nodes already take about 2 GB.
+MAX_NODES = 2**24
 
 
 class NetworkError(ValueError):
@@ -60,11 +67,11 @@ class Edge:
 class PreparedNetwork(NamedTuple):
     """The adjacency every traversal walks, with each edge's evaluators bound.
 
-    ``out_adj[u]`` holds ``(head, arrival_at, score_at, edge)`` for each
-    out-edge of ``u``, and ``in_adj[v]`` holds ``(tail, latest_departure_at,
-    edge index)`` for each in-edge of ``v``, in the order of ``out_edges``
-    and ``in_edges``.  Binding the methods once keeps attribute lookups out
-    of the hot loops.
+    ``out_adj[u]`` holds ``(head, arrival_at, score_at, edge, edge index)``
+    for each out-edge of ``u``, and ``in_adj[v]`` holds ``(tail,
+    latest_departure_at, edge index)`` for each in-edge of ``v``, in the
+    order of ``out_edges`` and ``in_edges``.  Binding the methods once keeps
+    attribute lookups out of the hot loops.
     """
 
     out_adj: list[list[tuple]]
@@ -109,8 +116,9 @@ class RoadNetwork:
         prepared = PreparedNetwork(
             [
                 [
-                    (e.head, e.arrival.arrival, e.score.value, e)
-                    for e in (edges[i] for i in out)
+                    (e.head, e.arrival.arrival, e.score.value, e, i)
+                    for i in out
+                    for e in [edges[i]]
                 ]
                 for out in self.out_edges
             ],
@@ -161,12 +169,15 @@ def build_network(
 ) -> RoadNetwork:
     """Validate edges and index them into a RoadNetwork.
 
-    Rejects self-loops, endpoints outside ``[0, node_count)``, duplicate
-    ``(tail, head)`` pairs, and non-FIFO arrival profiles, naming the
-    offending edge in each case.
+    Rejects a ``node_count`` outside ``[1, MAX_NODES]`` before allocating
+    anything, and self-loops, endpoints outside ``[0, node_count)``,
+    duplicate ``(tail, head)`` pairs, and non-FIFO arrival profiles, naming
+    the offending edge in each case.
     """
-    if node_count < 1:
-        raise NetworkError(f"node_count must be >= 1, got {node_count}")
+    if not 1 <= node_count <= MAX_NODES:
+        raise NetworkError(
+            f"node_count must be in [1, {MAX_NODES}], got {node_count}"
+        )
     out_edges: list[list[int]] = [[] for _ in range(node_count)]
     in_edges: list[list[int]] = [[] for _ in range(node_count)]
     seen: set[tuple[int, int]] = set()

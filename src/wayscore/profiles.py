@@ -9,7 +9,9 @@ time (minutes since midnight, real-valued):
 * :class:`ScoreProfile` -- piecewise-constant map from departure time to a
   non-negative score.
 
-Both are immutable after construction and safe to share across threads.
+Both are immutable after construction and safe to share across threads; an
+arrival profile computes the floors behind :meth:`ArrivalProfile.floor_after`
+once, on first use, and keeps them.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class ArrivalProfile:
     constant, so a single breakpoint encodes a static edge.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "_floors")
 
     def __init__(self, pairs: Sequence[tuple[float, float]]):
         violation = check_fifo(pairs)
@@ -86,6 +88,7 @@ class ArrivalProfile:
             raise ProfileError(violation.message())
         self.xs = tuple(float(x) for x, _ in pairs)
         self.ys = tuple(float(y) for _, y in pairs)
+        self._floors: Optional[tuple[float, ...]] = None
 
     @classmethod
     def constant(cls, travel_time: float, anchor: float = 0.0) -> "ArrivalProfile":
@@ -144,6 +147,50 @@ class ArrivalProfile:
         if dep < 0.0:
             return None
         return dep
+
+    def floor_after(self, t: float) -> float:
+        """A bound ``b`` with ``arrival(u) >= min(arrival(t), b)`` for all ``u >= t``.
+
+        FIFO makes the exact profile non-decreasing, but the computed one
+        can fall where rounding differs between two formulas: by an ulp
+        typically, and by a sizable part of the segment's rise on a segment
+        narrower than the smallest normal float, where ``dy * (d - x1)``
+        rounds to a subnormal before it is divided by ``dx``.  So no bound
+        taken from ``math.ulp`` of the operands holds for every profile.
+
+        The argument.  :meth:`arrival` picks one of several branches by
+        comparing the departure with the breakpoints: up to ``x0``, one per
+        segment (``x0 < d < x1``, then ``xk <= d < xk+1``) and from the last
+        breakpoint on.  Each branch is one formula of correctly rounded
+        operations, each monotone in the departure (``d - x1``, times
+        ``dy >= 0``, divided by ``dx > 0``, plus ``y1``; or ``d`` plus a
+        constant), so each branch is non-decreasing as computed, whatever
+        the rounding, while no intermediate overflows (breakpoints below
+        ``2**511`` in magnitude).  A departure ``u >= t`` then lies either in
+        ``t``'s branch, where ``arrival(u) >= arrival(t)``, or in a later
+        one, where ``arrival(u)`` is at least that branch's formula at the
+        breakpoint it starts from: exactly ``yk`` for an interpolating
+        segment (``0 * (...) / dx + yk``), and ``xk + (yk - xk)`` for a
+        constant-travel one and the last branch.  The bound is the least of
+        those over the branches after ``t``'s, or infinity if there are
+        none; they are computed on first use and kept.
+        """
+        floors = self._floors
+        if floors is None:
+            xs, ys = self.xs, self.ys
+            least = xs[-1] + (ys[-1] - xs[-1])  # the last branch
+            suffix = [least]
+            # the segments, last first: (x1, y1) and (x2, y2) bound each
+            for x1, y1, x2, y2 in zip(xs[-2::-1], ys[-2::-1], xs[:0:-1], ys[:0:-1]):
+                # the segment's formula at x1, as arrival() chooses it
+                first = x1 + (y1 - x1) if y2 - y1 == x2 - x1 else y1
+                if first < least:
+                    least = first
+                suffix.append(least)
+            suffix.reverse()
+            floors = self._floors = tuple(suffix)
+        later = bisect_right(self.xs, t) if t > self.xs[0] else 0
+        return floors[later] if later < len(floors) else math.inf
 
     def min_travel_time(self) -> float:
         return min(y - x for x, y in zip(self.xs, self.ys))

@@ -55,7 +55,7 @@ def earliest_arrival(
                 path.append(node)
             path.reverse()
             return t, path
-        for head, arrival_at, _, _ in out_adj[u]:
+        for head, arrival_at, _, _, _ in out_adj[u]:
             arr = arrival_at(t)
             if arr < best[head]:
                 best[head] = arr

@@ -151,6 +151,7 @@ class TestQueryCommand:
         (_one_edge_doc(length_m="far"), "length_m must be"),
         (_one_edge_doc(length_m=-1.0), "length_m must be"),
         ({**_one_edge_doc(), "labels": {"9": "1"}}, "label for node 9 outside"),
+        ({"node_count": 100000000000, "edges": []}, "node_count must be in"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"

@@ -2,7 +2,8 @@
 
 Every document must load or fail with a NetworkError, and the CLI must end
 in a documented exit code with at most one line on stderr, never a
-traceback.  Node counts stay small: the loader allocates per declared node.
+traceback.  Valid node counts stay small, since the loader allocates per
+declared node; counts above ``MAX_NODES`` must fail before that.
 """
 
 import contextlib
@@ -68,8 +69,9 @@ _document = _mostly(
             # 1 is left out: ``--to 1`` then names no node, a usage error
             "node_count": _mostly(
                 st.integers(2, 5),
-                st.one_of(st.sampled_from([-1, 0]), st.floats(), st.booleans(),
-                          st.text(max_size=2), st.none()),
+                st.one_of(st.sampled_from([-1, 0, 2**24 + 1, 10**11]),
+                          st.floats(), st.booleans(), st.text(max_size=2),
+                          st.none()),
             ),
             "edges": _mostly(st.lists(_mostly(_edge), max_size=6)),
         },

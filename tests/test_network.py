@@ -4,6 +4,7 @@ import pytest
 
 from wayscore.datagen import GenConfig, generate_network
 from wayscore.network import (
+    MAX_NODES,
     Edge,
     EdgeError,
     FormatError,
@@ -47,6 +48,11 @@ class TestBuild:
         with pytest.raises(EdgeError, match="duplicate"):
             build_network(2, [_edge(0, 1), _edge(0, 1, tt=2.0)])
 
+    @pytest.mark.parametrize("count", [0, MAX_NODES + 1, 10**11])
+    def test_node_count_out_of_bounds_rejected(self, count):
+        with pytest.raises(NetworkError, match="node_count must be in"):
+            build_network(count, [])
+
     def test_self_loop_rejected(self):
         with pytest.raises(EdgeError, match="self-loop"):
             build_network(2, [_edge(1, 1)])
@@ -63,8 +69,8 @@ class TestBuild:
         prepared = toy_network.prepared()
         assert toy_network.prepared() is prepared
         assert prepared.out_adj[2] == [
-            (0, e[2].arrival.arrival, e[2].score.value, e[2]),
-            (1, e[3].arrival.arrival, e[3].score.value, e[3]),
+            (0, e[2].arrival.arrival, e[2].score.value, e[2], 2),
+            (1, e[3].arrival.arrival, e[3].score.value, e[3], 3),
         ]
         assert prepared.in_adj[1] == [
             (0, e[0].arrival.latest_departure, 0),

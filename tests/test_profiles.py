@@ -218,3 +218,98 @@ def test_inverse_is_monotone_in_deadline(f, a, b):
         return
     assert d_hi is not None
     assert d_hi >= d_lo - 1e-9
+
+
+# --- the floor that keeps the search's edge thresholds sound ---------------
+
+
+@st.composite
+def fifo_profiles(draw):
+    """Valid profiles mixing steep, flat, constant-travel and very narrow
+    segments, some of them narrower than the smallest normal float, and
+    some starting before time 0, where ``x + (y - x)`` can differ from
+    ``y``."""
+    x = draw(st.one_of(st.just(0.0), st.floats(0.0, 1500.0), st.floats(-50.0, 0.0)))
+    y = x + draw(st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 1e-12)))
+    pairs = [(x, y)]
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(
+            st.one_of(
+                st.just(0.0),  # the next float
+                st.integers(2, 8).map(lambda k: k * 5e-324),
+                st.floats(5e-324, 1e-300),
+                st.floats(1e-9, 1.0),
+                st.floats(1.0, 120.0),
+            )
+        )
+        x2 = x + width
+        if x2 <= x:
+            x2 = math.nextafter(x, math.inf)
+        kind = draw(st.sampled_from(["flat", "constant", "any"]))
+        if kind == "flat":
+            y2 = y
+        elif kind == "constant":
+            y2 = x2 + (y - x)
+        else:
+            y2 = y + draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 60.0)))
+        x, y = x2, max(y2, y, x2)
+        pairs.append((x, y))
+    return ArrivalProfile(pairs)
+
+
+def _assert_floor_holds(f, departures):
+    """``arrival(t) >= min(arrival(t0), floor_after(t0))`` for every
+    ``t0 <= t`` among ``departures`` and the floats within two of each
+    breakpoint, where one branch of ``arrival`` hands over to the next."""
+    near = set(departures)
+    for x in f.xs:
+        for toward in (-math.inf, math.inf):
+            z = x
+            for _ in range(3):
+                near.add(z)
+                z = math.nextafter(z, toward)
+    near = sorted(near)
+    values = [f.arrival(t) for t in near]
+    for i, t0 in enumerate(near):
+        least = min(values[i], f.floor_after(t0))
+        for later in values[i:]:
+            assert later >= least
+
+
+PINNED = ArrivalProfile(
+    [(0.0, 0.0), (5e-324, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
+)
+# A steep segment three subnormal steps wide: arrival(1e-323) rounds to
+# 0.333..., above arrival(1.5e-323) = 0.26, a fall no ulp of 0.26 covers.
+NARROW = ArrivalProfile([(0.0, 0.0), (1.5e-323, 0.26), (1.0, 1.0)])
+# Before time 0, ``x + (y - x)`` can miss ``y``.  In the first two, the
+# branch from -1 (a constant-travel segment, then the last branch) starts
+# at -1 + 1.0 = 0.0, below the 1e-17 the segment before it nearly reaches;
+# in the third, the first branch ends at -1 + fl(1 + 1.2e-16) = 2.2e-16,
+# above where the segment after it starts.
+DIPS = [
+    ArrivalProfile([(-3.0, 0.0), (-1.0, 1e-17), (1.0, 2.0)]),
+    ArrivalProfile([(-3.0, 0.0), (-1.0, 1e-17)]),
+    ArrivalProfile([(-1.0, 1.2e-16), (1.0, 1.0)]),
+]
+
+
+@given(fifo_profiles(), st.floats(-10.0, 1800.0), st.floats(-10.0, 1800.0))
+@example(PINNED, 0.5, 7.0)
+@example(NARROW, 0.5, 7.0)
+@example(DIPS[0], 0.5, 7.0)
+@example(DIPS[1], 0.5, 7.0)
+@example(DIPS[2], 0.5, 7.0)
+@settings(max_examples=300)
+def test_floor_after_bounds_every_later_arrival(f, a, b):
+    _assert_floor_holds(f, (a, b))
+
+
+def test_floor_after_catches_a_fall():
+    assert NARROW.arrival(1e-323) > NARROW.arrival(1.5e-323) == 0.26
+    assert NARROW.floor_after(1e-323) == 0.26
+    assert NARROW.floor_after(1.0) == math.inf  # the last branch never falls
+    # where the computed arrival never falls, the floor is no lower
+    for f in (PINNED, ArrivalProfile([(0.0, 2.0), (4.0, 8.0), (6.0, 8.0)])):
+        for t in (-1.0, 0.0, 0.5, 1.0, 3.5, 4.0, 9.0):
+            assert f.floor_after(t) >= f.arrival(t)

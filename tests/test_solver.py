@@ -2,6 +2,7 @@ import gc
 import multiprocessing
 import os
 import random
+import sys
 
 import pytest
 
@@ -57,6 +58,15 @@ def grid16():
         net, seed=3, count_per_set=3, buckets=((2.0, 4.0), (4.0, 6.0), (6.0, 8.0))
     )
     return net, [rec.to_query() for rec in records]
+
+
+@pytest.fixture(scope="module")
+def chain3200():
+    """A 3,200-node chain and the query along all of it: a path three times
+    deeper than the interpreter's default recursion limit."""
+    n = 3200
+    net = build_network(n, [_edge(i, i + 1, 1.0, 1.0) for i in range(n - 1)])
+    return net, _query(net, 0, n - 1, 0.0, float(n))
 
 
 class TestWorkedExample:
@@ -317,6 +327,39 @@ class TestParallel:
                 assert par.path.to_json() == seq.path.to_json()
                 assert par.explored == seq.explored
 
+    def test_deep_path_leaves_the_recursion_limit_alone(self, chain3200):
+        net, q = chain3200
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for kwargs in ({}, {"mode": "parallel", "threads": 2}):
+                res = solve(net, q, **kwargs)
+                assert res.status == STATUS_OK
+                assert res.path.nodes == tuple(range(net.node_count))
+                assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_no_caller_depth_maps_memory_per_profile_call(self, grid16):
+        """CPython keeps frames in chunks and unmaps a chunk when its first
+        frame returns.  Where the caller's depth left the search's frame
+        just short of a chunk's end, every profile call it made mapped a
+        fresh chunk and faulted; solve() now runs in a fresh chunk."""
+        resource = pytest.importorskip("resource")
+        net, queries = grid16
+        q = queries[5]
+        assert solve(net, q).explored > 1000
+
+        def at_depth(n):
+            if n:
+                return at_depth(n - 1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            solve(net, q)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults = [at_depth(depth) for depth in range(0, 250)]
+        assert max(faults) < 100, faults.index(max(faults))
+
     def test_unknown_mode_rejected(self, toy_network):
         with pytest.raises(ValueError):
             solve(toy_network, _query(toy_network, 0, 1, 0.0, 8.0), mode="magic")
@@ -326,10 +369,11 @@ def _workers() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def _assert_agrees(net, q, threads=2, constraints=()):
+def _assert_agrees(net, q, threads=2, constraints=(), **kwargs):
     """A parallel solve equals the sequential one, and it forked workers."""
     seq = solve(net, q, constraints=constraints)
-    par = solve(net, q, constraints=constraints, mode="parallel", threads=threads)
+    par = solve(net, q, constraints=constraints, mode="parallel", threads=threads,
+                **kwargs)
     assert par.status == seq.status
     assert par.path.to_json() == seq.path.to_json()
     assert par.explored == seq.explored
@@ -379,6 +423,28 @@ class TestWorkerPool:
         assert len(workers) == 2
         _assert_agrees(net, queries[0], threads=3)
         assert len(_workers()) == 3 and _workers().isdisjoint(workers)
+
+    def test_edge_thresholds_do_not_outlive_their_query(self, monkeypatch):
+        """In the first query, every worker task rejects the edge H->Y (Y
+        cannot reach D1 in time) and records its threshold; the second
+        query's optimum takes H->Y at the same departure.  The worker must
+        drop the first query's thresholds, or it prunes that optimum."""
+        src, hub, y, d1, d2 = 0, 4, 5, 6, 7
+        edges = [_edge(src, i, 1.0, 0.0) for i in (1, 2, 3)]
+        edges += [_edge(i, hub, 1.0, 0.0) for i in (1, 2, 3)]
+        edges += [
+            _edge(hub, d1, 1.0, 0.0),
+            _edge(hub, y, 1.0, 5.0),
+            _edge(y, d1, 10.0, 0.0),
+            _edge(y, d2, 1.0, 0.0),
+        ]
+        net = build_network(8, edges)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one worker runs every task
+        first, second = _query(net, src, d1, 0.0, 4.0), _query(net, src, d2, 0.0, 10.0)
+        _assert_agrees(net, first, fork_depth=1)
+        _assert_agrees(net, second, fork_depth=1)
+        assert len(_workers()) == 1
+        assert solve(net, second).path.nodes == (src, 1, hub, y, d2)
 
     def test_solve_after_a_cap_hit_agrees(self, grid16):
         net, queries = grid16
