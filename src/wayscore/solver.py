@@ -37,17 +37,21 @@ each child prefix to a task list instead of descending into it; workers pull
 the tasks from the shared queue and search each subtree to the end, which
 keeps them busy even when subtree sizes are wildly uneven.  The workers
 persist while a network is in use: one pool per process, forked on the
-first parallel solve on a network, before its frontier is built, and reused
-by the next ones on the same network, constraints and worker count, which
-start no process; a query whose frontier leaves no tasks sends the workers
-nothing.  The pool is closed when the network is collected, or at exit.
+first parallel solve on a network, whatever that query needs, and reused by
+the next ones on the same network, constraints and worker count, which
+start no process.  Dispatching costs milliseconds, so a parallel solve
+first searches in-process under a small label budget; a query answered
+within it (most short ones) sends the workers nothing, and only a larger
+one is split into frontier tasks.  Forking the pool before that probe keeps
+the fork cost and the memory of a network in parallel use the same whichever
+query comes first.  The pool is closed when the network is collected, or at
+exit.
 Where ``fork`` is not available, parallel mode runs the sequential search,
 which returns the same result.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 import math
@@ -63,7 +67,7 @@ from typing import Callable, Optional, Sequence
 
 from .network import Edge, RoadNetwork
 from .profiles import TIME_EPS
-from .traversal import Query, QueryError, latest_departures
+from .traversal import Query, QueryError, _in_fresh_stack_chunk, latest_departures
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -455,6 +459,16 @@ def _default_fork_depth(threads: int) -> int:
 # keep that bound small at negligible dispatch cost.
 _TASKS_PER_WORKER = 32
 
+# Labels a parallel solve searches in-process before it splits the search.
+# Two workers can save at most half of an N-label search, N / (2 r) at r
+# labels per second, while dispatching its frontier costs about 0.4-0.7 ms
+# plus 0.04-0.1 ms per task (2-core x86 host, CPython 3.11, quiet to busy),
+# 3-7 ms for the 64 tasks of a default frontier.  At r = 0.5-0.65 M labels/s
+# a split pays only beyond 3,000-9,000 labels, so a search that ends within
+# 5,000 is answered in-process.  A larger one wastes the probe, at most
+# 10 ms, 1-2 % of the parallel time of a 0.5-1 M-label query.
+_PROBE_LABELS = 5_000
+
 
 def _build_frontier(
     state: _SearchState,
@@ -491,17 +505,42 @@ def _solve_parallel(
     fork_depth: Optional[int],
     max_expansions: Optional[int],
 ) -> SolveResult:
+    """Answer a query with the worker pool, or in-process if it is small.
+
+    The pool is made ready first: forked on a network's first parallel
+    solve, so a network in parallel use has its workers whichever query
+    comes first, and reused after.  Then the search runs in-process under
+    ``_PROBE_LABELS``; a search that ends there returns what the sequential
+    search returns and dispatches nothing, since splitting it would cost
+    more than it saves.  Only a larger one is searched again as frontier
+    tasks for the workers.
+    """
     depth = fork_depth if fork_depth is not None else _default_fork_depth(threads)
     target = max(64, threads * _TASKS_PER_WORKER)
     # More processes than cores cannot help a CPU-bound search and multiply
     # copy-on-write traffic.
     workers = max(1, min(threads, os.cpu_count() or threads))
     with _PARALLEL_LOCK:
-        # The first parallel solve on a network forks its workers before the
-        # frontier is built, whatever the frontier turns out to be, so the
-        # fork overlaps the expansion and a network in parallel use always
-        # has its workers, whichever query came first.
+        # Forked before the probe, whatever the query needs, so the fork
+        # overlaps the search.
         holder = _worker_pool(net, state, workers)
+        # The probe answers exactly as the sequential search does.  Under a
+        # cap no larger than its budget, it is the whole capped search.
+        start = state.explored
+        whole = max_expansions is not None and max_expansions <= start + _PROBE_LABELS
+        state.cap = max_expansions if whole else start + _PROBE_LABELS
+        try:
+            with _gc_paused():
+                best = _fast_search(state, *root)
+        except _LimitHit:
+            if whole:
+                return SolveResult(STATUS_LIMIT, None, state.explored)
+        else:
+            return _result(net, query, best, state.explored)
+        # Too big to answer here: start over with the full cap, keeping the
+        # learned edge thresholds, which depend only on the bounds.
+        state.explored = start
+        state.cap = max_expansions
         try:
             tasks, candidates = _build_frontier(state, root, depth, target)
         except _LimitHit:
@@ -536,12 +575,19 @@ def _solve_parallel(
                     _close_pool(holder)
     if max_expansions is not None and explored > max_expansions:
         return SolveResult(STATUS_LIMIT, None, explored)
-    if not candidates:
-        return SolveResult(STATUS_INFEASIBLE, None, explored)
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if _better(cand, best):
+    best = None
+    for cand in candidates:
+        if best is None or _better(cand, best):
             best = cand
+    return _result(net, query, best, explored)
+
+
+def _result(
+    net: RoadNetwork, query: Query, best: Optional[_Candidate], explored: int
+) -> SolveResult:
+    """The result of a search that ran to the end and found ``best``."""
+    if best is None:
+        return SolveResult(STATUS_INFEASIBLE, None, explored)
     return SolveResult(STATUS_OK, _verified_path(net, query, best), explored)
 
 
@@ -565,29 +611,6 @@ def _verified_path(net: RoadNetwork, query: Query, cand: _Candidate) -> PathResu
             f"candidate arrival {arrival} != recomputed {path.arrival}"
         )
     return path
-
-
-def _in_fresh_stack_chunk(fn):
-    """Decorate ``fn`` so that every call to it runs in a fresh frame chunk.
-
-    CPython 3.11 keeps Python frames in 16 KB chunks and frees a chunk as
-    soon as its first frame returns.  When the search's frame ends just
-    short of a chunk's end, each profile call it makes maps a chunk and
-    unmaps it again: at 2 of 301 caller depths a capped 50 k-label solve
-    took 55 k and 105 k minor faults against 1 or 2 elsewhere, and a
-    0.5 M-label one took 10 s instead of 0.6 s.  The wrapper declares a
-    frame larger than a chunk, so it always opens a fresh one with at least
-    1000 slots to spare, and ``fn`` with everything it calls runs there, at
-    the same offsets whatever the caller's depth; forked workers inherit
-    that layout.  One mapping per call costs about 10 us.
-    """
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    call.__code__ = call.__code__.replace(co_stacksize=2048)
-    return call
 
 
 @_in_fresh_stack_chunk
@@ -654,6 +677,4 @@ def solve(
             best = _fast_search(state, *root)
     except _LimitHit:
         return SolveResult(STATUS_LIMIT, None, state.explored)
-    if best is None:
-        return SolveResult(STATUS_INFEASIBLE, None, state.explored)
-    return SolveResult(STATUS_OK, _verified_path(net, query, best), state.explored)
+    return _result(net, query, best, state.explored)

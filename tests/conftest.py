@@ -1,5 +1,8 @@
+import multiprocessing.pool
+
 import pytest
 
+from wayscore import solver
 from wayscore.network import Edge, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
 
@@ -55,3 +58,24 @@ def chain_network():
         Edge(2, 3, ArrivalProfile.constant(1.0), ScoreProfile.constant(0.0)),
     ]
     return build_network(4, edges, labels={0: "A", 1: "B", 2: "C", 3: "D"})
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Send every parallel search past the in-process probe to the workers.
+
+    The probe answers small searches without the workers, so tests of the
+    worker path set its budget to 0.  The returned list collects each task
+    result the workers send back, so a test can see that tasks reached them.
+    """
+    monkeypatch.setattr(solver, "_PROBE_LABELS", 0)
+    results = []
+    imap_unordered = multiprocessing.pool.Pool.imap_unordered
+
+    def counted(pool, func, iterable, chunksize=1):
+        for result in imap_unordered(pool, func, iterable, chunksize):
+            results.append(result)
+            yield result
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", counted)
+    return results

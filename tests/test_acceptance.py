@@ -118,7 +118,7 @@ def test_criterion_3_pruning_soundness(oracle_suite):
     assert ok
 
 
-def test_criterion_4_parallel_determinism(oracle_suite):
+def test_criterion_4_parallel_determinism(oracle_suite, request):
     diffs = 0
     for net, query in oracle_suite:
         base = solve(net, query, mode="sequential")
@@ -128,7 +128,9 @@ def test_criterion_4_parallel_determinism(oracle_suite):
             got = res.path.to_json().encode() if res.path else res.status.encode()
             if got != base_bytes:
                 diffs += 1
-    # also force the forked-worker path on a few instances
+    # also force the forked-worker path on a few instances: no in-process
+    # probe, and a frontier one edge deep
+    dispatched = request.getfixturevalue("dispatched")
     forced_diffs = 0
     for net, query in oracle_suite[:25]:
         base = solve(net, query, mode="sequential")
@@ -138,13 +140,13 @@ def test_criterion_4_parallel_determinism(oracle_suite):
             b = res.path.to_json() if res.path else res.status
             if a != b:
                 forced_diffs += 1
-    ok = diffs == 0 and forced_diffs == 0
+    ok = diffs == 0 and forced_diffs == 0 and len(dispatched) > 0
     _report(
         4,
         ok,
         f"byte-identical serializations across threads 1/2/4/8 on "
         f"{len(oracle_suite)} instances ({diffs} diffs; {forced_diffs} diffs "
-        f"with forced forking)",
+        f"with forced forking, {len(dispatched)} tasks run by the workers)",
     )
     assert ok
 

@@ -61,11 +61,11 @@ class TestGenNetworkCommand:
         assert exc.value.code == 1
 
     def test_same_flags_same_bytes(self, tmp_path):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             assert main(["gen-network", "--grid", "4x4", "--seed", "3",
-                         "--out", out]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+                         "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_base_topology_reuse(self, tmp_path, capsys):
         base = str(tmp_path / "base.json")

@@ -129,9 +129,9 @@ class TestScoreAssignment:
 
 class TestDeterminism:
     def _digest(self, cfg, tmp_path, name):
-        path = str(tmp_path / name)
-        save_network(generate_network(cfg).network, path)
-        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+        path = tmp_path / name
+        save_network(generate_network(cfg).network, str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a = self._digest(GenConfig(rows=5, cols=5, seed=11), tmp_path, "a.json")

@@ -128,14 +128,13 @@ class TestFileRoundTrip:
 
     def test_generated_graph_survives_at_decimal_precision(self, tmp_path):
         gen = generate_network(GenConfig(rows=4, cols=4, seed=9)).network
-        p1 = str(tmp_path / "g1.json")
-        p2 = str(tmp_path / "g2.json")
-        save_network(gen, p1)
-        once = load_network(p1)
+        p1, p2 = tmp_path / "g1.json", tmp_path / "g2.json"
+        save_network(gen, str(p1))
+        once = load_network(str(p1))
         for a, b in zip(gen.edges, once.edges):
             for (x1, y1), (x2, y2) in zip(a.arrival.pairs(), b.arrival.pairs()):
                 assert abs(x1 - x2) <= 5e-7 and abs(y1 - y2) <= 5e-7
         # a second pass changes nothing: the format is a fixed point
-        save_network(once, p2)
-        assert open(p1).read() == open(p2).read()
-        assert load_network(p2) == once
+        save_network(once, str(p2))
+        assert p1.read_text() == p2.read_text()
+        assert load_network(str(p2)) == once

@@ -1,5 +1,6 @@
 import gc
 import multiprocessing
+import multiprocessing.pool
 import os
 import random
 import sys
@@ -28,7 +29,11 @@ from wayscore.solver import (
     _verified_path,
     solve,
 )
-from wayscore.traversal import Query, latest_departures
+from wayscore.traversal import Query, build_query, latest_departures
+
+
+# The probe budget as shipped; the ``dispatched`` fixture patches it to 0.
+PROBE_LABELS = solver._PROBE_LABELS
 
 
 def _query(net, s, d, t_dep, budget):
@@ -306,7 +311,7 @@ class TestParallel:
             res = solve(toy_network, q, mode="parallel", threads=threads)
             assert res.path.to_json() == base
 
-    def test_forced_fork_agrees_with_sequential(self):
+    def test_forced_fork_agrees_with_sequential(self, dispatched):
         rng = random.Random(7)
         for _ in range(25):
             net, q = random_instance(rng)
@@ -316,16 +321,20 @@ class TestParallel:
             if seq.path is not None:
                 assert par.path.to_json() == seq.path.to_json()
             assert par.explored == seq.explored
+        assert dispatched
 
-    def test_grid_frontiers_agree_with_sequential(self, grid16):
+    def test_grid_frontiers_agree_with_sequential(self, grid16, dispatched):
         net, queries = grid16
         for q in queries[:6]:
             seq = solve(net, q)
             for depth in (1, None):
+                sent = len(dispatched)
                 par = solve(net, q, mode="parallel", threads=2, fork_depth=depth)
                 assert par.status == seq.status
                 assert par.path.to_json() == seq.path.to_json()
                 assert par.explored == seq.explored
+                if depth == 1:  # a default-depth frontier may use up the tree
+                    assert len(dispatched) > sent
 
     def test_deep_path_leaves_the_recursion_limit_alone(self, chain3200):
         net, q = chain3200
@@ -344,7 +353,8 @@ class TestParallel:
         """CPython keeps frames in chunks and unmaps a chunk when its first
         frame returns.  Where the caller's depth left the search's frame
         just short of a chunk's end, every profile call it made mapped a
-        fresh chunk and faulted; solve() now runs in a fresh chunk."""
+        fresh chunk and faulted; solve() and build_query() now run in a
+        fresh chunk."""
         resource = pytest.importorskip("resource")
         net, queries = grid16
         q = queries[5]
@@ -355,6 +365,7 @@ class TestParallel:
                 return at_depth(n - 1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             solve(net, q)
+            build_query(net, q.source, q.destination, q.t_dep, overhead_minutes=1.0)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         faults = [at_depth(depth) for depth in range(0, 250)]
@@ -369,62 +380,74 @@ def _workers() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def _assert_agrees(net, q, threads=2, constraints=(), **kwargs):
-    """A parallel solve equals the sequential one, and it forked workers."""
+def _refuse(*args, **kwargs):
+    raise AssertionError("a process or a task was requested")
+
+
+def _assert_same(par, seq):
+    assert par.status == seq.status
+    assert (par.path and par.path.to_json()) == (seq.path and seq.path.to_json())
+    assert par.explored == seq.explored
+
+
+def _assert_agrees(net, q, dispatched, threads=2, constraints=(), **kwargs):
+    """A parallel solve equals the sequential one, and its tasks reached the
+    workers; ``dispatched`` is the fixture's list of task results."""
     seq = solve(net, q, constraints=constraints)
+    sent = len(dispatched)
     par = solve(net, q, constraints=constraints, mode="parallel", threads=threads,
                 **kwargs)
-    assert par.status == seq.status
-    assert par.path.to_json() == seq.path.to_json()
-    assert par.explored == seq.explored
+    _assert_same(par, seq)
+    assert len(dispatched) > sent
     assert _workers()
 
 
 class TestWorkerPool:
     """Parallel solves on one network share a pool of forked workers."""
 
-    def test_two_solves_reuse_the_pool(self, grid16):
+    def test_two_solves_reuse_the_pool(self, grid16, dispatched):
         net, queries = grid16
-        _assert_agrees(net, queries[0])
+        _assert_agrees(net, queries[0], dispatched)
         workers = _workers()
-        _assert_agrees(net, queries[1])
+        _assert_agrees(net, queries[1], dispatched)
         assert _workers() == workers
 
-    def test_new_pool_after_a_prepared_rebuild(self, grid16, monkeypatch):
+    def test_new_pool_after_a_prepared_rebuild(self, grid16, dispatched, monkeypatch):
         net, queries = grid16
-        _assert_agrees(net, queries[0])
+        _assert_agrees(net, queries[0], dispatched)
         workers = _workers()
         arrival = ArrivalProfile.arrival
         monkeypatch.setattr(
             ArrivalProfile, "arrival", lambda profile, t: arrival(profile, t)
         )
-        _assert_agrees(net, queries[0])
+        _assert_agrees(net, queries[0], dispatched)
         assert _workers().isdisjoint(workers)
 
-    def test_new_pool_after_a_constraints_change(self, grid16):
+    def test_new_pool_after_a_constraints_change(self, grid16, dispatched):
         net, queries = grid16
         loose = [Constraint(cost=lambda edge, t: 1.0, budget=1000.0)]
-        _assert_agrees(net, queries[0])
+        _assert_agrees(net, queries[0], dispatched)
         workers = _workers()
-        _assert_agrees(net, queries[0], constraints=loose)
+        _assert_agrees(net, queries[0], dispatched, constraints=loose)
         assert _workers().isdisjoint(workers)
         workers = _workers()
-        _assert_agrees(net, queries[1], constraints=list(loose))  # same objects
+        same = list(loose)  # the same constraint objects in a new list
+        _assert_agrees(net, queries[1], dispatched, constraints=same)
         assert _workers() == workers
         other = [Constraint(cost=lambda edge, t: 1.0, budget=1000.0)]
-        _assert_agrees(net, queries[1], constraints=other)
+        _assert_agrees(net, queries[1], dispatched, constraints=other)
         assert _workers().isdisjoint(workers)
 
-    def test_new_pool_after_a_thread_count_change(self, grid16, monkeypatch):
+    def test_new_pool_after_a_thread_count_change(self, grid16, dispatched, monkeypatch):
         net, queries = grid16
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        _assert_agrees(net, queries[0], threads=2)
+        _assert_agrees(net, queries[0], dispatched, threads=2)
         workers = _workers()
         assert len(workers) == 2
-        _assert_agrees(net, queries[0], threads=3)
+        _assert_agrees(net, queries[0], dispatched, threads=3)
         assert len(_workers()) == 3 and _workers().isdisjoint(workers)
 
-    def test_edge_thresholds_do_not_outlive_their_query(self, monkeypatch):
+    def test_edge_thresholds_do_not_outlive_their_query(self, dispatched, monkeypatch):
         """In the first query, every worker task rejects the edge H->Y (Y
         cannot reach D1 in time) and records its threshold; the second
         query's optimum takes H->Y at the same departure.  The worker must
@@ -441,53 +464,54 @@ class TestWorkerPool:
         net = build_network(8, edges)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one worker runs every task
         first, second = _query(net, src, d1, 0.0, 4.0), _query(net, src, d2, 0.0, 10.0)
-        _assert_agrees(net, first, fork_depth=1)
-        _assert_agrees(net, second, fork_depth=1)
+        _assert_agrees(net, first, dispatched, fork_depth=1)
+        _assert_agrees(net, second, dispatched, fork_depth=1)
         assert len(_workers()) == 1
         assert solve(net, second).path.nodes == (src, 1, hub, y, d2)
 
-    def test_solve_after_a_cap_hit_agrees(self, grid16):
+    def test_solve_after_a_cap_hit_agrees(self, grid16, dispatched):
         net, queries = grid16
-        _assert_agrees(net, queries[0])
+        _assert_agrees(net, queries[0], dispatched)
         capped = solve(net, queries[-1], mode="parallel", threads=2,
                        max_expansions=2000)
         assert capped.status == STATUS_LIMIT
         assert not _workers()  # the busy workers were terminated
-        _assert_agrees(net, queries[0])
+        _assert_agrees(net, queries[0], dispatched)
 
-    def test_two_networks_solved_alternately(self, grid16):
+    def test_two_networks_solved_alternately(self, grid16, dispatched):
         net, queries = grid16
         twin = build_network(net.node_count, net.edges)
         for q in (queries[0], queries[3]):
             for network in (net, twin):
-                _assert_agrees(network, q)
+                _assert_agrees(network, q, dispatched)
 
-    def test_pool_closes_when_the_network_is_collected(self, grid16):
+    def test_pool_closes_when_the_network_is_collected(self, grid16, dispatched):
         net, queries = grid16
         own = build_network(net.node_count, net.edges)
-        _assert_agrees(own, queries[0])
+        _assert_agrees(own, queries[0], dispatched)
         del own
         gc.collect()
         assert multiprocessing.active_children() == []
 
-    def test_first_solve_forks_the_pool_without_tasks(self, toy_network):
-        # Whichever query comes first, a network in parallel use has workers.
+    def test_first_solve_forks_the_pool_without_tasks(
+        self, toy_network, monkeypatch
+    ):
+        # Whichever query comes first, a network in parallel use has workers,
+        # even when the in-process probe answers that query.
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", _refuse)
         q = _query(toy_network, 0, 1, 0.0, 8.0)
         res = solve(toy_network, q, mode="parallel", threads=2)
-        assert res.path.to_json() == solve(toy_network, q).path.to_json()
+        _assert_same(res, solve(toy_network, q))
         assert _workers()
 
     def test_later_query_without_tasks_starts_no_process(
         self, toy_network, monkeypatch
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process or a task was requested")
-
         q = _query(toy_network, 0, 1, 0.0, 8.0)
         solve(toy_network, q, mode="parallel", threads=2)
         workers = _workers()
-        monkeypatch.setattr(solver, "_WorkerPool", refuse)
-        monkeypatch.setattr(solver._pool.pool, "imap_unordered", refuse)
+        monkeypatch.setattr(solver, "_WorkerPool", _refuse)
+        monkeypatch.setattr(solver._pool.pool, "imap_unordered", _refuse)
         res = solve(toy_network, q, mode="parallel", threads=2)
         assert res.path.to_json() == solve(toy_network, q).path.to_json()
         assert _workers() == workers
@@ -508,6 +532,49 @@ class TestWorkerPool:
             assert par.status == seq.status
             assert par.path.to_json() == seq.path.to_json()
             assert par.explored == seq.explored
+
+
+class TestProbe:
+    """A parallel solve searches in-process first, and only a search that
+    outgrows ``_PROBE_LABELS`` is split into tasks for the workers."""
+
+    def test_search_within_the_budget_sends_no_task(self, grid16, monkeypatch):
+        net, queries = grid16
+        for q in queries[:4]:
+            seq = solve(net, q)
+            assert seq.explored <= solver._PROBE_LABELS
+            with monkeypatch.context() as patch:
+                patch.setattr(multiprocessing.pool.Pool, "imap_unordered", _refuse)
+                par = solve(net, q, mode="parallel", threads=2)
+            _assert_same(par, seq)
+
+    def test_search_past_the_budget_is_dispatched(
+        self, grid16, dispatched, monkeypatch
+    ):
+        monkeypatch.setattr(solver, "_PROBE_LABELS", PROBE_LABELS)
+        net, queries = grid16
+        q = queries[4]
+        seq = solve(net, q)
+        assert seq.explored > PROBE_LABELS
+        par = solve(net, q, mode="parallel", threads=2)
+        _assert_same(par, seq)
+        assert dispatched
+
+    def test_cap_within_the_budget_is_the_sequential_limit(
+        self, grid16, monkeypatch
+    ):
+        net, queries = grid16
+        q = queries[-1]
+        solve(net, queries[0], mode="parallel", threads=2)  # the pool is ready
+        workers = _workers()
+        for cap in (0, 1, 2000, solver._PROBE_LABELS + 1):
+            seq = solve(net, q, max_expansions=cap)
+            assert seq.status == STATUS_LIMIT
+            with monkeypatch.context() as patch:
+                patch.setattr(multiprocessing.pool.Pool, "imap_unordered", _refuse)
+                par = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
+            _assert_same(par, seq)
+        assert _workers() == workers  # the probe's cap hit stopped no worker
 
 
 class TestPreparedNetwork:
@@ -586,7 +653,7 @@ class TestConstraints:
                 assert got.path.score == want.path.score
                 assert got.path.nodes == want.path.nodes
 
-    def test_parallel_respects_constraints(self, toy_network):
+    def test_parallel_respects_constraints(self, toy_network, dispatched):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
         hops = Constraint(cost=lambda edge, t: 1.0, budget=1.0)
         res = solve(
@@ -594,6 +661,7 @@ class TestConstraints:
             fork_depth=1,
         )
         assert res.path.nodes == (0, 1)
+        assert dispatched
 
 
 class TestExplorationCap:
@@ -604,17 +672,19 @@ class TestExplorationCap:
         assert res.path is None
         assert res.explored >= 2
 
-    def test_parallel_cap_stops_the_search(self, grid16):
+    def test_parallel_cap_stops_the_search(self, grid16, dispatched):
         net, queries = grid16
         cap = 2000
         for q in queries[6:]:
             assert solve(net, q, max_expansions=cap).status == STATUS_LIMIT
+            sent = len(dispatched)
             res = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
             assert res.status == STATUS_LIMIT
             assert res.path is None
             # the frontier and the finished tasks stay within the cap, and
             # the task that crosses it adds at most the remainder plus one
             assert cap < res.explored <= 2 * cap + 1
+            assert len(dispatched) > sent
 
     def test_generous_cap_is_invisible(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
