@@ -6,10 +6,10 @@ bound computation (it is part of answering a query) but excludes file
 loading.  The first parallel query at a new worker count (the thread
 count, capped at the cores) pays the worker start-up inside that window
 too; the workers then stay alive for the next queries at that count.  A
-query whose search ends within the solver's in-process probe (5,000 labels)
-is answered without the workers; a larger one pays the probe and the task
-dispatch on top of its split search.  Averages cover
-feasible queries only; queries that came back infeasible or hit the
+query whose search ends within the solver's in-process probe
+(``solver._PROBE_LABELS``) is answered without the workers; a larger one
+pays the probe and the task dispatch on top of its split search.  Averages
+cover feasible queries only; queries that came back infeasible or hit the
 expansion cap are tallied in the ``infeasible`` column.
 """
 

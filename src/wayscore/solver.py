@@ -52,6 +52,7 @@ which returns the same result.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -67,7 +68,7 @@ from typing import Callable, Optional, Sequence
 
 from .network import Edge, RoadNetwork
 from .profiles import TIME_EPS
-from .traversal import Query, QueryError, _in_fresh_stack_chunk, latest_departures
+from .traversal import Query, QueryError, latest_departures
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -524,16 +525,18 @@ def _solve_parallel(
         # Forked before the probe, whatever the query needs, so the fork
         # overlaps the search.
         holder = _worker_pool(net, state, workers)
-        # The probe answers exactly as the sequential search does.  Under a
-        # cap no larger than its budget, it is the whole capped search.
+        # The probe answers exactly as the sequential search does, and a
+        # cap that fires within its budget gives the sequential limit.
         start = state.explored
-        whole = max_expansions is not None and max_expansions <= start + _PROBE_LABELS
-        state.cap = max_expansions if whole else start + _PROBE_LABELS
+        probe_cap = start + _PROBE_LABELS
+        state.cap = (
+            probe_cap if max_expansions is None else min(max_expansions, probe_cap)
+        )
         try:
             with _gc_paused():
                 best = _fast_search(state, *root)
         except _LimitHit:
-            if whole:
+            if max_expansions is not None and state.explored > max_expansions:
                 return SolveResult(STATUS_LIMIT, None, state.explored)
         else:
             return _result(net, query, best, state.explored)
@@ -611,6 +614,29 @@ def _verified_path(net: RoadNetwork, query: Query, cand: _Candidate) -> PathResu
             f"candidate arrival {arrival} != recomputed {path.arrival}"
         )
     return path
+
+
+def _in_fresh_stack_chunk(fn):
+    """Decorate ``fn`` so that every call to it runs in a fresh frame chunk.
+
+    CPython 3.11 keeps Python frames in 16 KB chunks and frees a chunk as
+    soon as its first frame returns.  When the search's frame ends just
+    short of a chunk's end, each profile call it makes maps a chunk and
+    unmaps it again: at 2 of 301 caller depths a capped 50 k-label solve
+    took 55 k and 105 k minor faults against 1 or 2 elsewhere, and a
+    0.5 M-label one took 10 s instead of 0.6 s.  The wrapper declares a
+    frame larger than a chunk, so it always opens a fresh one with at least
+    1000 slots to spare, and ``fn`` with everything it calls runs there, at
+    the same offsets whatever the caller's depth; forked workers inherit
+    that layout.  One mapping per call costs about 10 us.
+    """
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    call.__code__ = call.__code__.replace(co_stacksize=2048)
+    return call
 
 
 @_in_fresh_stack_chunk

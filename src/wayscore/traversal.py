@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -25,30 +24,6 @@ UNREACHABLE = -math.inf
 
 class QueryError(ValueError):
     """Raised for queries that cannot be posed (e.g. unreachable pair)."""
-
-
-def _in_fresh_stack_chunk(fn):
-    """Decorate ``fn`` so that every call to it runs in a fresh frame chunk.
-
-    CPython 3.11 keeps Python frames in 16 KB chunks and frees a chunk as
-    soon as its first frame returns.  When a loop's frame ends just short of
-    a chunk's end, each profile call it makes maps a chunk and unmaps it
-    again: at 2 of 301 caller depths a capped 50 k-label solve took 55 k and
-    105 k minor faults against 1 or 2 elsewhere, a 0.5 M-label one took 10 s
-    instead of 0.6 s, and at 4 depths one ``build_query`` took about 1,900.
-    The wrapper declares a frame larger than a chunk, so it always opens a
-    fresh one with at least 1000 slots to spare, and ``fn`` with everything
-    it calls runs there, at the same offsets whatever the caller's depth;
-    forked workers inherit that layout.  One mapping per call costs about
-    10 us.  :func:`build_query` and :func:`wayscore.solver.solve` use it.
-    """
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    call.__code__ = call.__code__.replace(co_stacksize=2048)
-    return call
 
 
 def earliest_arrival(
@@ -123,7 +98,6 @@ class Query:
         return cls(source, destination, t_dep, "abs", budget, budget, t_dep + budget)
 
 
-@_in_fresh_stack_chunk
 def build_query(
     net: RoadNetwork,
     source: int,

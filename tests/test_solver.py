@@ -29,7 +29,7 @@ from wayscore.solver import (
     _verified_path,
     solve,
 )
-from wayscore.traversal import Query, build_query, latest_departures
+from wayscore.traversal import Query, latest_departures
 
 
 # The probe budget as shipped; the ``dispatched`` fixture patches it to 0.
@@ -336,7 +336,8 @@ class TestParallel:
                 if depth == 1:  # a default-depth frontier may use up the tree
                     assert len(dispatched) > sent
 
-    def test_deep_path_leaves_the_recursion_limit_alone(self, chain3200):
+    def test_deep_path_leaves_the_recursion_limit_alone(self, chain3200, dispatched):
+        # In parallel, a worker searches the task that holds the chain's tail.
         net, q = chain3200
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
@@ -348,13 +349,13 @@ class TestParallel:
                 assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old)
+        assert dispatched
 
     def test_no_caller_depth_maps_memory_per_profile_call(self, grid16):
         """CPython keeps frames in chunks and unmaps a chunk when its first
         frame returns.  Where the caller's depth left the search's frame
         just short of a chunk's end, every profile call it made mapped a
-        fresh chunk and faulted; solve() and build_query() now run in a
-        fresh chunk."""
+        fresh chunk and faulted; solve() now runs in a fresh chunk."""
         resource = pytest.importorskip("resource")
         net, queries = grid16
         q = queries[5]
@@ -365,7 +366,6 @@ class TestParallel:
                 return at_depth(n - 1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             solve(net, q)
-            build_query(net, q.source, q.destination, q.t_dep, overhead_minutes=1.0)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         faults = [at_depth(depth) for depth in range(0, 250)]
