@@ -29,11 +29,14 @@ labels name nodes in range.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
+from .kernel import FlatNetwork, flatten
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 
 
@@ -41,6 +44,26 @@ from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 # declared node, about 130 bytes each, so the bound keeps a file's count
 # from taking memory without limit; 2**24 nodes already take about 2 GB.
 MAX_NODES = 2**24
+
+
+@contextmanager
+def gc_paused():
+    """Suspend cyclic GC while building structures that form no cycles.
+
+    A search allocates labels at a high rate, and a prepared network tens
+    of thousands of tuples and bound methods; none of them forms a
+    reference cycle, so collector passes in between are pure overhead.
+    Worse, a full pass walks every object in the process (the whole
+    network, copy-on-write shared in forked workers), and one triggered
+    while a network is prepared can cost several times a short solve.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class NetworkError(ValueError):
@@ -94,6 +117,7 @@ class RoadNetwork:
         else:
             self._name_to_id = {}
         self._prepared: Optional[tuple[tuple, PreparedNetwork]] = None
+        self._flat: Optional[tuple[PreparedNetwork, Optional[FlatNetwork]]] = None
 
     def prepared(self) -> PreparedNetwork:
         """The prepared adjacency, built on first use and then reused.
@@ -101,34 +125,53 @@ class RoadNetwork:
         The bound evaluators capture the profile classes' methods as they
         are when the adjacency is built, so the cache is keyed on those
         methods and rebuilt when one of them has been replaced: a wrapped
-        method (a counter, a tracer) must see every later call.  Two threads
-        that build at once build equal values, so no lock is needed.
+        method (a counter, a tracer) must see every later call.  The key
+        also holds ``floor_after``, which the compiled kernel reproduces, so
+        that :meth:`flat` is keyed on every method a search evaluates.  The
+        build pauses the collector (:func:`gc_paused`).  Two threads that
+        build at once build equal values, so no lock is needed.
         """
         key = (
             ArrivalProfile.arrival,
             ScoreProfile.value,
             ArrivalProfile.latest_departure,
+            ArrivalProfile.floor_after,
         )
         cached = self._prepared
         if cached is not None and cached[0] == key:
             return cached[1]
         edges = self.edges
-        prepared = PreparedNetwork(
-            [
+        with gc_paused():
+            prepared = PreparedNetwork(
                 [
-                    (e.head, e.arrival.arrival, e.score.value, e, i)
-                    for i in out
-                    for e in [edges[i]]
-                ]
-                for out in self.out_edges
-            ],
-            [
-                [(edges[i].tail, edges[i].arrival.latest_departure, i) for i in into]
-                for into in self.in_edges
-            ],
-        )
+                    [
+                        (e.head, e.arrival.arrival, e.score.value, e, i)
+                        for i in out
+                        for e in [edges[i]]
+                    ]
+                    for out in self.out_edges
+                ],
+                [
+                    [(edges[i].tail, edges[i].arrival.latest_departure, i)
+                     for i in into]
+                    for into in self.in_edges
+                ],
+            )
         self._prepared = (key, prepared)
         return prepared
+
+    def flat(self) -> Optional[FlatNetwork]:
+        """The network in the compiled kernel's layout, or None when the
+        kernel cannot search it (:func:`wayscore.kernel.flatten`).
+
+        Built on first use and kept as long as :meth:`prepared` keeps its
+        adjacency, so a replaced profile method drops it too.
+        """
+        prepared = self.prepared()
+        cached = self._flat
+        if cached is None or cached[0] is not prepared:
+            cached = self._flat = (prepared, flatten(self))
+        return cached[1]
 
     def node_name(self, node: int) -> str:
         if self.labels and node in self.labels:

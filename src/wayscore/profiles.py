@@ -192,9 +192,6 @@ class ArrivalProfile:
         later = bisect_right(self.xs, t) if t > self.xs[0] else 0
         return floors[later] if later < len(floors) else math.inf
 
-    def min_travel_time(self) -> float:
-        return min(y - x for x, y in zip(self.xs, self.ys))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ArrivalProfile)

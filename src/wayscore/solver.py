@@ -1,6 +1,6 @@
 """Exact score-maximizing route search under an arrival deadline.
 
-One depth-first engine, :func:`_fast_search`, extends a path prefix one
+The reference engine, :func:`_fast_search`, extends a path prefix one
 edge at a time.  An edge is taken only if its head is not already on the
 prefix (looplessness) and the arrival at the head does not exceed the
 head's latest feasible departure time (the temporal bound from
@@ -18,11 +18,21 @@ at or after it skip the edge without evaluating its profile.  That is a
 rejection the bound check would have made anyway, so answers and counts
 are those of the plain search.
 
-The search, the bounds and the budget derivation all walk the network's
+Every search of a whole subtree (a sequential solve, the in-process probe
+of a parallel solve, a worker's task) goes through :func:`_search`, which
+runs the compiled copy of that engine (:mod:`wayscore.kernel`) on the
+network's flat arrays (:meth:`wayscore.network.RoadNetwork.flat`).  It gives
+the same status, candidate and label count, about fifty times faster.  The
+Python engine runs instead when constraints are given, when a profile
+method the search evaluates has been replaced, or when the kernel is not
+available; and it always builds the parallel frontier, with its task sink.
+
+The Python search, the bounds and the budget derivation walk the network's
 prepared adjacency (:meth:`wayscore.network.RoadNetwork.prepared`), which
 binds each edge's profile evaluators once per network, on first use.  A
 solve therefore does no per-network preparation after the first, and forked
-workers inherit the prepared adjacency with the search state.
+workers inherit the prepared adjacency and the flat arrays with the search
+state.
 
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
@@ -30,22 +40,22 @@ optimum unique, which is what lets the parallel mode return byte-identical
 results for any worker count: subtree searches are independent tasks joined
 by a commutative max-reduction.
 
-Parallel execution uses forked worker processes because the search is
-pure Python and threads would serialize on the interpreter lock.  The same
-engine expands the tree breadth first down to a small fork depth, handing
-each child prefix to a task list instead of descending into it; workers pull
-the tasks from the shared queue and search each subtree to the end, which
-keeps them busy even when subtree sizes are wildly uneven.  The workers
-persist while a network is in use: one pool per process, forked on the
-first parallel solve on a network, whatever that query needs, and reused by
-the next ones on the same network, constraints and worker count, which
-start no process.  Dispatching costs milliseconds, so a parallel solve
-first searches in-process under a small label budget; a query answered
-within it (most short ones) sends the workers nothing, and only a larger
-one is split into frontier tasks.  Forking the pool before that probe keeps
-the fork cost and the memory of a network in parallel use the same whichever
-query comes first.  The pool is closed when the network is collected, or at
-exit.
+Parallel execution uses forked worker processes, which inherit the
+network without pickling it and run constraints' Python cost functions as
+well as the kernel.  The Python engine expands the tree breadth first down
+to a small fork depth, handing each child prefix to a task list instead of
+descending into it; workers pull the tasks from the shared queue and search
+each subtree to the end, which keeps them busy even when subtree sizes are
+wildly uneven.  The workers persist while a network is in use: one pool per
+process, forked on the first parallel solve on a network, whatever that
+query needs, and reused by the next ones on the same network, constraints
+and worker count, which start no process.  Dispatching costs milliseconds,
+so a parallel solve first searches in-process under a small label budget;
+a query answered within it (most short ones) sends the workers nothing, and
+only a larger one is split into frontier tasks.  Forking the pool before
+that probe keeps the fork cost and the memory of a network in parallel use
+the same whichever query comes first.  The pool is closed when the network
+is collected, or at exit.
 Where ``fork`` is not available, parallel mode runs the sequential search,
 which returns the same result.
 """
@@ -53,7 +63,6 @@ which returns the same result.
 from __future__ import annotations
 
 import functools
-import gc
 import json
 import math
 import mmap
@@ -62,11 +71,11 @@ import os
 import threading
 import weakref
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .network import Edge, RoadNetwork
+from . import kernel
+from .network import Edge, RoadNetwork, gc_paused
 from .profiles import TIME_EPS
 from .traversal import Query, QueryError, latest_departures
 
@@ -81,24 +90,6 @@ class ConsistencyError(RuntimeError):
 
 class _LimitHit(Exception):
     """Internal: the expansion cap was exceeded."""
-
-
-@contextmanager
-def _gc_paused():
-    """Suspend cyclic GC during the search.
-
-    The search allocates labels at a high rate but never forms reference
-    cycles, so collector passes are pure overhead; worse, a full pass walks
-    the whole (possibly copy-on-write shared) network, which hurts badly in
-    forked workers.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -159,16 +150,22 @@ class _SearchState:
 
     ``adj`` is the network's prepared out-adjacency
     (:meth:`RoadNetwork.prepared`), built once per network, not per solve.
+    ``flat`` is the network in the compiled kernel's layout
+    (:meth:`RoadNetwork.flat`) when the kernel searches this query, else
+    None; the bounds are then a buffer of doubles the kernel reads.
     ``thresholds`` maps an edge index to the earliest departure from which
     the edge is known to fail its head's bound: its arrival exceeded the
     bound there, and so did the profile's floor for later departures
-    (:meth:`ArrivalProfile.floor_after`).  They depend on the query's
-    bounds, so they are per query: the frontier's engine calls share them,
-    and a worker starts afresh when the query changes.
+    (:meth:`ArrivalProfile.floor_after`); ``flat_thresholds`` holds the
+    kernel's, one double per edge.  They depend on the query's bounds, so
+    they are per query: the engine calls of one solve share them, and a
+    worker starts afresh when the query changes.  They change no answer
+    and no count, so the two engines need not share them.
     """
 
     __slots__ = (
         "adj",
+        "flat",
         "bounds",
         "destination",
         "t_arr",
@@ -176,17 +173,24 @@ class _SearchState:
         "explored",
         "cap",
         "thresholds",
+        "flat_thresholds",
     )
 
-    def __init__(self, adj, bounds, destination, t_arr, constraints, cap):
+    def __init__(self, adj, bounds, destination, t_arr, constraints, cap, flat=None):
         self.adj = adj
+        self.flat = flat
         self.bounds = bounds
         self.destination = destination
         self.t_arr = t_arr
         self.constraints = tuple(constraints)
         self.explored = 0
         self.cap = cap
+        self.new_query()
+
+    def new_query(self) -> None:
+        """Forget the thresholds learned under other bounds."""
         self.thresholds = {}
+        self.flat_thresholds = None if self.flat is None else self.flat.thresholds()
 
 
 def _fast_search(
@@ -300,6 +304,33 @@ def _fast_search(
     return best_score, best_arrival, best_seq
 
 
+def _search(
+    state: _SearchState,
+    path: Sequence[int],
+    t: float,
+    score: float,
+    extras: tuple[float, ...],
+) -> Optional["_Candidate"]:
+    """The whole subtree below ``path``: the compiled kernel's search when
+    ``state.flat`` is set, else :func:`_fast_search`, with the same answer,
+    count and cap.  A search the kernel defers (an input it does not model)
+    runs in Python from the start.
+    """
+    flat = state.flat
+    if flat is not None:
+        cap = None if state.cap is None else state.cap - state.explored
+        status, explored, best = flat.search(
+            state.bounds, state.flat_thresholds, state.destination, state.t_arr,
+            path, t, score, cap,
+        )
+        if status != kernel.DEFER:
+            state.explored += explored
+            if status == kernel.LIMIT:
+                raise _LimitHit
+            return best
+    return _fast_search(state, path, t, score, extras)
+
+
 def path_from_nodes(
     net: RoadNetwork, t_dep: float, nodes: Sequence[int]
 ) -> PathResult:
@@ -349,30 +380,37 @@ _PARALLEL_LOCK = threading.RLock()
 class _WorkerPool:
     """Forked search workers, kept alive across the solves on one network.
 
-    The workers inherit the prepared out-adjacency, the constraints and an
-    anonymous shared buffer of one double per node, all made before the
-    fork, so ``Constraint`` cost functions need not be picklable.  A query's
-    bounds reach the workers through the buffer: the parent writes them and
-    bumps ``token``; a worker re-reads the buffer when a task carries a token
-    it has not seen.  The pool holds no reference to the network, whose
-    finalizer closes it when the network is collected, or at exit.
+    The workers inherit the prepared out-adjacency, the kernel's flat
+    network (or None), the constraints and an anonymous shared buffer of one
+    double per node, all made before the fork, so ``Constraint`` cost
+    functions need not be picklable.  A query's bounds reach the workers
+    through the buffer: the parent writes them and bumps ``token``, and a
+    task whose token a worker has not seen starts a new query there.  The
+    kernel reads the buffer in place; the Python engine copies it.  The pool
+    holds no reference to the network, whose finalizer closes it when the
+    network is collected, or at exit.
     """
 
-    def __init__(self, net: RoadNetwork, adj: list, constraints: tuple, workers: int):
-        self.adj = adj
-        self.constraints = constraints
+    def __init__(self, net: RoadNetwork, state: _SearchState, workers: int):
+        self.adj = state.adj
+        self.flat = state.flat
+        self.constraints = state.constraints
         self.workers = workers
         self.token = 0
-        self.bounds = mmap.mmap(-1, 8 * len(adj))
+        self.bounds = mmap.mmap(-1, 8 * len(self.adj))
         self.pool = multiprocessing.get_context("fork").Pool(
-            workers, _init_worker, (adj, constraints, self.bounds)
+            workers,
+            _init_worker,
+            (self.adj, self.flat, self.constraints, self.bounds),
         )
         self._finalizer = weakref.finalize(net, _close_pool, self)
 
-    def serves(self, adj: list, constraints: tuple, workers: int) -> bool:
-        """Whether the workers inherited exactly these objects."""
+    def serves(self, state: _SearchState, workers: int) -> bool:
+        """Whether the workers inherited exactly ``state``'s objects."""
+        constraints = state.constraints
         return (
-            self.adj is adj
+            self.adj is state.adj
+            and self.flat is state.flat
             and self.workers == workers
             and len(self.constraints) == len(constraints)
             and all(a is b for a, b in zip(self.constraints, constraints))
@@ -402,17 +440,17 @@ def _close_pool(holder: _WorkerPool) -> None:
 
 
 def _worker_pool(net: RoadNetwork, state: _SearchState, workers: int) -> _WorkerPool:
-    """The pool whose workers inherited ``state``'s adjacency and constraints.
+    """The pool whose workers inherited ``state``'s networks and constraints.
 
     Any other pool is closed first, so no pool threads are alive at the fork.
     The caller holds ``_PARALLEL_LOCK``.
     """
     global _pool
     if _pool is not None:
-        if _pool.serves(state.adj, state.constraints, workers):
+        if _pool.serves(state, workers):
             return _pool
         _close_pool(_pool)
-    _pool = _WorkerPool(net, state.adj, state.constraints, workers)
+    _pool = _WorkerPool(net, state, workers)
     return _pool
 
 
@@ -421,10 +459,11 @@ def _worker_pool(net: RoadNetwork, state: _SearchState, workers: int) -> _Worker
 _worker: list
 
 
-def _init_worker(adj: list, constraints: tuple, bounds: mmap.mmap) -> None:
+def _init_worker(adj: list, flat, constraints: tuple, bounds: mmap.mmap) -> None:
     """Pool initializer: keep the objects inherited from the parent."""
     global _worker
-    _worker = [_SearchState(adj, (), -1, 0.0, constraints, None), bounds, None]
+    state = _SearchState(adj, bounds, -1, 0.0, constraints, None, flat)
+    _worker = [state, bounds, None]
 
 
 def _run_subtree(task) -> tuple[Optional[_Candidate], int]:
@@ -437,16 +476,17 @@ def _run_subtree(task) -> tuple[Optional[_Candidate], int]:
     token, destination, t_arr, cap, prefix, arrival, score, extras = task
     state, bounds, seen = _worker
     if token != seen:
-        state.bounds = memoryview(bounds).cast("d").tolist()
+        if state.flat is None:
+            state.bounds = memoryview(bounds).cast("d").tolist()
         state.destination = destination
         state.t_arr = t_arr
-        state.thresholds = {}
+        state.new_query()
         _worker[2] = token
     state.explored = 0
     state.cap = cap
     try:
-        with _gc_paused():
-            return _fast_search(state, prefix, arrival, score, extras), state.explored
+        with gc_paused():
+            return _search(state, prefix, arrival, score, extras), state.explored
     except _LimitHit:
         return None, state.explored
 
@@ -464,10 +504,12 @@ _TASKS_PER_WORKER = 32
 # Two workers can save at most half of an N-label search, N / (2 r) at r
 # labels per second, while dispatching its frontier costs about 0.4-0.7 ms
 # plus 0.04-0.1 ms per task (2-core x86 host, CPython 3.11, quiet to busy),
-# 3-7 ms for the 64 tasks of a default frontier.  At r = 0.5-0.65 M labels/s
-# a split pays only beyond 3,000-9,000 labels, so a search that ends within
-# 5,000 is answered in-process.  A larger one wastes the probe, at most
-# 10 ms, 1-2 % of the parallel time of a 0.5-1 M-label query.
+# 3-7 ms for the 64 tasks of a default frontier.  At the Python engine's
+# r = 0.5-0.65 M labels/s a split pays only beyond 3,000-9,000 labels, so a
+# search that ends within 5,000 is answered in-process.  The kernel searches
+# 5,000 labels in about 0.1 ms, so for it the budget wastes almost nothing
+# but splits searches far smaller than would pay: at its 40-60 M labels/s
+# the break-even is some 300,000 labels.
 _PROBE_LABELS = 5_000
 
 
@@ -533,8 +575,8 @@ def _solve_parallel(
             probe_cap if max_expansions is None else min(max_expansions, probe_cap)
         )
         try:
-            with _gc_paused():
-                best = _fast_search(state, *root)
+            with gc_paused():
+                best = _search(state, *root)
         except _LimitHit:
             if max_expansions is not None and state.explored > max_expansions:
                 return SolveResult(STATUS_LIMIT, None, state.explored)
@@ -678,13 +720,16 @@ def solve(
             return SolveResult(STATUS_INFEASIBLE, None, 0)
     else:
         times = [math.inf] * net.node_count
+    # The kernel cannot call a constraint's Python cost function.
+    flat = None if constraints else net.flat()
     state = _SearchState(
         net.prepared().out_adj,
-        times,
+        times if flat is None else flat.bounds(times),
         query.destination,
         query.t_arr,
         constraints,
         max_expansions,
+        flat,
     )
     state.explored = 1  # the source label
     root = ((query.source,), query.t_dep, 0.0, (0.0,) * len(state.constraints))
@@ -699,8 +744,8 @@ def solve(
             net, query, state, root, threads, fork_depth, max_expansions
         )
     try:
-        with _gc_paused():
-            best = _fast_search(state, *root)
+        with gc_paused():
+            best = _search(state, *root)
     except _LimitHit:
         return SolveResult(STATUS_LIMIT, None, state.explored)
     return _result(net, query, best, state.explored)

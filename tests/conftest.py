@@ -2,8 +2,9 @@ import multiprocessing.pool
 
 import pytest
 
-from wayscore import solver
-from wayscore.network import Edge, build_network
+from wayscore import kernel, solver
+from wayscore.datagen import GenConfig, generate_network, generate_query_sets
+from wayscore.network import Edge, RoadNetwork, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
 
 
@@ -60,6 +61,19 @@ def chain_network():
     return build_network(4, edges, labels={0: "A", 1: "B", 2: "C", 3: "D"})
 
 
+@pytest.fixture(scope="module")
+def grid16():
+    """A 256-node rush-hour grid and queries of up to a few thousand labels
+    (the last, of ten million, only ever runs under a cap)."""
+    net = generate_network(
+        GenConfig(rows=16, cols=16, score_density=0.2, seed=5)
+    ).network
+    records = generate_query_sets(
+        net, seed=3, count_per_set=3, buckets=((2.0, 4.0), (4.0, 6.0), (6.0, 8.0))
+    )
+    return net, [rec.to_query() for rec in records]
+
+
 @pytest.fixture
 def dispatched(monkeypatch):
     """Send every parallel search past the in-process probe to the workers.
@@ -79,3 +93,29 @@ def dispatched(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", counted)
     return results
+
+
+@pytest.fixture
+def python_engine(monkeypatch):
+    """Run every search with the Python engine, as without a compiler.
+
+    Tests of the Python engine's own behaviour use it, since the compiled
+    kernel otherwise searches every query it can.
+    """
+    monkeypatch.setattr(RoadNetwork, "flat", lambda self: None)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The status of every compiled-kernel search from here on, so that a
+    test can see that the kernel ran and never handed a search back."""
+    statuses = []
+    search = kernel.FlatNetwork.search
+
+    def counted(self, *args):
+        found = search(self, *args)
+        statuses.append(found[0])
+        return found
+
+    monkeypatch.setattr(kernel.FlatNetwork, "search", counted)
+    return statuses

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wayscore import kernel
 from wayscore.cli import main
 from wayscore.network import NetworkError, load_network
 
@@ -88,16 +89,70 @@ _document = _mostly(
 )
 
 
+
+
+def _fifo(steps):
+    """Breakpoints from (departure, travel) draws: departures made strictly
+    increasing and arrivals non-decreasing, as a valid profile needs."""
+    pairs, prev_y = [], 0.0
+    for x, travel in sorted(dict(steps).items()):
+        prev_y = max(x + travel, prev_y)
+        pairs.append([x, prev_y])
+    return pairs
+
+
+# Well-formed documents on five nodes, whose query 0 -> 1 is often solvable,
+# so that the search itself (the compiled kernel where it is available) sees
+# generated networks.
+_solvable_edge = st.fixed_dictionaries(
+    {
+        "arrival": st.lists(
+            st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 5.0)),
+            min_size=1, max_size=4,
+        ).map(_fifo),
+    },
+    optional={
+        "score": st.fixed_dictionaries(
+            {"boundaries": st.just([0.0, 2.0, 4.0]),
+             "values": st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2)},
+            optional={"default": st.floats(0.0, 10.0)},
+        ),
+    },
+)
+_solvable = st.builds(
+    lambda pairs, edges: {
+        "node_count": 5,
+        "edges": [dict(edge, **{"from": u, "to": v})
+                  for (u, v), edge in zip(pairs, edges)],
+    },
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
+             .filter(lambda pair: pair[0] != pair[1]),
+             min_size=1, max_size=10, unique=True),
+    st.lists(_solvable_edge, min_size=10, max_size=10),
+)
+
+
 @pytest.fixture(scope="module")
 def doc_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "net.json")
 
 
+def test_every_document_loads_or_is_a_data_error(doc_path, kernel_runs):
+    """The documents that load and pose a searchable query are searched by
+    the compiled kernel wherever it is available, so its safety is fuzzed
+    too: the run must reach it, and it must hand no search back."""
+    _check_document(doc_path)
+    if kernel.library() is not None:
+        assert kernel_runs, "no document reached the kernel"
+        assert kernel.DEFER not in kernel_runs
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(doc=_document, text=_mostly(st.none(), st.text(max_size=8)),
+@given(doc=st.one_of(_document, _solvable),
+       text=_mostly(st.none(), st.text(max_size=8)),
        threads=st.sampled_from(["1", "2"]))
-def test_every_document_loads_or_is_a_data_error(doc_path, doc, text, threads):
+def _check_document(doc_path, doc, text, threads):
     with open(doc_path, "w") as fh:
         fh.write(json.dumps(doc) if text is None else text)
     try:

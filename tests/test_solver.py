@@ -53,19 +53,6 @@ def _state(net, q):
 
 
 @pytest.fixture(scope="module")
-def grid16():
-    """A 256-node rush-hour grid and queries of up to a few thousand labels
-    (the last, of ten million, only ever runs under a cap)."""
-    net = generate_network(
-        GenConfig(rows=16, cols=16, score_density=0.2, seed=5)
-    ).network
-    records = generate_query_sets(
-        net, seed=3, count_per_set=3, buckets=((2.0, 4.0), (4.0, 6.0), (6.0, 8.0))
-    )
-    return net, [rec.to_query() for rec in records]
-
-
-@pytest.fixture(scope="module")
 def chain3200():
     """A 3,200-node chain and the query along all of it: a path three times
     deeper than the interpreter's default recursion limit."""
@@ -351,11 +338,12 @@ class TestParallel:
             sys.setrecursionlimit(old)
         assert dispatched
 
-    def test_no_caller_depth_maps_memory_per_profile_call(self, grid16):
+    def test_no_caller_depth_maps_memory_per_profile_call(self, grid16, python_engine):
         """CPython keeps frames in chunks and unmaps a chunk when its first
         frame returns.  Where the caller's depth left the search's frame
         just short of a chunk's end, every profile call it made mapped a
-        fresh chunk and faulted; solve() now runs in a fresh chunk."""
+        fresh chunk and faulted; solve() now runs in a fresh chunk.  The
+        Python engine makes those calls, so it searches here."""
         resource = pytest.importorskip("resource")
         net, queries = grid16
         q = queries[5]
@@ -598,6 +586,7 @@ class TestPreparedNetwork:
         answers, seen = [], []
         for network in (net, build_network(net.node_count, net.edges)):
             counts.update(arrival=0, latest_departure=0, value=0)
+            assert network.flat() is None  # the Python engine searches
             answers.append(solve(network, q))
             seen.append(dict(counts))
         reused, fresh = seen
