@@ -68,16 +68,21 @@ def _assert_engines_agree(net, q, kernel_runs, **kwargs):
     return got
 
 
+def _states(net, q):
+    """Uncapped search states for ``q``: the Python engine's and the kernel's."""
+    times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
+    adj, flat = net.prepared().out_adj, net.flat()
+    return (
+        _SearchState(adj, times, q.destination, q.t_arr, (), None),
+        _SearchState(adj, flat.bounds(times), q.destination, q.t_arr, (), None, flat),
+    )
+
+
 def _assert_candidates_agree(net, q, kernel_runs):
     """The kernel's best candidate, with its computed score and arrival, is
     the Python engine's to the last bit; a solve compares only the path that
     the forward simulation rebuilds from it."""
-    times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
-    flat = net.flat()
-    python = _SearchState(net.prepared().out_adj, times, q.destination, q.t_arr,
-                          (), None)
-    native = _SearchState(net.prepared().out_adj, flat.bounds(times),
-                          q.destination, q.t_arr, (), None, flat)
+    python, native = _states(net, q)
     root = ((q.source,), q.t_dep, 0.0, ())
     ran = len(kernel_runs)
     assert _search(native, *root) == _fast_search(python, *root)
@@ -128,12 +133,7 @@ class TestEquivalence:
         tasks_seen = 0
         for _ in range(40):
             net, q = random_instance(rng)
-            times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
-            flat = net.flat()
-            python = _SearchState(net.prepared().out_adj, times, q.destination,
-                                  q.t_arr, (), None)
-            native = _SearchState(net.prepared().out_adj, flat.bounds(times),
-                                  q.destination, q.t_arr, (), None, flat)
+            python, native = _states(net, q)
             tasks, _ = _build_frontier(python, ((q.source,), q.t_dep, 0.0, ()), 2, 10**9)
             for task in tasks:
                 python.explored = native.explored = 0
