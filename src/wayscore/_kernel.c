@@ -104,8 +104,10 @@ static double floor_after(const ws_network *net, int64_t e, double t)
 static double score_value(const ws_network *net, int64_t e, double d)
 {
     const int64_t lo = net->sc_start[e], k = net->sc_start[e + 1] - lo;
+    if (k == 0) /* sb may be NULL then: take no offset from it */
+        return net->sdef[e];
     const double *b = net->sb + lo;
-    if (k == 0 || d < b[0] || d >= b[k - 1])
+    if (d < b[0] || d >= b[k - 1])
         return net->sdef[e];
     return net->sv[lo + bisect_right(b, k, d) - 1];
 }
