@@ -3,12 +3,12 @@
 One output row per (query set, thread count).  Wall time is measured
 around :func:`wayscore.solver.solve` only, which includes the backward
 bound computation (it is part of answering a query) but excludes file
-loading.  The first parallel query at a new worker count (the thread
-count, capped at the cores) pays the worker start-up inside that window
-too; the workers then stay alive for the next queries at that count.  A
-query whose search ends within the solver's in-process probe
-(``solver._PROBE_LABELS``) is answered without the workers; a larger one
-pays the probe and the task dispatch on top of its split search.  Averages
+loading.  A parallel query whose search ends within the solver's
+in-process probe (``solver._PROBE_LABELS``) is answered without threads; a
+larger one pays the probe, the thread start-up (the thread count, capped
+at the cores) and the task hand-out on top of its split search.  Where the
+compiled kernel does not search (no compiler, a replaced profile method),
+every row times the sequential search, which parallel mode then runs.  Averages
 cover feasible queries only; queries that came back infeasible or hit the
 expansion cap are tallied in the ``infeasible`` column.
 """

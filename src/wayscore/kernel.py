@@ -3,8 +3,9 @@
 :func:`wayscore.solver._fast_search` stays the reference engine; the kernel
 is its copy in C, without the task sink, and gives the same status,
 candidate and label count.  The solver runs every whole-subtree search with
-it when it can: the sequential solve, the parallel probe and the workers'
-tasks.
+it when it can: the sequential solve, the parallel probe and the parallel
+threads' tasks.  ``ctypes`` releases the interpreter lock for the call, and
+the kernel keeps no state between calls, so threads search side by side.
 
 The library is compiled with the system ``gcc`` on the first solve of the
 process and kept under ``~/.cache/wayscore``, named by a hash of the source
@@ -212,9 +213,11 @@ class FlatNetwork:
     ) -> tuple[int, int, Optional[tuple]]:
         """Search the subtree below ``prefix``: ``(status, explored, candidate)``.
 
-        ``bounds`` is any writable buffer of one double per node (an
-        ``array`` or the workers' shared ``mmap``); ``cap`` is the number of
-        labels the search may count, or None.
+        ``bounds`` is the query's buffer of one double per node
+        (:meth:`bounds`), which the kernel only reads, so concurrent searches
+        may share it; it writes ``thresholds`` (:meth:`thresholds`), so each
+        concurrent search needs its own.  ``cap`` is the number of labels
+        the search may count, or None.
         """
         # from_buffer raises ValueError for a buffer smaller than the type.
         bounds_view = self._bounds_type.from_buffer(bounds)
@@ -250,7 +253,7 @@ def _doubles(tuples: list) -> array:
     each item through a format string and takes twice as long.  Packing a
     few hundred sequences at a time into the preallocated array keeps the
     temporaries small enough to be reused, instead of leaving megabytes of
-    freed heap in the process and in every worker forked after it.
+    freed heap in the process.
     """
     out = array("d", (0.0,)) * sum(map(len, tuples))
     offset = 0

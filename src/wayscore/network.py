@@ -54,8 +54,9 @@ def gc_paused():
     of thousands of tuples and bound methods; none of them forms a
     reference cycle, so collector passes in between are pure overhead.
     Worse, a full pass walks every object in the process (the whole
-    network, copy-on-write shared in forked workers), and one triggered
-    while a network is prepared can cost several times a short solve.
+    network among them), and one triggered while a network is prepared can
+    cost several times a short solve.  The collector's switch is
+    process-wide: a parallel solve pauses it once, for all its threads.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -51,10 +51,13 @@ def check_fifo(pairs: Sequence[tuple[float, float]]) -> Optional[FifoViolation]:
 
     Valid means: departures strictly increasing, arrivals non-decreasing,
     and every arrival >= its departure.  Raises ProfileError for an empty
-    list or a non-finite number, which no ordering test can judge.
+    list or a non-finite number, which no ordering test can judge, and for
+    a travel time or a gap to the previous breakpoint that overflows the
+    double range: interpolating across such a gap gives ``inf * 0 = NaN``.
     """
     if not pairs:
         raise ProfileError("arrival profile needs at least one breakpoint")
+    inf = math.inf
     prev_x, prev_y = None, None
     for i, (x, y) in enumerate(pairs):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -68,6 +71,14 @@ def check_fifo(pairs: Sequence[tuple[float, float]]) -> Optional[FifoViolation]:
                 return FifoViolation(i, "departure-order", x, y)
             if y < prev_y:
                 return FifoViolation(i, "arrival-decrease", x, y)
+        # The ordering makes every gap non-negative, so overflow is +inf.
+        if y - x == inf or (
+            prev_x is not None and (x - prev_x == inf or y - prev_y == inf)
+        ):
+            raise ProfileError(
+                f"breakpoint {i} overflows: its travel time or its gap to the "
+                f"previous breakpoint is not finite: departure={x!r}, arrival={y!r}"
+            )
         prev_x, prev_y = x, y
     return None
 

@@ -19,8 +19,8 @@ rejection the bound check would have made anyway, so answers and counts
 are those of the plain search.
 
 Every search of a whole subtree (a sequential solve, the in-process probe
-of a parallel solve, a worker's task) goes through :func:`_search`, which
-runs the compiled copy of that engine (:mod:`wayscore.kernel`) on the
+of a parallel solve, a parallel thread's task) goes through :func:`_search`,
+which runs the compiled copy of that engine (:mod:`wayscore.kernel`) on the
 network's flat arrays (:meth:`wayscore.network.RoadNetwork.flat`).  It gives
 the same status, candidate and label count, about fifty times faster.  The
 Python engine runs instead when constraints are given, when a profile
@@ -30,34 +30,29 @@ available; and it always builds the parallel frontier, with its task sink.
 The Python search, the bounds and the budget derivation walk the network's
 prepared adjacency (:meth:`wayscore.network.RoadNetwork.prepared`), which
 binds each edge's profile evaluators once per network, on first use.  A
-solve therefore does no per-network preparation after the first, and forked
-workers inherit the prepared adjacency and the flat arrays with the search
-state.
+solve therefore does no per-network preparation after the first.
 
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
 optimum unique, which is what lets the parallel mode return byte-identical
-results for any worker count: subtree searches are independent tasks joined
+results for any thread count: subtree searches are independent tasks joined
 by a commutative max-reduction.
 
-Parallel execution uses forked worker processes, which inherit the
-network without pickling it and run constraints' Python cost functions as
-well as the kernel.  The Python engine expands the tree breadth first down
-to a small fork depth, handing each child prefix to a task list instead of
-descending into it; workers pull the tasks from the shared queue and search
-each subtree to the end, which keeps them busy even when subtree sizes are
-wildly uneven.  The workers persist while a network is in use: one pool per
-process, forked on the first parallel solve on a network, whatever that
-query needs, and reused by the next ones on the same network, constraints
-and worker count, which start no process.  Dispatching costs milliseconds,
-so a parallel solve first searches in-process under a small label budget;
-a query answered within it (most short ones) sends the workers nothing, and
-only a larger one is split into frontier tasks.  Forking the pool before
-that probe keeps the fork cost and the memory of a network in parallel use
-the same whichever query comes first.  The pool is closed when the network
-is collected, or at exit.
-Where ``fork`` is not available, parallel mode runs the sequential search,
-which returns the same result.
+Parallel execution runs on threads, since the kernel releases the
+interpreter lock while it searches (as ``ctypes`` does for every call).
+The Python engine expands the tree breadth first down to a small fork
+depth, handing each child prefix to a task list instead of descending into
+it; the threads take the tasks from that one list and search each subtree
+to the end, which keeps them busy even when subtree sizes are wildly
+uneven.  Each thread keeps its own search state and edge thresholds, and
+all of them read the query's one bounds array.  Starting threads and
+handing out tasks still costs time, so a parallel solve first searches
+in-process under a small label budget; a query answered within it (most
+short ones) starts no thread, and only a larger one is split into frontier
+tasks.  Where the kernel does not search a query (constraints, a replaced
+profile method, no compiler), parallel mode runs the sequential search,
+which returns the same result: the Python engine holds the interpreter
+lock, so threads could not speed it up.
 """
 
 from __future__ import annotations
@@ -65,12 +60,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import mmap
-import multiprocessing
 import os
 import threading
-import weakref
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -158,9 +149,9 @@ class _SearchState:
     bound there, and so did the profile's floor for later departures
     (:meth:`ArrivalProfile.floor_after`); ``flat_thresholds`` holds the
     kernel's, one double per edge.  They depend on the query's bounds, so
-    they are per query: the engine calls of one solve share them, and a
-    worker starts afresh when the query changes.  They change no answer
-    and no count, so the two engines need not share them.
+    they are per query: the engine calls of one solve share them, and each
+    thread of a parallel solve learns its own.  They change no answer and
+    no count, so the two engines and the threads need not share them.
     """
 
     __slots__ = (
@@ -185,12 +176,8 @@ class _SearchState:
         self.constraints = tuple(constraints)
         self.explored = 0
         self.cap = cap
-        self.new_query()
-
-    def new_query(self) -> None:
-        """Forget the thresholds learned under other bounds."""
         self.thresholds = {}
-        self.flat_thresholds = None if self.flat is None else self.flat.thresholds()
+        self.flat_thresholds = None if flat is None else flat.thresholds()
 
 
 def _fast_search(
@@ -370,127 +357,6 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return a[2] < b[2]
 
 
-# Serialises parallel solves within one process, and guards the worker pool
-# slot ``_pool`` and the shared bounds buffer of the pool in it.  Reentrant,
-# because a network's finalizer may close its pool from whatever thread the
-# collector happens to run in, including one inside a parallel solve.
-_PARALLEL_LOCK = threading.RLock()
-
-
-class _WorkerPool:
-    """Forked search workers, kept alive across the solves on one network.
-
-    The workers inherit the prepared out-adjacency, the kernel's flat
-    network (or None), the constraints and an anonymous shared buffer of one
-    double per node, all made before the fork, so ``Constraint`` cost
-    functions need not be picklable.  A query's bounds reach the workers
-    through the buffer: the parent writes them and bumps ``token``, and a
-    task whose token a worker has not seen starts a new query there.  The
-    kernel reads the buffer in place; the Python engine copies it.  The pool
-    holds no reference to the network, whose finalizer closes it when the
-    network is collected, or at exit.
-    """
-
-    def __init__(self, net: RoadNetwork, state: _SearchState, workers: int):
-        self.adj = state.adj
-        self.flat = state.flat
-        self.constraints = state.constraints
-        self.workers = workers
-        self.token = 0
-        self.bounds = mmap.mmap(-1, 8 * len(self.adj))
-        self.pool = multiprocessing.get_context("fork").Pool(
-            workers,
-            _init_worker,
-            (self.adj, self.flat, self.constraints, self.bounds),
-        )
-        self._finalizer = weakref.finalize(net, _close_pool, self)
-
-    def serves(self, state: _SearchState, workers: int) -> bool:
-        """Whether the workers inherited exactly ``state``'s objects."""
-        constraints = state.constraints
-        return (
-            self.adj is state.adj
-            and self.flat is state.flat
-            and self.workers == workers
-            and len(self.constraints) == len(constraints)
-            and all(a is b for a, b in zip(self.constraints, constraints))
-        )
-
-    def close(self) -> None:
-        pool, self.pool = self.pool, None
-        if pool is None:
-            return
-        self._finalizer.detach()
-        pool.terminate()
-        pool.join()
-        self.bounds.close()
-
-
-# The worker pool of the most recent parallel solve, or None.
-_pool: Optional[_WorkerPool] = None
-
-
-def _close_pool(holder: _WorkerPool) -> None:
-    """Close ``holder``'s workers, and empty the slot if it holds them."""
-    global _pool
-    with _PARALLEL_LOCK:
-        if _pool is holder:
-            _pool = None
-        holder.close()
-
-
-def _worker_pool(net: RoadNetwork, state: _SearchState, workers: int) -> _WorkerPool:
-    """The pool whose workers inherited ``state``'s networks and constraints.
-
-    Any other pool is closed first, so no pool threads are alive at the fork.
-    The caller holds ``_PARALLEL_LOCK``.
-    """
-    global _pool
-    if _pool is not None:
-        if _pool.serves(state, workers):
-            return _pool
-        _close_pool(_pool)
-    _pool = _WorkerPool(net, state, workers)
-    return _pool
-
-
-# In a worker process: its search state, the shared bounds buffer and the
-# query token the state was last loaded for; set by _init_worker.
-_worker: list
-
-
-def _init_worker(adj: list, flat, constraints: tuple, bounds: mmap.mmap) -> None:
-    """Pool initializer: keep the objects inherited from the parent."""
-    global _worker
-    state = _SearchState(adj, bounds, -1, 0.0, constraints, None, flat)
-    _worker = [state, bounds, None]
-
-
-def _run_subtree(task) -> tuple[Optional[_Candidate], int]:
-    """Search one frontier task under its own expansion cap.
-
-    A task is ``(token, destination, t_arr, cap, prefix, arrival, score,
-    extras)``.  A task that hits its cap returns no candidate and a count
-    above the cap, which pushes the parent's total over ``max_expansions``.
-    """
-    token, destination, t_arr, cap, prefix, arrival, score, extras = task
-    state, bounds, seen = _worker
-    if token != seen:
-        if state.flat is None:
-            state.bounds = memoryview(bounds).cast("d").tolist()
-        state.destination = destination
-        state.t_arr = t_arr
-        state.new_query()
-        _worker[2] = token
-    state.explored = 0
-    state.cap = cap
-    try:
-        with gc_paused():
-            return _search(state, prefix, arrival, score, extras), state.explored
-    except _LimitHit:
-        return None, state.explored
-
-
 def _default_fork_depth(threads: int) -> int:
     return int(2 * math.log2(max(2, threads))) + 4
 
@@ -501,15 +367,17 @@ def _default_fork_depth(threads: int) -> int:
 _TASKS_PER_WORKER = 32
 
 # Labels a parallel solve searches in-process before it splits the search.
-# Two workers can save at most half of an N-label search, N / (2 r) at r
-# labels per second, while dispatching its frontier costs about 0.4-0.7 ms
-# plus 0.04-0.1 ms per task (2-core x86 host, CPython 3.11, quiet to busy),
-# 3-7 ms for the 64 tasks of a default frontier.  At the Python engine's
-# r = 0.5-0.65 M labels/s a split pays only beyond 3,000-9,000 labels, so a
-# search that ends within 5,000 is answered in-process.  The kernel searches
-# 5,000 labels in about 0.1 ms, so for it the budget wastes almost nothing
-# but splits searches far smaller than would pay: at its 40-60 M labels/s
-# the break-even is some 300,000 labels.
+# Two threads can save at most half of an N-label search, N / (2 r) at r
+# labels per second.  Splitting costs the Python frontier, 0.3-0.5 ms for
+# the hundred-odd tasks of a default one, about 0.08 ms to start and join a
+# thread, and about 5 us per task handed out (long queries of the benchmark
+# grid, min of 5, 2-core x86 host, CPython 3.11).  At the kernel's 40-60 M
+# labels/s a split so pays only beyond some 50,000-150,000 labels, and the
+# budget splits smaller searches that would gain nothing.  It stays at
+# 5,000 since almost no measured query falls between the two: of the 120
+# short queries of two par-mixed benchmark seeds one passed it, at 5,551
+# labels, and the long ones all exceed 500,000.  The probe costs a search
+# that then splits about 0.2 ms.
 _PROBE_LABELS = 5_000
 
 
@@ -539,6 +407,92 @@ def _build_frontier(
     return frontier, found
 
 
+def _run_task(state: _SearchState, task: tuple) -> tuple[Optional[_Candidate], int]:
+    """Search one frontier task under ``state.cap``: ``(candidate, labels)``.
+
+    A task that hits the cap returns no candidate and a count above the cap,
+    which pushes the solve's total over ``max_expansions``.
+    """
+    state.explored = 0
+    try:
+        return _search(state, *task), state.explored
+    except _LimitHit:
+        return None, state.explored
+
+
+def _run_tasks(
+    state: _SearchState, tasks: list[tuple], workers: int, cap: Optional[int]
+) -> tuple[list[_Candidate], int]:
+    """Search ``tasks`` on ``workers`` threads, the caller's among them.
+
+    Returns the candidates found and the labels counted.  The threads take
+    the tasks one at a time from one list, since subtree sizes are
+    heavy-tailed.  Each searches with its own state, so its own thresholds,
+    under the per-task ``cap``, and all read ``state``'s bounds.  Counts are
+    summed as tasks finish; the first that takes the sum past ``cap``
+    settles the outcome, and no thread takes a task after it.  An exception
+    in any thread, an interrupt in the caller included, stops them the same
+    way, and is raised in the caller once every thread has ended.
+    """
+    lock = threading.Lock()
+    pending = iter(tasks)
+    found: list[_Candidate] = []
+    errors: list[BaseException] = []
+    explored = 0
+    stopped = False
+
+    def stop() -> None:
+        nonlocal stopped
+        with lock:
+            stopped = True
+
+    def work() -> None:
+        nonlocal explored, stopped
+        own = _SearchState(
+            state.adj, state.bounds, state.destination, state.t_arr, (), cap,
+            state.flat,
+        )
+        while True:
+            with lock:
+                task = None if stopped else next(pending, None)
+            if task is None:
+                return
+            cand, count = _run_task(own, task)
+            with lock:
+                if stopped:
+                    return
+                explored += count
+                if cap is not None and explored > cap:
+                    stopped = True
+                elif cand is not None:
+                    found.append(cand)
+
+    def helper() -> None:
+        try:
+            work()
+        except BaseException as exc:
+            errors.append(exc)
+            stop()
+
+    started = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=helper)
+            thread.start()
+            started.append(thread)
+        work()
+        for thread in started:
+            thread.join()
+    except BaseException:
+        stop()
+        for thread in started:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return found, explored
+
+
 def _solve_parallel(
     net: RoadNetwork,
     query: Query,
@@ -548,76 +502,46 @@ def _solve_parallel(
     fork_depth: Optional[int],
     max_expansions: Optional[int],
 ) -> SolveResult:
-    """Answer a query with the worker pool, or in-process if it is small.
+    """Answer a query on threads, or in-process if it is small.
 
-    The pool is made ready first: forked on a network's first parallel
-    solve, so a network in parallel use has its workers whichever query
-    comes first, and reused after.  Then the search runs in-process under
-    ``_PROBE_LABELS``; a search that ends there returns what the sequential
-    search returns and dispatches nothing, since splitting it would cost
-    more than it saves.  Only a larger one is searched again as frontier
-    tasks for the workers.
+    The search first runs in-process under ``_PROBE_LABELS``; a search that
+    ends there returns what the sequential search returns and starts no
+    thread, since splitting it would cost more than it saves.  Only a larger
+    one is searched again, as frontier tasks for the threads.
     """
+    # The probe answers exactly as the sequential search does, and a cap
+    # that fires within its budget gives the sequential limit.
+    start = state.explored
+    probe_cap = start + _PROBE_LABELS
+    state.cap = probe_cap if max_expansions is None else min(max_expansions, probe_cap)
+    try:
+        with gc_paused():
+            best = _search(state, *root)
+    except _LimitHit:
+        if max_expansions is not None and state.explored > max_expansions:
+            return SolveResult(STATUS_LIMIT, None, state.explored)
+    else:
+        return _result(net, query, best, state.explored)
+    # Too big to answer here: start over with the full cap.
+    state.explored = start
+    state.cap = max_expansions
     depth = fork_depth if fork_depth is not None else _default_fork_depth(threads)
     target = max(64, threads * _TASKS_PER_WORKER)
-    # More processes than cores cannot help a CPU-bound search and multiply
-    # copy-on-write traffic.
-    workers = max(1, min(threads, os.cpu_count() or threads))
-    with _PARALLEL_LOCK:
-        # Forked before the probe, whatever the query needs, so the fork
-        # overlaps the search.
-        holder = _worker_pool(net, state, workers)
-        # The probe answers exactly as the sequential search does, and a
-        # cap that fires within its budget gives the sequential limit.
-        start = state.explored
-        probe_cap = start + _PROBE_LABELS
-        state.cap = (
-            probe_cap if max_expansions is None else min(max_expansions, probe_cap)
-        )
-        try:
-            with gc_paused():
-                best = _search(state, *root)
-        except _LimitHit:
-            if max_expansions is not None and state.explored > max_expansions:
-                return SolveResult(STATUS_LIMIT, None, state.explored)
-        else:
-            return _result(net, query, best, state.explored)
-        # Too big to answer here: start over with the full cap, keeping the
-        # learned edge thresholds, which depend only on the bounds.
-        state.explored = start
-        state.cap = max_expansions
-        try:
-            tasks, candidates = _build_frontier(state, root, depth, target)
-        except _LimitHit:
-            return SolveResult(STATUS_LIMIT, None, state.explored)
-        explored = state.explored
-        if tasks:
-            remaining_cap = None  # the frontier stayed within the cap
-            if max_expansions is not None:
-                remaining_cap = max_expansions - explored
-            holder.bounds[:] = array("d", state.bounds).tobytes()
-            holder.token += 1
-            head = (holder.token, state.destination, state.t_arr, remaining_cap)
-            drained = False
-            try:
-                # chunksize 1: subtree sizes are heavy-tailed, so let idle
-                # workers pull single tasks (the balancing matters far more
-                # than the per-task dispatch cost).
-                for cand, count in holder.pool.imap_unordered(
-                    _run_subtree, [head + task for task in tasks], chunksize=1
-                ):
-                    explored += count
-                    if max_expansions is not None and explored > max_expansions:
-                        break  # the outcome is settled
-                    if cand is not None:
-                        candidates.append(cand)
-                else:
-                    drained = True
-            finally:
-                if not drained:
-                    # A cap hit, a worker exception or an interrupt leaves
-                    # workers busy with this query's tasks.
-                    _close_pool(holder)
+    try:
+        tasks, candidates = _build_frontier(state, root, depth, target)
+    except _LimitHit:
+        return SolveResult(STATUS_LIMIT, None, state.explored)
+    explored = state.explored
+    if tasks:
+        remaining_cap = None  # the frontier stayed within the cap
+        if max_expansions is not None:
+            remaining_cap = max_expansions - explored
+        # More threads than cores cannot help a CPU-bound search.
+        workers = max(1, min(threads, os.cpu_count() or threads))
+        with gc_paused():
+            found, counted = _run_tasks(state, tasks, workers, remaining_cap)
+        candidates += found
+        explored += counted
     if max_expansions is not None and explored > max_expansions:
         return SolveResult(STATUS_LIMIT, None, explored)
     best = None
@@ -669,8 +593,8 @@ def _in_fresh_stack_chunk(fn):
     0.5 M-label one took 10 s instead of 0.6 s.  The wrapper declares a
     frame larger than a chunk, so it always opens a fresh one with at least
     1000 slots to spare, and ``fn`` with everything it calls runs there, at
-    the same offsets whatever the caller's depth; forked workers inherit
-    that layout.  One mapping per call costs about 10 us.
+    the same offsets whatever the caller's depth.  One mapping per call
+    costs about 10 us.
     """
 
     @functools.wraps(fn)
@@ -733,13 +657,10 @@ def solve(
     )
     state.explored = 1  # the source label
     root = ((query.source,), query.t_dep, 0.0, (0.0,) * len(state.constraints))
-    # Workers inherit the search state by fork; without it, the sequential
-    # search gives the same answer.
-    if (
-        mode == "parallel"
-        and threads > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    ):
+    # Threads pay only while the kernel, which releases the interpreter
+    # lock, searches; the Python engine's sequential search gives the same
+    # answer.
+    if mode == "parallel" and threads > 1 and flat is not None:
         return _solve_parallel(
             net, query, state, root, threads, fork_depth, max_expansions
         )

@@ -1,5 +1,3 @@
-import multiprocessing.pool
-
 import pytest
 
 from wayscore import kernel, solver
@@ -76,22 +74,23 @@ def grid16():
 
 @pytest.fixture
 def dispatched(monkeypatch):
-    """Send every parallel search past the in-process probe to the workers.
+    """Split every parallel search past the in-process probe into tasks.
 
-    The probe answers small searches without the workers, so tests of the
-    worker path set its budget to 0.  The returned list collects each task
-    result the workers send back, so a test can see that tasks reached them.
+    The probe answers small searches without splitting them, so tests of the
+    threaded path set its budget to 0.  The returned list collects the
+    result of each task the threads searched, so a test can see that tasks
+    really ran.
     """
     monkeypatch.setattr(solver, "_PROBE_LABELS", 0)
     results = []
-    imap_unordered = multiprocessing.pool.Pool.imap_unordered
+    run_task = solver._run_task
 
-    def counted(pool, func, iterable, chunksize=1):
-        for result in imap_unordered(pool, func, iterable, chunksize):
-            results.append(result)
-            yield result
+    def counted(state, task):
+        result = run_task(state, task)
+        results.append(result)
+        return result
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", counted)
+    monkeypatch.setattr(solver, "_run_task", counted)
     return results
 
 

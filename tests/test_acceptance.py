@@ -128,8 +128,8 @@ def test_criterion_4_parallel_determinism(oracle_suite, request):
             got = res.path.to_json().encode() if res.path else res.status.encode()
             if got != base_bytes:
                 diffs += 1
-    # also force the forked-worker path on a few instances: no in-process
-    # probe, and a frontier one edge deep
+    # also force the threaded path on a few instances: no in-process probe,
+    # and a frontier one edge deep
     dispatched = request.getfixturevalue("dispatched")
     forced_diffs = 0
     for net, query in oracle_suite[:25]:
@@ -146,7 +146,7 @@ def test_criterion_4_parallel_determinism(oracle_suite, request):
         ok,
         f"byte-identical serializations across threads 1/2/4/8 on "
         f"{len(oracle_suite)} instances ({diffs} diffs; {forced_diffs} diffs "
-        f"with forced forking, {len(dispatched)} tasks run by the workers)",
+        f"with forced splitting, {len(dispatched)} tasks run by the threads)",
     )
     assert ok
 

@@ -152,6 +152,8 @@ class TestQueryCommand:
         (_one_edge_doc(length_m=-1.0), "length_m must be"),
         ({**_one_edge_doc(), "labels": {"9": "1"}}, "label for node 9 outside"),
         ({"node_count": 100000000000, "edges": []}, "node_count must be in"),
+        (_one_edge_doc(arrival=[[-1e308, 1e308]]), "overflows"),
+        (_one_edge_doc(arrival=[[-1e308, -1e308], [1e308, 1e308]]), "overflows"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
@@ -163,6 +165,24 @@ class TestQueryCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+    def test_overflowing_arrival_gap_is_data_error(self, tmp_path, capsys):
+        """Interpolating across an arrival gap beyond the double range gave
+        a NaN arrival, and the next edge's profile an IndexError."""
+        doc = {"node_count": 3, "edges": [
+            {"from": 0, "to": 1,
+             "arrival": [[-1.7e308, -1.7e308], [-1e308, -1e308], [5e307, 1.7e308]]},
+            {"from": 1, "to": 2, "arrival": [[0.0, 1.0]]},
+        ]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["query", "--graph", str(path), "--from", "0", "--to", "2",
+                   "--depart=-1e308", "--budget", "10", "--no-pruning"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "breakpoint 2 overflows" in lines[0]
 
     def test_conflicting_overheads_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:

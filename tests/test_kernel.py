@@ -259,12 +259,15 @@ class TestEquivalence:
     def test_nan_departure_is_handed_to_python(self, kernel_runs):
         """An overflowing segment can make an arrival NaN, and the next edge's
         profile then indexes past its breakpoints in Python.  The kernel hands
-        such a search back, so both engines fail the same way."""
-        steep = ArrivalProfile([(-1.7e308, -1.7e308), (-1e308, -1e308), (5e307, 1.7e308)])
+        such a search back, so both engines fail the same way.  The profile
+        check refuses such a segment, so it is put in after the network is
+        built, as code that mutates a profile could."""
+        steep = ArrivalProfile([(0.0, 0.0)])
         net = build_network(3, [
             Edge(0, 1, steep, ScoreProfile.constant(1.0)),
             _edge(1, 2, 1.0, 1.0),
         ])
+        steep.xs, steep.ys = (-1.7e308, -1e308, 5e307), (-1.7e308, -1e308, 1.7e308)
         q = Query.from_budget(0, 2, -1e308, 10.0)
 
         def outcome(run):
@@ -277,8 +280,8 @@ class TestEquivalence:
         assert kernel_runs == [kernel.DEFER]
 
     def test_workers_search_with_the_kernel(self, grid16, dispatched, monkeypatch):
-        """Forked workers run their tasks in the kernel: the Python engine
-        is refused anything but the parent's frontier."""
+        """The threads run their tasks in the kernel: the Python engine is
+        refused anything but the frontier."""
         net, queries = grid16
         q = queries[4]
         want = _record(solve(net, q))
@@ -289,8 +292,7 @@ class TestEquivalence:
             return search(state, path, t, score, extras, sink)
 
         monkeypatch.setattr(solver, "_fast_search", frontier_only)
-        own = build_network(net.node_count, net.edges)  # forks a new pool
-        got = solve(own, q, mode="parallel", threads=2, fork_depth=1)
+        got = solve(net, q, mode="parallel", threads=2, fork_depth=1)
         assert _record(got) == want
         assert dispatched
 

@@ -1,9 +1,8 @@
-import gc
-import multiprocessing
-import multiprocessing.pool
+import itertools
 import os
 import random
 import sys
+import threading
 
 import pytest
 
@@ -364,12 +363,8 @@ class TestParallel:
             solve(toy_network, _query(toy_network, 0, 1, 0.0, 8.0), mode="magic")
 
 
-def _workers() -> set[int]:
-    return {p.pid for p in multiprocessing.active_children()}
-
-
 def _refuse(*args, **kwargs):
-    raise AssertionError("a process or a task was requested")
+    raise AssertionError("the search was split into tasks")
 
 
 def _assert_same(par, seq):
@@ -378,68 +373,24 @@ def _assert_same(par, seq):
     assert par.explored == seq.explored
 
 
-def _assert_agrees(net, q, dispatched, threads=2, constraints=(), **kwargs):
-    """A parallel solve equals the sequential one, and its tasks reached the
-    workers; ``dispatched`` is the fixture's list of task results."""
-    seq = solve(net, q, constraints=constraints)
+def _assert_agrees(net, q, dispatched, threads=2, **kwargs):
+    """A parallel solve equals the sequential one, and its tasks ran;
+    ``dispatched`` is the fixture's list of task results."""
+    seq = solve(net, q)
     sent = len(dispatched)
-    par = solve(net, q, constraints=constraints, mode="parallel", threads=threads,
-                **kwargs)
+    par = solve(net, q, mode="parallel", threads=threads, **kwargs)
     _assert_same(par, seq)
     assert len(dispatched) > sent
-    assert _workers()
 
 
 class TestWorkerPool:
-    """Parallel solves on one network share a pool of forked workers."""
-
-    def test_two_solves_reuse_the_pool(self, grid16, dispatched):
-        net, queries = grid16
-        _assert_agrees(net, queries[0], dispatched)
-        workers = _workers()
-        _assert_agrees(net, queries[1], dispatched)
-        assert _workers() == workers
-
-    def test_new_pool_after_a_prepared_rebuild(self, grid16, dispatched, monkeypatch):
-        net, queries = grid16
-        _assert_agrees(net, queries[0], dispatched)
-        workers = _workers()
-        arrival = ArrivalProfile.arrival
-        monkeypatch.setattr(
-            ArrivalProfile, "arrival", lambda profile, t: arrival(profile, t)
-        )
-        _assert_agrees(net, queries[0], dispatched)
-        assert _workers().isdisjoint(workers)
-
-    def test_new_pool_after_a_constraints_change(self, grid16, dispatched):
-        net, queries = grid16
-        loose = [Constraint(cost=lambda edge, t: 1.0, budget=1000.0)]
-        _assert_agrees(net, queries[0], dispatched)
-        workers = _workers()
-        _assert_agrees(net, queries[0], dispatched, constraints=loose)
-        assert _workers().isdisjoint(workers)
-        workers = _workers()
-        same = list(loose)  # the same constraint objects in a new list
-        _assert_agrees(net, queries[1], dispatched, constraints=same)
-        assert _workers() == workers
-        other = [Constraint(cost=lambda edge, t: 1.0, budget=1000.0)]
-        _assert_agrees(net, queries[1], dispatched, constraints=other)
-        assert _workers().isdisjoint(workers)
-
-    def test_new_pool_after_a_thread_count_change(self, grid16, dispatched, monkeypatch):
-        net, queries = grid16
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        _assert_agrees(net, queries[0], dispatched, threads=2)
-        workers = _workers()
-        assert len(workers) == 2
-        _assert_agrees(net, queries[0], dispatched, threads=3)
-        assert len(_workers()) == 3 and _workers().isdisjoint(workers)
+    """A parallel solve searches its tasks on threads that end with it."""
 
     def test_edge_thresholds_do_not_outlive_their_query(self, dispatched, monkeypatch):
-        """In the first query, every worker task rejects the edge H->Y (Y
-        cannot reach D1 in time) and records its threshold; the second
-        query's optimum takes H->Y at the same departure.  The worker must
-        drop the first query's thresholds, or it prunes that optimum."""
+        """In the first query, every task rejects the edge H->Y (Y cannot
+        reach D1 in time) and records its threshold; the second query's
+        optimum takes H->Y at the same departure.  The second solve must not
+        start from the first query's thresholds, or it prunes that optimum."""
         src, hub, y, d1, d2 = 0, 4, 5, 6, 7
         edges = [_edge(src, i, 1.0, 0.0) for i in (1, 2, 3)]
         edges += [_edge(i, hub, 1.0, 0.0) for i in (1, 2, 3)]
@@ -450,20 +401,20 @@ class TestWorkerPool:
             _edge(y, d2, 1.0, 0.0),
         ]
         net = build_network(8, edges)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one worker runs every task
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one thread runs every task
         first, second = _query(net, src, d1, 0.0, 4.0), _query(net, src, d2, 0.0, 10.0)
         _assert_agrees(net, first, dispatched, fork_depth=1)
         _assert_agrees(net, second, dispatched, fork_depth=1)
-        assert len(_workers()) == 1
         assert solve(net, second).path.nodes == (src, 1, hub, y, d2)
 
     def test_solve_after_a_cap_hit_agrees(self, grid16, dispatched):
         net, queries = grid16
+        before = threading.active_count()
         _assert_agrees(net, queries[0], dispatched)
         capped = solve(net, queries[-1], mode="parallel", threads=2,
                        max_expansions=2000)
         assert capped.status == STATUS_LIMIT
-        assert not _workers()  # the busy workers were terminated
+        assert threading.active_count() == before  # no thread outlives the cap hit
         _assert_agrees(net, queries[0], dispatched)
 
     def test_two_networks_solved_alternately(self, grid16, dispatched):
@@ -473,58 +424,83 @@ class TestWorkerPool:
             for network in (net, twin):
                 _assert_agrees(network, q, dispatched)
 
-    def test_pool_closes_when_the_network_is_collected(self, grid16, dispatched):
+    @pytest.mark.parametrize("who", ["third task", "caller"])
+    def test_an_error_stops_every_thread(self, grid16, dispatched, monkeypatch, who):
+        """An exception in the third task, or an interrupt in the calling
+        thread's task, reaches the caller; the threads take no task after
+        it, and none outlives the solve."""
         net, queries = grid16
-        own = build_network(net.node_count, net.edges)
-        _assert_agrees(own, queries[0], dispatched)
-        del own
-        gc.collect()
-        assert multiprocessing.active_children() == []
+        q = queries[6]
+        solve(net, q, mode="parallel", threads=2)
+        total = len(dispatched)
+        before = threading.active_count()
+        caller = threading.current_thread()
+        started = itertools.count(1)
+        search = solver._search
 
-    def test_first_solve_forks_the_pool_without_tasks(
-        self, toy_network, monkeypatch
-    ):
-        # Whichever query comes first, a network in parallel use has workers,
-        # even when the in-process probe answers that query.
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", _refuse)
-        q = _query(toy_network, 0, 1, 0.0, 8.0)
-        res = solve(toy_network, q, mode="parallel", threads=2)
-        _assert_same(res, solve(toy_network, q))
-        assert _workers()
+        def failing(state, path, *rest):
+            if len(path) > 1:  # a task, not the probe, which starts at the root
+                n = next(started)
+                if who == "third task" and n == 3:
+                    raise RuntimeError("task failed")
+                if who == "caller" and threading.current_thread() is caller:
+                    raise KeyboardInterrupt
+            return search(state, path, *rest)
 
-    def test_later_query_without_tasks_starts_no_process(
-        self, toy_network, monkeypatch
-    ):
-        q = _query(toy_network, 0, 1, 0.0, 8.0)
-        solve(toy_network, q, mode="parallel", threads=2)
-        workers = _workers()
-        monkeypatch.setattr(solver, "_WorkerPool", _refuse)
-        monkeypatch.setattr(solver._pool.pool, "imap_unordered", _refuse)
-        res = solve(toy_network, q, mode="parallel", threads=2)
-        assert res.path.to_json() == solve(toy_network, q).path.to_json()
-        assert _workers() == workers
+        monkeypatch.setattr(solver, "_search", failing)
+        error = RuntimeError if who == "third task" else KeyboardInterrupt
+        with pytest.raises(error):
+            solve(net, q, mode="parallel", threads=2)
+        assert threading.active_count() == before
+        assert total > 8
+        assert next(started) - 1 < total  # the threads stopped early
 
-    def test_without_fork_parallel_runs_sequential(self, grid16, monkeypatch):
+    def test_solves_from_two_threads_at_once(self, grid16, dispatched, monkeypatch):
+        """Two callers solve in parallel mode at once, with more threads
+        than cores and a short switch interval; every answer and count is
+        the sequential one."""
         net, queries = grid16
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        indices = range(7)  # the last query only runs under a cap
+        want = {i: _record(solve(net, queries[i])) for i in indices}
+        got, errors = [], []
 
-        def no_parallel(*args):
-            raise AssertionError("the parallel search ran")
+        def run(order):
+            try:
+                for i in order:
+                    res = solve(net, queries[i], mode="parallel", threads=4)
+                    got.append((i, _record(res)))
+            except BaseException as exc:
+                errors.append(exc)
 
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        monkeypatch.setattr(solver, "_solve_parallel", no_parallel)
-        for q in queries[:2]:
-            seq = solve(net, q)
-            par = solve(net, q, mode="parallel", threads=2)
-            assert par.status == seq.status
-            assert par.path.to_json() == seq.path.to_json()
-            assert par.explored == seq.explored
+        callers = [
+            threading.Thread(target=run, args=(order,))
+            for order in (list(indices), list(reversed(indices)))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert len(got) == 2 * len(want)
+        for i, record in got:
+            assert record == want[i]
+        assert dispatched
+
+
+def _record(res):
+    return res.status, res.path and res.path.to_json(), res.explored
 
 
 class TestProbe:
     """A parallel solve searches in-process first, and only a search that
-    outgrows ``_PROBE_LABELS`` is split into tasks for the workers."""
+    outgrows ``_PROBE_LABELS`` is split into tasks for the threads."""
 
     def test_search_within_the_budget_sends_no_task(self, grid16, monkeypatch):
         net, queries = grid16
@@ -532,7 +508,7 @@ class TestProbe:
             seq = solve(net, q)
             assert seq.explored <= solver._PROBE_LABELS
             with monkeypatch.context() as patch:
-                patch.setattr(multiprocessing.pool.Pool, "imap_unordered", _refuse)
+                patch.setattr(solver, "_run_tasks", _refuse)
                 par = solve(net, q, mode="parallel", threads=2)
             _assert_same(par, seq)
 
@@ -553,16 +529,13 @@ class TestProbe:
     ):
         net, queries = grid16
         q = queries[-1]
-        solve(net, queries[0], mode="parallel", threads=2)  # the pool is ready
-        workers = _workers()
         for cap in (0, 1, 2000, solver._PROBE_LABELS + 1):
             seq = solve(net, q, max_expansions=cap)
             assert seq.status == STATUS_LIMIT
             with monkeypatch.context() as patch:
-                patch.setattr(multiprocessing.pool.Pool, "imap_unordered", _refuse)
+                patch.setattr(solver, "_run_tasks", _refuse)
                 par = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
             _assert_same(par, seq)
-        assert _workers() == workers  # the probe's cap hit stopped no worker
 
 
 class TestPreparedNetwork:
@@ -643,6 +616,8 @@ class TestConstraints:
                 assert got.path.nodes == want.path.nodes
 
     def test_parallel_respects_constraints(self, toy_network, dispatched):
+        # The Python engine holds the interpreter lock, so a constrained
+        # parallel solve runs the sequential search.
         q = _query(toy_network, 0, 1, 0.0, 8.0)
         hops = Constraint(cost=lambda edge, t: 1.0, budget=1.0)
         res = solve(
@@ -650,7 +625,8 @@ class TestConstraints:
             fork_depth=1,
         )
         assert res.path.nodes == (0, 1)
-        assert dispatched
+        _assert_same(res, solve(toy_network, q, constraints=[hops]))
+        assert not dispatched
 
 
 class TestExplorationCap:
