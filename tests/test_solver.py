@@ -367,6 +367,10 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the search was split into tasks")
 
 
+def _record(res):
+    return res.status, res.path and res.path.to_json(), res.explored
+
+
 def _assert_same(par, seq):
     assert par.status == seq.status
     assert (par.path and par.path.to_json()) == (seq.path and seq.path.to_json())
@@ -424,13 +428,14 @@ class TestWorkerPool:
             for network in (net, twin):
                 _assert_agrees(network, q, dispatched)
 
-    @pytest.mark.parametrize("who", ["third task", "caller"])
+    @pytest.mark.parametrize("who", ["third task", "helper thread", "caller"])
     def test_an_error_stops_every_thread(self, grid16, dispatched, monkeypatch, who):
-        """An exception in the third task, or an interrupt in the calling
-        thread's task, reaches the caller; the threads take no task after
-        it, and none outlives the solve."""
+        """An exception in the third task or in a helper thread's task, or an
+        interrupt in the calling thread's task, reaches the caller; the
+        threads take no task after it, and none outlives the solve."""
         net, queries = grid16
         q = queries[6]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one helper thread
         solve(net, q, mode="parallel", threads=2)
         total = len(dispatched)
         before = threading.active_count()
@@ -441,14 +446,17 @@ class TestWorkerPool:
         def failing(state, path, *rest):
             if len(path) > 1:  # a task, not the probe, which starts at the root
                 n = next(started)
-                if who == "third task" and n == 3:
-                    raise RuntimeError("task failed")
-                if who == "caller" and threading.current_thread() is caller:
+                in_caller = threading.current_thread() is caller
+                if who == "caller" and in_caller:
                     raise KeyboardInterrupt
+                if (who == "third task" and n == 3) or (
+                    who == "helper thread" and not in_caller
+                ):
+                    raise RuntimeError("task failed")
             return search(state, path, *rest)
 
         monkeypatch.setattr(solver, "_search", failing)
-        error = RuntimeError if who == "third task" else KeyboardInterrupt
+        error = KeyboardInterrupt if who == "caller" else RuntimeError
         with pytest.raises(error):
             solve(net, q, mode="parallel", threads=2)
         assert threading.active_count() == before
@@ -492,10 +500,6 @@ class TestWorkerPool:
         for i, record in got:
             assert record == want[i]
         assert dispatched
-
-
-def _record(res):
-    return res.status, res.path and res.path.to_json(), res.explored
 
 
 class TestProbe:
