@@ -39,7 +39,8 @@ results for any thread count: subtree searches are independent tasks joined
 by a commutative max-reduction.
 
 Parallel execution runs on threads, since the kernel releases the
-interpreter lock while it searches (as ``ctypes`` does for every call).
+interpreter lock while it searches (``ctypes`` releases it around every
+call into the library).
 The Python engine expands the tree breadth first down to a small fork
 depth, handing each child prefix to a task list instead of descending into
 it; the threads take the tasks from that one list and search each subtree
