@@ -25,6 +25,11 @@ preserves that precision exactly.  A single-breakpoint "arrival" encodes a
 static edge.  Node ids are JSON integers, ``node_count`` is at most
 ``MAX_NODES``, every number is finite, a length is a number >= 0, and
 labels name nodes in range.
+
+:func:`load_network` parses and indexes a file with the cyclic collector
+paused, and validates each arrival profile once, when it builds it;
+:func:`build_network`, which takes ``Edge`` objects from any caller,
+checks their profiles again.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .kernel import FlatNetwork, flatten
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
@@ -50,13 +55,18 @@ MAX_NODES = 2**24
 def gc_paused():
     """Suspend cyclic GC while building structures that form no cycles.
 
-    A search allocates labels at a high rate, and a prepared network tens
-    of thousands of tuples and bound methods; none of them forms a
-    reference cycle, so collector passes in between are pure overhead.
+    A search allocates labels at a high rate, a prepared network tens of
+    thousands of tuples and bound methods, and a network file's load
+    hundreds of thousands of parsed floats and profiles; none of them forms
+    a reference cycle, so collector passes in between are pure overhead.
     Worse, a full pass walks every object in the process (the whole
-    network among them), and one triggered while a network is prepared can
-    cost several times a short solve.  The collector's switch is
-    process-wide: a parallel solve pauses it once, for all its threads.
+    network among them), and one triggered while a network is loaded or
+    prepared can cost several times a short solve.  The users are
+    :func:`load_network`, :meth:`RoadNetwork.prepared` and the solver's
+    searches.  The collector's switch is process-wide: a parallel solve
+    pauses it once for all its threads, and while a network loads (about
+    0.3 s for the 50x50 benchmark grid) no other thread is collected
+    either.  The switch is restored on exit, on an error too.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -216,30 +226,59 @@ def build_network(
     Rejects a ``node_count`` outside ``[1, MAX_NODES]`` before allocating
     anything, and self-loops, endpoints outside ``[0, node_count)``,
     duplicate ``(tail, head)`` pairs, and non-FIFO arrival profiles, naming
-    the offending edge in each case.
+    the offending edge in each case.  The edges' profiles are checked again
+    here, since an ``Edge`` can carry one altered after it was built.
+    """
+
+    def fifo_checked():
+        for idx, e in enumerate(edges):
+            yield e
+            # Resumed once _index has checked and indexed the edge, so each
+            # edge's FIFO check still runs after its other checks and before
+            # the next edge's.
+            violation = check_fifo(e.arrival.pairs())
+            if violation is not None:
+                raise EdgeError(
+                    f"{_where(idx, e)}: FIFO violation, {violation.message()}"
+                )
+
+    return _index(node_count, fifo_checked(), labels)
+
+
+def _where(idx: int, e: Edge) -> str:
+    return f"edge {idx} ({e.tail}->{e.head})"
+
+
+def _index(
+    node_count: int,
+    edges: Iterable[Edge],
+    labels: Optional[dict[int, str]],
+) -> RoadNetwork:
+    """Check ``node_count`` and each edge's endpoints, and index the edges.
+
+    Does not look at the profiles: :func:`load_network` builds every
+    ``ArrivalProfile`` itself, and its constructor has run ``check_fifo``.
     """
     if not 1 <= node_count <= MAX_NODES:
         raise NetworkError(
             f"node_count must be in [1, {MAX_NODES}], got {node_count}"
         )
+    kept: list[Edge] = []
     out_edges: list[list[int]] = [[] for _ in range(node_count)]
     in_edges: list[list[int]] = [[] for _ in range(node_count)]
     seen: set[tuple[int, int]] = set()
     for idx, e in enumerate(edges):
-        where = f"edge {idx} ({e.tail}->{e.head})"
         if not (0 <= e.tail < node_count and 0 <= e.head < node_count):
-            raise EdgeError(f"{where}: endpoint outside [0, {node_count})")
+            raise EdgeError(f"{_where(idx, e)}: endpoint outside [0, {node_count})")
         if e.tail == e.head:
-            raise EdgeError(f"{where}: self-loops are not allowed")
+            raise EdgeError(f"{_where(idx, e)}: self-loops are not allowed")
         if (e.tail, e.head) in seen:
-            raise EdgeError(f"{where}: duplicate edge for this node pair")
-        violation = check_fifo(e.arrival.pairs())
-        if violation is not None:
-            raise EdgeError(f"{where}: FIFO violation, {violation.message()}")
+            raise EdgeError(f"{_where(idx, e)}: duplicate edge for this node pair")
         seen.add((e.tail, e.head))
         out_edges[e.tail].append(idx)
         in_edges[e.head].append(idx)
-    return RoadNetwork(node_count, list(edges), out_edges, in_edges, labels)
+        kept.append(e)
+    return RoadNetwork(node_count, kept, out_edges, in_edges, labels)
 
 
 def _fmt_minutes(value: float) -> float:
@@ -291,8 +330,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@gc_paused()
 def load_network(path: str) -> RoadNetwork:
-    """Load and fully validate a network file."""
+    """Load and fully validate a network file.
+
+    The whole load, the JSON parse included, runs with the collector paused
+    (:func:`gc_paused`): a full pass would walk every parsed number and
+    profile built so far, and none of them forms a cycle.  Each arrival
+    profile is validated once, by the ``ArrivalProfile`` constructor.  The
+    edges are then indexed with :func:`build_network`'s other checks, in
+    its order, but without its second FIFO pass.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -354,4 +402,4 @@ def load_network(path: str) -> RoadNetwork:
             raise FormatError(
                 f"{path}: label for node {outside[0]} outside [0, {node_count})"
             )
-    return build_network(node_count, edges, labels)
+    return _index(node_count, edges, labels)

@@ -54,13 +54,17 @@ def check_fifo(pairs: Sequence[tuple[float, float]]) -> Optional[FifoViolation]:
     list or a non-finite number, which no ordering test can judge, and for
     a travel time or a gap to the previous breakpoint that overflows the
     double range: interpolating across such a gap gives ``inf * 0 = NaN``.
+    So does a segment whose two gaps multiply past the double range, where
+    interpolating inside it would give an infinite time.
     """
     if not pairs:
         raise ProfileError("arrival profile needs at least one breakpoint")
     inf = math.inf
+    isfinite = math.isfinite
     prev_x, prev_y = None, None
+    steep = None
     for i, (x, y) in enumerate(pairs):
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (isfinite(x) and isfinite(y)):
             raise ProfileError(
                 f"breakpoint {i} is not finite: departure={x!r}, arrival={y!r}"
             )
@@ -71,15 +75,29 @@ def check_fifo(pairs: Sequence[tuple[float, float]]) -> Optional[FifoViolation]:
                 return FifoViolation(i, "departure-order", x, y)
             if y < prev_y:
                 return FifoViolation(i, "arrival-decrease", x, y)
+            dx, dy = x - prev_x, y - prev_y
+        else:
+            dx = dy = 0.0
         # The ordering makes every gap non-negative, so overflow is +inf.
-        if y - x == inf or (
-            prev_x is not None and (x - prev_x == inf or y - prev_y == inf)
-        ):
+        if y - x == inf or dx == inf or dy == inf:
             raise ProfileError(
                 f"breakpoint {i} overflows: its travel time or its gap to the "
                 f"previous breakpoint is not finite: departure={x!r}, arrival={y!r}"
             )
+        # The product bounds arrival()'s dy * (departure - x1) and
+        # latest_departure()'s dx * (arrival_by - y1) on this segment.
+        if steep is None and dx * dy == inf:
+            steep = i
         prev_x, prev_y = x, y
+    # Reported only once every breakpoint has passed the checks above, so a
+    # profile that one of them rejects is named by it.
+    if steep is not None:
+        x, y = pairs[steep]
+        raise ProfileError(
+            f"breakpoint {steep} overflows: the product of its departure and "
+            f"arrival gaps to the previous breakpoint is not finite: "
+            f"departure={x!r}, arrival={y!r}"
+        )
     return None
 
 
@@ -97,8 +115,8 @@ class ArrivalProfile:
         violation = check_fifo(pairs)
         if violation is not None:
             raise ProfileError(violation.message())
-        self.xs = tuple(float(x) for x, _ in pairs)
-        self.ys = tuple(float(y) for _, y in pairs)
+        self.xs = tuple([float(x) for x, _ in pairs])
+        self.ys = tuple([float(y) for _, y in pairs])
         self._floors: Optional[tuple[float, ...]] = None
 
     @classmethod

@@ -184,6 +184,23 @@ class TestQueryCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "breakpoint 2 overflows" in lines[0]
 
+    def test_overflowing_segment_is_data_error(self, tmp_path, capsys):
+        """Every gap of this segment is finite, but interpolating inside it
+        overflowed to an infinite arrival, and the query answered a silently
+        wrong ``infeasible``: departing at 6e307 arrives near 6.93e307."""
+        doc = {"node_count": 2, "edges": [
+            {"from": 0, "to": 1, "arrival": [[-8e307, -8e307], [7e307, 8e307]]},
+        ]}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["query", "--graph", str(path), "--from", "0", "--to", "1",
+                   "--depart", "6e307", "--budget", "1e307"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "breakpoint 1 overflows" in lines[0]
+
     def test_conflicting_overheads_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as exc:
             main(["query", "--graph", toy_file, "--from", "A", "--to", "B",

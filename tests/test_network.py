@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from wayscore import network, profiles
 from wayscore.datagen import GenConfig, generate_network
 from wayscore.network import (
     MAX_NODES,
@@ -43,6 +45,17 @@ class TestBuild:
         object.__setattr__(bad, "length_m", None)
         with pytest.raises(EdgeError, match="edge 0 \\(0->1\\).*FIFO"):
             build_network(2, [bad])
+
+    def test_fifo_violation_keeps_its_place_among_the_checks(self):
+        bent = ArrivalProfile([(0.0, 2.0), (4.0, 8.0)])
+        bent.ys = (5.0, 4.0)  # altered after its own check
+        bad = Edge(0, 1, bent, ScoreProfile.constant(0.0))
+        # before any check on a later edge
+        with pytest.raises(EdgeError, match="edge 0 \\(0->1\\).*FIFO"):
+            build_network(2, [bad, _edge(0, 5)])
+        # after the edge's own structural checks
+        with pytest.raises(EdgeError, match="edge 1 \\(0->1\\).*duplicate"):
+            build_network(2, [_edge(0, 1), bad])
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(EdgeError, match="duplicate"):
@@ -138,3 +151,60 @@ class TestFileRoundTrip:
         save_network(once, str(p2))
         assert p1.read_text() == p2.read_text()
         assert load_network(str(p2)) == once
+
+
+@pytest.fixture
+def grid_file(tmp_path):
+    """An 8x8 grid's file: enough objects for a load to cross the
+    collector's first-generation threshold many times over."""
+    path = tmp_path / "grid.json"
+    save_network(generate_network(GenConfig(rows=8, cols=8, seed=9)).network, str(path))
+    return str(path)
+
+
+class TestLoad:
+    def test_each_profile_is_checked_once(self, grid_file, monkeypatch):
+        calls = []
+        check_fifo = profiles.check_fifo
+
+        def counting(pairs):
+            calls.append(list(pairs))
+            return check_fifo(pairs)
+
+        monkeypatch.setattr(profiles, "check_fifo", counting)
+        monkeypatch.setattr(network, "check_fifo", counting)
+        net = load_network(grid_file)
+        assert calls == [e.arrival.pairs() for e in net.edges]
+
+    def test_no_collection_starts_during_a_load(self, grid_file):
+        """The parse, the profiles and the index run with the collector
+        paused.  Re-enabled, it owes one young-generation pass for what the
+        load allocated, which may start as the call returns."""
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            load_network(grid_file)
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts in ([], [0])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, grid_file, tmp_path, enabled):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"node_count": 2}')
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_network(grid_file)
+            assert gc.isenabled() is enabled
+            with pytest.raises(FormatError, match="edges"):
+                load_network(str(bad))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
