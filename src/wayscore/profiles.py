@@ -60,11 +60,10 @@ def check_fifo(pairs: Sequence[tuple[float, float]]) -> Optional[FifoViolation]:
     if not pairs:
         raise ProfileError("arrival profile needs at least one breakpoint")
     inf = math.inf
-    isfinite = math.isfinite
     prev_x, prev_y = None, None
     steep = None
     for i, (x, y) in enumerate(pairs):
-        if not (isfinite(x) and isfinite(y)):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ProfileError(
                 f"breakpoint {i} is not finite: departure={x!r}, arrival={y!r}"
             )
