@@ -1,21 +1,24 @@
-/* The solver's whole-subtree search, compiled.
+/* The solver's whole-subtree search and the fastest-arrival query, compiled.
  *
  * ws_search is wayscore.solver._fast_search without its task sink, branch
  * for branch: the loopless check, the learned per-edge thresholds, the bound
  * check and the floor behind a new threshold, the expansion cap, and the
- * score -> arrival -> node sequence tie-break.  The profile evaluators are
- * ArrivalProfile.arrival, ArrivalProfile.floor_after and ScoreProfile.value,
- * written with the same operations in the same order, so every double it
- * computes equals the one Python computes (build with -ffp-contract=off, so
- * that no multiply-add is fused).  wayscore/kernel.py builds and calls it.
+ * score -> arrival -> node sequence tie-break.  ws_earliest is
+ * wayscore.traversal.earliest_arrival, the forward Dijkstra behind each
+ * query's budget, with the same heap order and relaxation rules.  The
+ * profile evaluators are ArrivalProfile.arrival, ArrivalProfile.floor_after
+ * and ScoreProfile.value, written with the same operations in the same
+ * order, so every double the kernel computes equals the one Python computes
+ * (build with -ffp-contract=off, so that no multiply-add is fused).
+ * wayscore/kernel.py builds and calls it.
  *
  * Preconditions, checked by the caller: node ids and edge indices in range,
  * every offset array non-decreasing and one longer than what it indexes,
  * every arrival profile with at least one breakpoint, score values padded to
  * one per boundary, and bounds with one entry per node.  Within them the
- * search reads and writes nothing outside its arrays.  What Python would
+ * kernel reads and writes nothing outside its arrays.  What Python would
  * answer with an IndexError (a NaN departure) it returns as WS_DEFER, and
- * the caller runs the Python search instead.
+ * the caller runs the Python code instead.
  */
 
 #include <math.h>
@@ -270,5 +273,141 @@ out:
     free(stack);
     free(path);
     free(visited);
+    return status;
+}
+
+/* A heap entry of ws_earliest, ordered as heapq orders (time, node) tuples. */
+typedef struct {
+    double t;
+    int32_t node;
+} ws_entry;
+
+static int entry_less(ws_entry a, ws_entry b)
+{
+    return a.t < b.t || (a.t == b.t && a.node < b.node);
+}
+
+static void heap_push(ws_entry *heap, int64_t *size, ws_entry item)
+{
+    int64_t i = (*size)++;
+    while (i > 0) {
+        const int64_t parent = (i - 1) / 2;
+        if (!entry_less(item, heap[parent]))
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = item;
+}
+
+static ws_entry heap_pop(ws_entry *heap, int64_t *size)
+{
+    const ws_entry top = heap[0], last = heap[--*size];
+    const int64_t n = *size;
+    int64_t i = 0;
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && entry_less(heap[child + 1], heap[child]))
+            child++;
+        if (!entry_less(heap[child], last))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    if (n > 0)
+        heap[i] = last;
+    return top;
+}
+
+/* wayscore.traversal.earliest_arrival's forward time-dependent Dijkstra:
+ * pop the least (time, node), skip it if stale (t > best[u]), stop at the
+ * destination, else relax the node's out-edges in out_edges order, keeping
+ * an arrival only if it is strictly earlier.  Every key pushed is distinct
+ * (a node's times strictly fall), so the pops come in heapq's order.
+ *
+ * Preconditions: source and dest in [0, nodes) and different; path has room
+ * for one id per node.  On reaching dest it writes the witness path from
+ * source to *length and its arrival to *t_out; an unreachable dest leaves
+ * *length 0.  A NaN departure (where Python raises), a failed allocation, a
+ * heap past its capacity or a predecessor chain that does not lead back to
+ * the source return WS_DEFER.  The capacity, edges + 1, holds every push as
+ * long as each edge is relaxed at most once, which FIFO profiles ensure. */
+int ws_earliest(const ws_network *net, int64_t source, int64_t dest,
+                double t_dep, int32_t *path, int64_t *length, double *t_out)
+{
+    const int64_t n = net->nodes, capacity = net->edges + 1;
+    const int64_t *out_start = net->out_start;
+    const int32_t *out_edge = net->out_edge, *head = net->head;
+    int status = WS_DONE;
+    int64_t size = 0;
+
+    *length = 0;
+    if (source < 0 || source >= n || dest < 0 || dest >= n || source == dest)
+        return WS_DEFER;
+    double *best = malloc((size_t)n * sizeof *best);
+    int32_t *via = malloc((size_t)n * sizeof *via);
+    ws_entry *heap = malloc((size_t)capacity * sizeof *heap);
+    if (!best || !via || !heap) {
+        status = WS_DEFER;
+        goto out;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        best[v] = INFINITY;
+        via[v] = -1;
+    }
+    best[source] = t_dep;
+    heap_push(heap, &size, (ws_entry){t_dep, (int32_t)source});
+    while (size > 0) {
+        const ws_entry top = heap_pop(heap, &size);
+        const double t = top.t;
+        const int32_t u = top.node;
+        if (t > best[u])
+            continue;
+        if (u == dest) {
+            /* Walk the predecessors back, then reverse in place. */
+            int64_t len = 0;
+            int32_t node = u;
+            path[len++] = node;
+            while (node != source) {
+                node = via[node];
+                if (node < 0 || len == n) {
+                    status = WS_DEFER;
+                    goto out;
+                }
+                path[len++] = node;
+            }
+            for (int64_t i = 0, j = len - 1; i < j; i++, j--) {
+                const int32_t swap = path[i];
+                path[i] = path[j];
+                path[j] = swap;
+            }
+            *length = len;
+            *t_out = t;
+            goto out;
+        }
+        for (int64_t pos = out_start[u]; pos < out_start[u + 1]; pos++) {
+            const int32_t e = out_edge[pos], h = head[e];
+            double arr;
+            if (arrival(net, e, t, &arr)) {
+                status = WS_DEFER;
+                goto out;
+            }
+            if (arr < best[h]) {
+                if (size == capacity) {
+                    status = WS_DEFER;
+                    goto out;
+                }
+                best[h] = arr;
+                via[h] = u;
+                heap_push(heap, &size, (ws_entry){arr, h});
+            }
+        }
+    }
+out:
+    free(best);
+    free(via);
+    free(heap);
     return status;
 }

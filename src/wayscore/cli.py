@@ -18,20 +18,12 @@ import json
 import sys
 from typing import Optional
 
-from .bench import run_bench, write_bench_csv
-from .datagen import (
-    ConfigError,
-    GenConfig,
-    SamplingExhausted,
-    generate_network,
-    generate_query_sets,
-    read_queries_csv,
-    write_queries_csv,
-)
 from .network import NetworkError, load_network, save_network
-from .reference import validate_solver
 from .solver import STATUS_OK, solve
 from .traversal import Query, QueryError, build_query
+
+# bench and datagen import numpy, which takes longer to import than a short
+# query takes to answer, so only the commands that use them import them.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +143,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_network(args) -> int:
+    from .datagen import GenConfig, generate_network
+
     rows, cols = args.grid
     config = GenConfig(
         rows=rows,
@@ -173,6 +167,8 @@ def _cmd_gen_network(args) -> int:
 
 
 def _cmd_gen_queries(args) -> int:
+    from .datagen import generate_query_sets, write_queries_csv
+
     net = load_network(args.graph)
     records = generate_query_sets(
         net,
@@ -234,6 +230,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import run_bench, write_bench_csv
+    from .datagen import read_queries_csv
+
     net = load_network(args.graph)
     records = read_queries_csv(args.queries)
     rows = run_bench(
@@ -252,6 +251,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .reference import validate_solver
+
     if args.instances <= 0:
         print("warning: zero instances requested; vacuous pass", file=sys.stderr)
         print("0/0 agree")
@@ -290,9 +291,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"wayscore: error: {exc}", file=sys.stderr)
         return 1
-    except (NetworkError, ConfigError, QueryError, SamplingExhausted, OSError) as exc:
+    except (NetworkError, QueryError, OSError, *_datagen_errors()) as exc:
         print(f"wayscore: {exc}", file=sys.stderr)
         return 2
+
+
+def _datagen_errors() -> tuple:
+    """datagen's data errors, once a command has imported datagen: until
+    then none of them can have been raised.  ``main`` evaluates this only
+    when an error reaches it."""
+    datagen = sys.modules.get(f"{__package__}.datagen")
+    if datagen is None:
+        return ()
+    return datagen.ConfigError, datagen.SamplingExhausted
 
 
 if __name__ == "__main__":

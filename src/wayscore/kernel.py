@@ -7,6 +7,13 @@ it when it can: the sequential solve, the parallel probe and the parallel
 threads' tasks.  ``ctypes`` releases the interpreter lock for the call, and
 the kernel keeps no state between calls, so threads search side by side.
 
+The kernel also holds ``ws_earliest``, the copy of
+:func:`wayscore.traversal.earliest_arrival` (:meth:`FlatNetwork.earliest`).
+Its preconditions are those of the search (a network :func:`flatten`
+checked) plus a source and destination that differ and lie in
+``[0, nodes)``; ``earliest_arrival`` checks the ids before the call, and
+the kernel checks them again and defers rather than index with one.
+
 The library is compiled with the system ``gcc`` on the first solve of the
 process and kept under ``~/.cache/wayscore``, named by a hash of the source
 and the compile command, so a changed source or command builds a new one.
@@ -47,9 +54,9 @@ try:
 except RuntimeError:  # no home directory: no cache, so no kernel
     CACHE_DIR = None
 
-# ws_search's return codes.  DEFER: the kernel met an input it does not model
-# (a NaN departure, on which the Python engine raises) or ran out of memory;
-# the caller runs the Python engine instead.
+# ws_search's and ws_earliest's return codes.  DEFER: the kernel met an
+# input it does not model (a NaN departure, on which the Python code raises)
+# or ran out of memory; the caller runs the Python code instead.
 DONE, LIMIT, DEFER = 0, 1, 2
 
 _INT64_MAX = 2**63 - 1
@@ -131,6 +138,16 @@ def bind(path) -> ctypes.CDLL:
         ctypes.POINTER(_Result),
     ]
     lib.ws_search.restype = ctypes.c_int
+    lib.ws_earliest.argtypes = [
+        ctypes.POINTER(_Network),
+        ctypes.c_int64,  # source
+        ctypes.c_int64,  # destination
+        ctypes.c_double,  # departure
+        ctypes.c_void_p,  # path
+        ctypes.POINTER(ctypes.c_int64),  # path length
+        ctypes.POINTER(ctypes.c_double),  # arrival
+    ]
+    lib.ws_earliest.restype = ctypes.c_int
     return lib
 
 
@@ -244,6 +261,28 @@ class FlatNetwork:
         if out.length:
             candidate = (out.score, out.arrival, tuple(best[: out.length]))
         return status, out.explored, candidate
+
+    def earliest(
+        self, source: int, destination: int, t_dep: float
+    ) -> tuple[int, Optional[tuple[float, list[int]]]]:
+        """:func:`wayscore.traversal.earliest_arrival` in the kernel:
+        ``(status, reached)``, where ``reached`` is ``(arrival, path)``, or
+        None when the destination is unreachable or the status is DEFER.
+
+        ``source`` and ``destination`` must be different ints in
+        ``[0, nodes)``.  The kernel returns DEFER, and the caller runs the
+        Python loop, on a NaN departure, a failed allocation, and ids that
+        break that rule, which it never indexes with.
+        """
+        path = array("i", (0,)) * self.nodes
+        length, arrival = ctypes.c_int64(), ctypes.c_double()
+        status = self._lib.ws_earliest(
+            self._net, source, destination, t_dep, path.buffer_info()[0],
+            length, arrival,
+        )
+        if not length.value:
+            return status, None
+        return status, (arrival.value, path[: length.value].tolist())
 
 
 def _doubles(tuples: list) -> array:

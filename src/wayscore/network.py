@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -325,6 +326,19 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _shared(xs: tuple, canonical: dict) -> tuple:
+    """``xs``, or the first tuple of the same floats that ``canonical`` saw.
+
+    ``==`` does not tell 0.0 from -0.0, so a tuple that holds a zero is
+    keyed with that zero's sign as well; strictly increasing departures
+    hold at most one.
+    """
+    key = xs
+    if 0.0 in xs:
+        key = (xs, math.copysign(1.0, xs[xs.index(0.0)]))
+    return canonical.setdefault(key, xs)
+
+
 def _is_int(value) -> bool:
     """A JSON integer: ``true`` and ``1.0`` are not node ids."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -339,7 +353,9 @@ def load_network(path: str) -> RoadNetwork:
     profile built so far, and none of them forms a cycle.  Each arrival
     profile is validated once, by the ``ArrivalProfile`` constructor.  The
     edges are then indexed with :func:`build_network`'s other checks, in
-    its order, but without its second FIFO pass.
+    its order, but without its second FIFO pass.  Profiles with equal
+    breakpoint departures share one ``xs`` tuple: on a generated grid every
+    edge has the same ones.
     """
     with open(path) as fh:
         try:
@@ -353,6 +369,7 @@ def load_network(path: str) -> RoadNetwork:
     if not _is_int(node_count) or not isinstance(raw_edges, list):
         raise FormatError(f"{path}: bad types for node_count/edges")
     edges = []
+    departures: dict = {}  # _shared's canonical tuples, for this load only
     for idx, raw in enumerate(raw_edges):
         where = f"{path}: edges[{idx}]"
         if not isinstance(raw, dict):
@@ -372,6 +389,7 @@ def load_network(path: str) -> RoadNetwork:
             raise EdgeError(f"{where}: {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{where}: malformed arrival breakpoints") from exc
+        arrival.xs = _shared(arrival.xs, departures)
         raw_score = raw.get("score", {})
         try:
             score = ScoreProfile(

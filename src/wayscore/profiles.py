@@ -250,19 +250,32 @@ class ScoreProfile:
         values: Sequence[float] = (),
         default: float = 0.0,
     ):
-        bounds = tuple(float(b) for b in boundaries)
-        vals = tuple(float(v) for v in values)
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ProfileError("score boundaries must be strictly increasing")
-        expected = max(len(bounds) - 1, 0)
-        if len(vals) != expected:
-            raise ProfileError(
-                f"expected {expected} score values for {len(bounds)} boundaries, "
-                f"got {len(vals)}"
-            )
-        if not all(math.isfinite(x) for x in (*bounds, *vals, default)):
+        # A constant score, as most edges have, builds no generators: only
+        # the default's checks can fail.  Arguments of other types take the
+        # general path, which raises for what it cannot iterate.
+        if (
+            type(boundaries) in (tuple, list)
+            and type(values) in (tuple, list)
+            and not boundaries
+            and not values
+        ):
+            bounds = vals = ()
+            finite = math.isfinite(default)
+        else:
+            bounds = tuple(float(b) for b in boundaries)
+            vals = tuple(float(v) for v in values)
+            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+                raise ProfileError("score boundaries must be strictly increasing")
+            expected = max(len(bounds) - 1, 0)
+            if len(vals) != expected:
+                raise ProfileError(
+                    f"expected {expected} score values for {len(bounds)} "
+                    f"boundaries, got {len(vals)}"
+                )
+            finite = all(math.isfinite(x) for x in (*bounds, *vals, default))
+        if not finite:
             raise ProfileError("score boundaries and values must be finite")
-        if default < 0.0 or any(v < 0.0 for v in vals):
+        if default < 0.0 or (vals and any(v < 0.0 for v in vals)):
             raise ProfileError("scores must be non-negative")
         self.boundaries = bounds
         self.values = vals

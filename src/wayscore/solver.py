@@ -27,10 +27,11 @@ Python engine runs instead when constraints are given, when a profile
 method the search evaluates has been replaced, or when the kernel is not
 available; and it always builds the parallel frontier, with its task sink.
 
-The Python search, the bounds and the budget derivation walk the network's
-prepared adjacency (:meth:`wayscore.network.RoadNetwork.prepared`), which
-binds each edge's profile evaluators once per network, on first use.  A
-solve therefore does no per-network preparation after the first.
+The Python search, the bounds and the Python budget derivation (where the
+kernel's copy does not run) walk the network's prepared adjacency
+(:meth:`wayscore.network.RoadNetwork.prepared`), which binds each edge's
+profile evaluators once per network, on first use.  A solve therefore does
+no per-network preparation after the first.
 
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the

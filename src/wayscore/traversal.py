@@ -1,7 +1,10 @@
 """Network traversals that bracket a query in time.
 
 * :func:`earliest_arrival` -- forward time-dependent Dijkstra; correct under
-  the FIFO property every edge is validated against.
+  the FIFO property every edge is validated against.  Its compiled copy
+  (``ws_earliest`` in ``_kernel.c``) answers wherever the network has flat
+  arrays and both node ids are ints in range; the loop here is the
+  reference and the fallback.
 * :func:`build_query` -- turns (source, destination, departure, overhead)
   into a concrete arrival deadline by adding the overhead to the fastest
   travel time.
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .kernel import DEFER
 from .network import RoadNetwork
 
 UNREACHABLE = -math.inf
@@ -34,10 +38,24 @@ def earliest_arrival(
     Edge arrival functions are evaluated at the traveller's actual arrival
     time at each edge's tail.  Returns None when the destination is
     unreachable; ``source == destination`` yields ``(t_dep, [source])``.
+
+    The compiled kernel (:meth:`wayscore.kernel.FlatNetwork.earliest`)
+    answers when the network has flat arrays (:meth:`RoadNetwork.flat`) and
+    both ids are ints in ``[0, node_count)``; the loop below answers
+    otherwise, and wherever the kernel defers (a NaN departure), with the
+    same ``(t, path)``, the same None, or the same exception.
     """
     if source == destination:
         return t_dep, [source]
     n = net.node_count
+    # The kernel is handed ints in range only: Python indexes a negative id
+    # from the end and raises for any other id it cannot index.
+    indexable = all(type(v) is int and 0 <= v < n for v in (source, destination))
+    flat = net.flat() if indexable else None
+    if flat is not None:
+        status, reached = flat.earliest(source, destination, t_dep)
+        if status != DEFER:
+            return reached
     best = [math.inf] * n
     via = [-1] * n  # predecessor on the best path found so far
     best[source] = t_dep

@@ -104,17 +104,28 @@ def python_engine(monkeypatch):
     monkeypatch.setattr(RoadNetwork, "flat", lambda self: None)
 
 
+def _record_statuses(monkeypatch, name):
+    """Wrap ``FlatNetwork.<name>`` to collect the status of every call."""
+    statuses = []
+    method = getattr(kernel.FlatNetwork, name)
+
+    def counted(self, *args):
+        found = method(self, *args)
+        statuses.append(found[0])
+        return found
+
+    monkeypatch.setattr(kernel.FlatNetwork, name, counted)
+    return statuses
+
+
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """The status of every compiled-kernel search from here on, so that a
     test can see that the kernel ran and never handed a search back."""
-    statuses = []
-    search = kernel.FlatNetwork.search
+    return _record_statuses(monkeypatch, "search")
 
-    def counted(self, *args):
-        found = search(self, *args)
-        statuses.append(found[0])
-        return found
 
-    monkeypatch.setattr(kernel.FlatNetwork, "search", counted)
-    return statuses
+@pytest.fixture
+def earliest_runs(monkeypatch):
+    """The status of every compiled ``earliest_arrival`` from here on."""
+    return _record_statuses(monkeypatch, "earliest")

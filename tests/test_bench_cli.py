@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wayscore
 from wayscore.bench import BENCH_CSV_FIELDS, run_bench, write_bench_csv
 from wayscore.cli import main
 from wayscore.datagen import GenConfig, generate_network, generate_query_sets, write_queries_csv
@@ -92,6 +97,25 @@ class TestQueryCommand:
         assert doc["nodes"] == ["A", "C", "B"]
         assert doc["score"] == 7.0
 
+    def test_answers_without_importing_numpy(self, toy_file):
+        """Importing the CLI and answering a query leave numpy unimported:
+        only the commands that generate or benchmark need it."""
+        code = (
+            "import sys\n"
+            "from wayscore.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(wayscore.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "query", "--graph", toy_file,
+             "--from", "A", "--to", "B", "--depart", "0", "--overhead-pct", "30"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["nodes"] == ["A", "B"]
+
     def test_percent_overhead_budget_printed(self, toy_file, capsys):
         rc = main(["query", "--graph", toy_file, "--from", "A", "--to", "B",
                    "--depart", "0", "--overhead-pct", "30"])
@@ -141,6 +165,10 @@ class TestQueryCommand:
         (_one_edge_doc(arrival=[[0.0, 2.0], [math.nan, 3.0]]), "not finite"),
         (_one_edge_doc(arrival=[[0.0, 2.0], [math.inf, math.inf]]), "not finite"),
         (_one_edge_doc(score={"default": math.nan}), "must be finite"),
+        (_one_edge_doc(score={"default": math.inf}), "must be finite"),
+        (_one_edge_doc(score={"default": -1.0}), "must be non-negative"),
+        (_one_edge_doc(score={"default": "x"}), "malformed score"),
+        (_one_edge_doc(score={"boundaries": None}), "malformed score"),
         (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": [math.nan]}),
          "must be finite"),
         (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": ["x"]}),
@@ -335,3 +363,11 @@ class TestGenQueriesCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert "overhead must be finite" in captured.err and "nan" in captured.err
+
+    def test_exhausted_sampling_is_data_error(self, grid_files, tmp_path, capsys):
+        graph_path, _, _, _ = grid_files
+        rc = main(["gen-queries", "--graph", graph_path, "--seed", "5",
+                   "--attempt-cap", "3", "--overhead-pct", "30",
+                   "--out", str(tmp_path / "q.csv")])
+        assert rc == 2
+        assert "gave up after" in capsys.readouterr().err

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from wayscore import kernel
 from wayscore.cli import main
-from wayscore.network import NetworkError, load_network
+from wayscore.network import NetworkError, RoadNetwork, load_network
+from wayscore.traversal import QueryError, build_query
 
 # Any JSON scalar, including NaN, infinities and integers too large for a float.
 _scalar = st.one_of(
@@ -137,14 +138,26 @@ def doc_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "net.json")
 
 
-def test_every_document_loads_or_is_a_data_error(doc_path, kernel_runs):
+def test_every_document_loads_or_is_a_data_error(doc_path, kernel_runs,
+                                                 earliest_runs):
     """The documents that load and pose a searchable query are searched by
-    the compiled kernel wherever it is available, so its safety is fuzzed
-    too: the run must reach it, and it must hand no search back."""
+    the compiled kernel wherever it is available, and every document that
+    loads has a query derived by it, so its safety is fuzzed too: the run
+    must reach it, and it must hand nothing back."""
     _check_document(doc_path)
     if kernel.library() is not None:
         assert kernel_runs, "no document reached the kernel"
         assert kernel.DEFER not in kernel_runs
+        assert earliest_runs, "no query was derived in the kernel"
+        assert kernel.DEFER not in earliest_runs
+
+
+def _derived(net):
+    """``build_query`` from 0 to 1, or the message of its QueryError."""
+    try:
+        return build_query(net, 0, 1, 0.0, overhead_minutes=8.0)
+    except QueryError as exc:
+        return str(exc)
 
 
 @settings(max_examples=300, deadline=None,
@@ -159,6 +172,11 @@ def _check_document(doc_path, doc, text, threads):
         net = load_network(doc_path)
     except NetworkError:
         net = None
+    if net is not None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RoadNetwork, "flat", lambda self: None)
+            want = _derived(net)
+        assert _derived(net) == want
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["query", "--graph", doc_path, "--from", "0", "--to", "1",

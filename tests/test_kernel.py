@@ -1,9 +1,10 @@
-"""The compiled kernel against the Python engine it copies.
+"""The compiled kernel against the Python code it copies.
 
 Every comparison solves a query twice, once as shipped and once with the
 Python engine forced, and requires the same status, ``to_json()`` and
 ``explored``, and that the kernel really ran and did not hand the search
-back to Python.
+back to Python.  ``earliest_arrival`` is compared the same way, on its
+``(t, path)``.
 """
 
 import os
@@ -29,7 +30,7 @@ from wayscore.solver import (
     _SearchState,
     solve,
 )
-from wayscore.traversal import Query, latest_departures
+from wayscore.traversal import Query, earliest_arrival, latest_departures
 
 TESTS = Path(__file__).resolve().parent
 
@@ -48,6 +49,14 @@ def kernel_runs(kernel_runs):
     if kernel.library() is None:
         pytest.skip("no compiled kernel: test_kernel_loads_where_gcc_exists says why")
     return kernel_runs
+
+
+@pytest.fixture
+def earliest_runs(earliest_runs):
+    """The conftest fixture, for tests that need the kernel to exist."""
+    if kernel.library() is None:
+        pytest.skip("no compiled kernel: test_kernel_loads_where_gcc_exists says why")
+    return earliest_runs
 
 
 def _python(net, q, **kwargs):
@@ -297,6 +306,102 @@ class TestEquivalence:
         assert dispatched
 
 
+def _python_earliest(net, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoadNetwork, "flat", lambda self: None)
+        return earliest_arrival(net, *args)
+
+
+def _outcome(find, net, *args):
+    """What ``find`` returns, or the type of the exception it raises."""
+    try:
+        return find(net, *args)
+    except Exception as exc:  # the two must fail alike
+        return type(exc)
+
+
+class TestEarliestArrival:
+    """``ws_earliest`` gives the Python loop's ``(t, path)``, or hands the
+    query back to it."""
+
+    def test_oracle_instances(self, earliest_runs):
+        rng = random.Random(2024)
+        for _ in range(500):
+            net, q = random_instance(rng)  # which derives q's budget itself
+            args = (q.source, q.destination, q.t_dep)
+            ran = len(earliest_runs)
+            got = earliest_arrival(net, *args)
+            assert got == _python_earliest(net, *args)
+            assert type(got[0]) is float and type(got[1]) is list
+            assert earliest_runs[ran:] == [kernel.DONE]
+
+    @pytest.mark.parametrize("step", [8, pytest.param(1, marks=pytest.mark.slow)])
+    def test_grid_pairs(self, grid16, earliest_runs, step):
+        """Every pair from every ``step``-th source, each at its own departure
+        across the day's profile breakpoints."""
+        net, _ = grid16
+        n = net.node_count
+        pairs = [(s, d) for s in range(0, n, step) for d in range(n) if s != d]
+        for s, d in pairs:
+            args = (s, d, 300.0 + (7 * s + 3 * d) % 700)
+            assert earliest_arrival(net, *args) == _python_earliest(net, *args)
+        assert earliest_runs == [kernel.DONE] * len(pairs)
+
+    def test_source_is_destination(self, grid16, earliest_runs):
+        net, _ = grid16
+        for node in (0, 17, -1, net.node_count + 5):
+            assert earliest_arrival(net, node, node, 3.5) == (3.5, [node])
+        assert earliest_runs == []
+
+    def test_unreachable_destination(self, earliest_runs):
+        net = build_network(4, [_edge(0, 1, 1.0, 0.0), _edge(2, 3, 1.0, 0.0),
+                                _edge(1, 0, 1.0, 0.0)])
+        for s, d in ((0, 2), (0, 3), (3, 0)):
+            assert earliest_arrival(net, s, d, 0.0) is None
+            assert _python_earliest(net, s, d, 0.0) is None
+        assert earliest_runs == [kernel.DONE] * 3
+
+    def test_ids_the_kernel_cannot_index(self, grid16, earliest_runs):
+        """A negative id indexes from the end in Python and a too-large one
+        raises IndexError (or, as a destination, is never reached); a
+        non-int id raises TypeError.  The loop answers all of them."""
+        net, _ = grid16
+        n = net.node_count
+        cases = [(-1, 5), (-n, 40), (3, -1), (-2, -7), (n, 3), (3, n),
+                 (2**70, 1), (1, -(2**70)), (1.0, 3), (True, 3)]
+        for s, d in cases:
+            got = _outcome(earliest_arrival, net, s, d, 480.0)
+            assert got == _outcome(_python_earliest, net, s, d, 480.0)
+        assert _outcome(earliest_arrival, net, n, 3, 480.0) is IndexError
+        assert earliest_runs == []
+
+    def test_nan_departure_defers_then_raises(self, grid16, earliest_runs):
+        net, _ = grid16
+        nan = float("nan")
+        got = _outcome(earliest_arrival, net, 0, 200, nan)
+        assert got is IndexError
+        assert got == _outcome(_python_earliest, net, 0, 200, nan)
+        assert earliest_runs == [kernel.DEFER]
+
+    def test_replaced_arrival_sees_every_call(self, grid16, earliest_runs,
+                                              monkeypatch):
+        net, _ = grid16
+        calls = []
+        arrival = ArrivalProfile.arrival
+
+        def counted(self, t):
+            calls.append(t)
+            return arrival(self, t)
+
+        want = earliest_arrival(net, 0, 200, 480.0)
+        monkeypatch.setattr(ArrivalProfile, "arrival", counted)
+        assert earliest_arrival(net, 0, 200, 480.0) == want
+        seen = len(calls)
+        assert seen > 0 and earliest_runs == [kernel.DONE]
+        assert _python_earliest(net, 0, 200, 480.0) == want
+        assert len(calls) == 2 * seen
+
+
 class TestFallback:
     """Where the kernel cannot run, the Python engine answers the same."""
 
@@ -380,8 +485,9 @@ class TestBuild:
 
 @pytest.mark.slow
 def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
-    """The oracle suite, the fuzz documents and the kernel tests, with the
-    kernel built under ASan and UBSan; any report aborts the process.  The
+    """The oracle suite, the fuzz documents and the kernel tests (of
+    ``ws_search`` and ``ws_earliest``), with the kernel built under ASan and
+    UBSan; any report aborts the process.  The
     inner run does not capture output, so that a report reaches stderr."""
     gcc = shutil.which(kernel.COMPILE[0])
     if gcc is None:
