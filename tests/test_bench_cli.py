@@ -165,10 +165,6 @@ class TestQueryCommand:
         (_one_edge_doc(arrival=[[0.0, 2.0], [math.nan, 3.0]]), "not finite"),
         (_one_edge_doc(arrival=[[0.0, 2.0], [math.inf, math.inf]]), "not finite"),
         (_one_edge_doc(score={"default": math.nan}), "must be finite"),
-        (_one_edge_doc(score={"default": math.inf}), "must be finite"),
-        (_one_edge_doc(score={"default": -1.0}), "must be non-negative"),
-        (_one_edge_doc(score={"default": "x"}), "malformed score"),
-        (_one_edge_doc(score={"boundaries": None}), "malformed score"),
         (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": [math.nan]}),
          "must be finite"),
         (_one_edge_doc(score={"boundaries": [0.0, 5.0], "values": ["x"]}),
@@ -182,6 +178,10 @@ class TestQueryCommand:
         ({"node_count": 100000000000, "edges": []}, "node_count must be in"),
         (_one_edge_doc(arrival=[[-1e308, 1e308]]), "overflows"),
         (_one_edge_doc(arrival=[[-1e308, -1e308], [1e308, 1e308]]), "overflows"),
+        (_one_edge_doc(score={"default": math.inf}), "must be finite"),
+        (_one_edge_doc(score={"default": -1.0}), "must be non-negative"),
+        (_one_edge_doc(score={"default": "x"}), "malformed score"),
+        (_one_edge_doc(score={"boundaries": None}), "malformed score"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
