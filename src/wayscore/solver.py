@@ -63,6 +63,7 @@ import functools
 import json
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -114,7 +115,13 @@ class PathResult:
         return self.arrivals[-1] if self.arrivals else self.t_dep
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The path as canonical JSON text.
+
+        The text is interned, so equal paths share one string: a caller that
+        keeps the answers of repeated queries holds one copy per distinct
+        path, however often it repeats.
+        """
+        return sys.intern(json.dumps(
             {
                 "nodes": list(self.nodes),
                 "departures": list(self.departures),
@@ -124,7 +131,7 @@ class PathResult:
             },
             sort_keys=True,
             separators=(",", ":"),
-        )
+        ))
 
 
 @dataclass(frozen=True)

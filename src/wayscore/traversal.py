@@ -174,16 +174,6 @@ class DepartureBounds:
         t = self.times[node]
         return None if t == UNREACHABLE else t
 
-    def witness_path(self, net: RoadNetwork, node: int) -> list[int]:
-        """Node sequence of the recorded witness from ``node`` to the destination."""
-        path = [node]
-        while path[-1] != self.destination:
-            idx = self.witness[path[-1]]
-            if idx < 0:
-                raise QueryError(f"node {node} has no witness path")
-            path.append(net.edges[idx].head)
-        return path
-
 
 def latest_departures(
     net: RoadNetwork, destination: int, t_arr: float, t_dep: float

@@ -12,11 +12,10 @@ import pytest
 
 from wayscore.datagen import GenConfig, generate_network, generate_query_sets
 from wayscore.profiles import check_fifo
+from oracles import latest_departure_by_enumeration, minsum_solve
 from wayscore.reference import (
     best_path_by_enumeration,
     best_score_with_dominance,
-    latest_departure_by_enumeration,
-    minsum_solve,
     random_instance,
 )
 from wayscore.solver import STATUS_OK, solve

@@ -1,5 +1,8 @@
 import gc
+import hashlib
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -208,3 +211,197 @@ class TestLoad:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+def _written(tmp_path, doc):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _one_edge(**fields):
+    return {"from": 0, "to": 1, "arrival": [[0.0, 1.5], [2.0, 3.0]], **fields}
+
+
+# Objects of an edge's shape, and how a message or a label shows each: the
+# parse builds a profile for the first too, and the load must give the list
+# back.  The second holds a JSON integer and a ``true``.
+_SHAPED = {"from": 0, "to": 1, "arrival": [[-0.0, 1.5], [2.0, 3.0]]}
+_SHOWN = "{'from': 0, 'to': 1, 'arrival': [[-0.0, 1.5], [2.0, 3.0]]}"
+_SHAPES = pytest.mark.parametrize("shaped, shown", [
+    (_SHAPED, _SHOWN),
+    ({"arrival": [[0, 1.5], [True, 3]]}, "{'arrival': [[0, 1.5], [True, 3]]}"),
+], ids=["floats", "integers"])
+
+
+class TestProfilesBuiltByTheParse:
+    """The parse builds each arrival profile as it reads the edge; every
+    file still loads, or fails with the same error, as before.  The
+    expected strings are those of the loader that built every profile
+    after the parse."""
+
+    @_SHAPES
+    @pytest.mark.parametrize("field", ["from", "to"])
+    def test_an_edge_shaped_node_id_is_shown_as_parsed(
+        self, tmp_path, field, shaped, shown
+    ):
+        path = _written(tmp_path, {
+            "node_count": 2,
+            "edges": [_one_edge(), _one_edge(**{field: shaped})],
+        })
+        with pytest.raises(FormatError) as exc:
+            load_network(path)
+        ids = f"{shown} -> 1" if field == "from" else f"0 -> {shown}"
+        assert str(exc.value) == (
+            f"{path}: edges[1]: node ids must be integers, got {ids}"
+        )
+
+    @_SHAPES
+    def test_an_edge_shaped_length_is_shown_as_parsed(self, tmp_path, shaped, shown):
+        path = _written(tmp_path, {
+            "node_count": 2, "edges": [_one_edge(length_m=shaped)],
+        })
+        with pytest.raises(FormatError) as exc:
+            load_network(path)
+        assert str(exc.value) == (
+            f"{path}: edges[0]: length_m must be a finite number >= 0, got {shown}"
+        )
+
+    @_SHAPES
+    def test_an_edge_shaped_arrival_is_shown_as_parsed(self, tmp_path, shaped, shown):
+        path = _written(tmp_path, {
+            "node_count": 2, "edges": [_one_edge(arrival=shaped)],
+        })
+        with pytest.raises(FormatError) as exc:
+            load_network(path)
+        assert str(exc.value) == f"{path}: edges[0]: malformed arrival breakpoints"
+        assert str(exc.value.__cause__) == f"breakpoints must be a list, got {shown}"
+
+    @_SHAPES
+    def test_edge_shaped_labels_read_as_parsed(self, tmp_path, shaped, shown):
+        net = load_network(_written(tmp_path, {
+            "node_count": 2,
+            "edges": [_one_edge()],
+            "labels": {"0": shaped, "1": [shaped]},
+        }))
+        assert net.labels == {0: shown, 1: f"[{shown}]"}
+
+    @pytest.mark.parametrize("doc", [
+        {"node_count": 2, "edges": [_one_edge(score={"default": 2.0})], **_SHAPED},
+        {"node_count": 2, "edges": [_one_edge(score={**_SHAPED, "default": 2.0})]},
+    ], ids=["document", "score"])
+    def test_an_edge_shaped_document_or_score_loads_as_before(self, tmp_path, doc):
+        shaped = load_network(_written(tmp_path, doc))
+        plain = {"node_count": 2, "edges": [_one_edge(score={"default": 2.0})]}
+        assert shaped == load_network(_written(tmp_path, plain))
+
+    def test_an_edge_shaped_document_lacks_its_keys(self, tmp_path):
+        path = _written(tmp_path, _SHAPED)
+        with pytest.raises(FormatError) as exc:
+            load_network(path)
+        assert str(exc.value) == f"{path}: missing required key 'node_count'"
+
+    @pytest.mark.parametrize("later", [
+        _one_edge(arrival=[[0.0, -1.0]]),
+        _one_edge(arrival=[[0.0, 1.0, 2.0]]),
+    ], ids=["fifo", "malformed"])
+    def test_a_bad_id_is_reported_before_a_later_bad_arrival(self, tmp_path, later):
+        path = _written(tmp_path, {
+            "node_count": 3,
+            "edges": [_one_edge(), _one_edge(to="x"), later],
+        })
+        with pytest.raises(FormatError) as exc:
+            load_network(path)
+        assert str(exc.value) == (
+            f"{path}: edges[1]: node ids must be integers, got 0 -> 'x'"
+        )
+
+    @pytest.mark.parametrize("node_count", [True, "2", 2.0, _SHAPED])
+    def test_a_bad_node_count_is_reported_before_any_edge(self, tmp_path, node_count):
+        path = _written(tmp_path, {
+            "node_count": node_count,
+            "edges": [_one_edge(arrival=[[1.0, 0.0]])],
+        })
+        with pytest.raises(FormatError) as exc:
+            load_network(path)
+        assert str(exc.value) == f"{path}: bad types for node_count/edges"
+
+    def test_integer_and_boolean_breakpoints_load_as_floats(self, tmp_path):
+        net = load_network(_written(tmp_path, {
+            "node_count": 4,
+            "edges": [
+                _one_edge(arrival=[[0.0, 1.0]]),
+                _one_edge(to=2, arrival=[[0, 5]]),
+                _one_edge(to=3, arrival=[[False, True], [2, 3.5]]),
+            ],
+        }))
+        assert [e.arrival.pairs() for e in net.edges] == [
+            [(0.0, 1.0)], [(0.0, 5.0)], [(0.0, 1.0), (2.0, 3.5)],
+        ]
+        assert {type(v) for e in net.edges for p in e.arrival.pairs() for v in p} == {
+            float
+        }
+        # equal departures share a tuple, whether the parse built the profile
+        assert net.edges[1].arrival.xs is net.edges[0].arrival.xs
+
+    def test_a_boolean_breakpoint_fails_as_before(self, tmp_path):
+        path = _written(tmp_path, {
+            "node_count": 2,
+            "edges": [_one_edge(arrival=[[True, 5.0], [3.0, True]])],
+        })
+        with pytest.raises(EdgeError) as exc:
+            load_network(path)
+        assert str(exc.value) == (
+            f"{path}: edges[0]: negative-travel at breakpoint 1: "
+            "departure=3.0, arrival=1.0"
+        )
+
+    def test_an_error_in_the_parse_leaves_the_profile_to_the_edge_loop(
+        self, tmp_path, monkeypatch
+    ):
+        """Deep in a nested document, building a profile can overflow the
+        stack while the parser itself does not; the loop builds it instead."""
+        path = _written(tmp_path, {"node_count": 2, "edges": [_one_edge()]})
+        want = load_network(path)
+        calls = []
+        profile = network._profile
+
+        def overflowing_once(pairs, departures):
+            calls.append(pairs)
+            if len(calls) == 1:
+                raise RecursionError("maximum recursion depth exceeded")
+            return profile(pairs, departures)
+
+        monkeypatch.setattr(network, "_profile", overflowing_once)
+        assert load_network(path) == want
+        assert len(calls) == 2
+
+    def test_the_benchmark_grid_round_trips_byte_for_byte(self, tmp_path):
+        net = generate_network(
+            GenConfig(rows=50, cols=50, score_density=0.2, seed=101)
+        ).network
+        path = tmp_path / "grid.json"
+        save_network(net, str(path))
+        text = json.dumps(network.to_document(load_network(str(path))), indent=1)
+        assert text + "\n" == path.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e57661b5c733bf02657437cfe0d5adc9c22b8f2d68b56ccca3c8d85023ce96d6"
+        )
+
+    def test_a_load_holds_under_three_times_its_file(self, tmp_path):
+        """The parse drops each edge's breakpoint lists as it builds the
+        profile; a load that kept them all held about 4.5 times the file."""
+        path = tmp_path / "grid.json"
+        save_network(
+            generate_network(
+                GenConfig(rows=20, cols=20, score_density=0.2, seed=101)
+            ).network,
+            str(path),
+        )
+        tracemalloc.start()
+        try:
+            load_network(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * os.path.getsize(path)

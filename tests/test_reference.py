@@ -4,11 +4,11 @@ import pytest
 
 from wayscore.network import Edge, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
+from oracles import minsum_solve
 from wayscore.reference import (
     ORACLE_NODE_LIMIT,
     best_path_by_enumeration,
     best_score_with_dominance,
-    minsum_solve,
     random_instance,
     random_network,
     validate_solver,

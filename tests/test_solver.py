@@ -156,6 +156,16 @@ class TestReconstruction:
         assert path.score == 7.0
         assert path.travel_time == 5.0
 
+    def test_equal_paths_share_one_json_text(self, toy_network):
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        first, again = solve(toy_network, q).path, solve(toy_network, q).path
+        assert first is not again
+        assert first.to_json() is again.to_json()
+        assert first.to_json() == (
+            '{"arrivals":[3.0,5.0],"departures":[0.0,3.0],"nodes":[0,2,1],'
+            '"score":7.0,"travel_time":5.0}'
+        )
+
     def test_source_only_label(self, toy_network):
         q = _query(toy_network, 0, 1, 4.0, 8.0)
         path = _verified_path(toy_network, q, (0.0, 4.0, (0,)))
@@ -442,11 +452,19 @@ class TestWorkerPool:
         caller = threading.current_thread()
         started = itertools.count(1)
         search = solver._search
+        # The helper thread starts first and could take every task before
+        # the caller takes one; for the caller's interrupt, it waits.
+        caller_entered = threading.Event()
 
         def failing(state, path, *rest):
             if len(path) > 1:  # a task, not the probe, which starts at the root
-                n = next(started)
                 in_caller = threading.current_thread() is caller
+                if who == "caller":
+                    if in_caller:
+                        caller_entered.set()
+                    else:
+                        caller_entered.wait(timeout=60)
+                n = next(started)
                 if who == "caller" and in_caller:
                     raise KeyboardInterrupt
                 if (who == "third task" and n == 3) or (

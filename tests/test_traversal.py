@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from wayscore.reference import latest_departure_by_enumeration, random_network
+from oracles import latest_departure_by_enumeration, witness_path
+from wayscore.reference import random_network
 from wayscore.traversal import (
     Query,
     QueryError,
@@ -160,7 +161,7 @@ class TestLatestDepartures:
             for v in range(net.node_count):
                 if bounds.label(v) is None or v == d:
                     continue
-                path = bounds.witness_path(net, v)
+                path = witness_path(bounds, net, v)
                 t = bounds.times[v]
                 for u, w in zip(path, path[1:]):
                     idx = net.edge_between(u, w)
