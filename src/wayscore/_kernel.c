@@ -1,9 +1,10 @@
 /* The solver's whole-subtree search and the fastest-arrival query, compiled.
  *
- * ws_search is wayscore.solver._fast_search without its task sink, branch
- * for branch: the loopless check, the learned per-edge thresholds, the bound
- * check and the floor behind a new threshold, the expansion cap, and the
- * score -> arrival -> node sequence tie-break.  ws_earliest is
+ * ws_search is wayscore.solver._fast_search, branch for branch: the
+ * loopless check, the learned per-edge thresholds, the bound check and the
+ * floor behind a new threshold, the expansion cap, and the score -> arrival
+ * -> node sequence tie-break.  It can also search one share of a split tree
+ * (ws_split), for the threads of a parallel solve.  ws_earliest is
  * wayscore.traversal.earliest_arrival, the forward Dijkstra behind each
  * query's budget, with the same heap order and relaxation rules.  The
  * profile evaluators are ArrivalProfile.arrival, ArrivalProfile.floor_after
@@ -47,12 +48,23 @@ typedef struct {
 
 typedef struct {
     int64_t explored;
-    int64_t length; /* of the best node sequence, 0 when none was found */
+    int64_t length;  /* of the best node sequence, 0 when none was found */
+    int64_t claimed; /* subtrees of a split that this search searched */
     double score;
     double arrival;
 } ws_result;
 
-enum { WS_DONE = 0, WS_LIMIT = 1, WS_DEFER = 2 };
+/* A search split among threads.  The labels depth edges from the source
+ * that are not the destination root subtrees, indexed in the order of the
+ * walk, which every thread makes alike; a thread searches only those whose
+ * index it claims.  depth 0 splits nothing.  ws_stop ends every search. */
+typedef struct {
+    int64_t depth;
+    int64_t claims; /* the next unclaimed subtree index */
+    int32_t stop;
+} ws_split;
+
+enum { WS_DONE = 0, WS_LIMIT = 1, WS_DEFER = 2, WS_STOPPED = 3 };
 
 /* bisect.bisect_right */
 static int64_t bisect_right(const double *a, int64_t n, double x)
@@ -151,29 +163,45 @@ int ws_floors(int64_t edges, const int64_t *bp_start, const double *xs,
     return 0;
 }
 
-/* The best destination candidate among the loopless extensions of
- * prefix[0..prefix_len), reached at t with the accumulated score.
+void ws_stop(ws_split *split)
+{
+    __atomic_store_n(&split->stop, 1, __ATOMIC_RELAXED);
+}
+
+/* The best destination candidate among the loopless paths from source,
+ * departing at t.
  *
  * thresholds holds one departure per edge, NaN where none was learned; it
  * is read and updated like _SearchState.thresholds.  The search counts at
  * most cap + 1 labels (1 for a negative cap) and returns WS_LIMIT when it
- * counts past cap.  best_path has room for one id per node. */
+ * counts past cap.  best_path has room for one id per node.
+ *
+ * Under a split it searches only the subtrees it claims, and counts the
+ * labels at or above split->depth only if counts_shallow, so the counts of
+ * the searches that share a split, one of them counting those, sum to the
+ * sequential count.  It returns WS_STOPPED once split->stop is set. */
 int ws_search(const ws_network *net, const double *bounds, double *thresholds,
-              int64_t dest, double t_arr, double eps,
-              const int32_t *prefix, int64_t prefix_len, double t,
-              double score, int64_t cap, int32_t *best_path, ws_result *res)
+              int64_t dest, double t_arr, double eps, int64_t source,
+              double t, int64_t cap, ws_split *split, int counts_shallow,
+              int32_t *best_path, ws_result *res)
 {
     const int64_t n = net->nodes;
     const int64_t *out_start = net->out_start;
     const int32_t *out_edge = net->out_edge, *head = net->head;
     const double deadline = t_arr + eps;
+    const int64_t split_depth = split->depth;
+    /* A label is counted when its parent is at least this deep. */
+    const int64_t counted_from = counts_shallow ? 0 : split_depth;
     int status = WS_DONE;
     int64_t explored = 0, best_len = 0;
-    double best_score = -INFINITY, best_arrival = INFINITY;
+    /* Subtrees met, this search's claim, subtrees searched. */
+    int64_t seen = 0, mine = -1, claimed = 0;
+    double score = 0.0, best_score = -INFINITY, best_arrival = INFINITY;
 
     res->explored = 0;
     res->length = 0;
-    if (prefix_len < 1 || prefix_len > n)
+    res->claimed = 0;
+    if (source < 0 || source >= n)
         return WS_DEFER;
     /* The frames below the current node: its parent's remaining out-edges
      * pos..end, departure time and score. */
@@ -187,16 +215,10 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
         status = WS_DEFER;
         goto out;
     }
-    for (int64_t i = 0; i < prefix_len; i++) {
-        if (prefix[i] < 0 || prefix[i] >= n || visited[prefix[i]]) {
-            status = WS_DEFER;
-            goto out;
-        }
-        visited[prefix[i]] = 1;
-        path[i] = prefix[i];
-    }
-    int64_t depth = prefix_len - 1, sp = 0;
-    int64_t pos = out_start[path[depth]], end = out_start[path[depth] + 1];
+    visited[source] = 1;
+    path[0] = (int32_t)source;
+    int64_t depth = 0, sp = 0;
+    int64_t pos = out_start[source], end = out_start[source + 1];
     for (;;) {
         while (pos < end) {
             const int32_t e = out_edge[pos++], h = head[e];
@@ -215,7 +237,11 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
                     thresholds[e] = t;
                 continue;
             }
-            if (++explored > cap) {
+            if (__atomic_load_n(&split->stop, __ATOMIC_RELAXED)) {
+                status = WS_STOPPED;
+                goto out;
+            }
+            if (depth >= counted_from && ++explored > cap) {
                 status = WS_LIMIT;
                 goto out;
             }
@@ -244,6 +270,15 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
                 }
                 continue;
             }
+            if (depth + 1 == split_depth) {
+                /* A claim is taken only once the last one is searched, when
+                 * the counter is past every index this walk has met. */
+                if (mine < seen)
+                    mine = __atomic_fetch_add(&split->claims, 1, __ATOMIC_RELAXED);
+                if (seen++ != mine)
+                    continue;
+                claimed++;
+            }
             stack[sp].pos = pos;
             stack[sp].end = end;
             stack[sp].t = t;
@@ -268,6 +303,7 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
 out:
     res->explored = explored;
     res->length = best_len;
+    res->claimed = claimed;
     res->score = best_score;
     res->arrival = best_arrival;
     free(stack);

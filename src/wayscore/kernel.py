@@ -1,11 +1,14 @@
 """The compiled search kernel: ``_kernel.c``, built at first use, called by ``ctypes``.
 
 :func:`wayscore.solver._fast_search` stays the reference engine; the kernel
-is its copy in C, without the task sink, and gives the same status,
-candidate and label count.  The solver runs every whole-subtree search with
-it when it can: the sequential solve, the parallel probe and the parallel
-threads' tasks.  ``ctypes`` releases the interpreter lock for the call, and
-the kernel keeps no state between calls, so threads search side by side.
+is its copy in C and gives the same status, candidate and label count.  The
+solver runs every search with it when it can: the sequential solve, the
+parallel probe and the parallel threads' searches.  ``ctypes`` releases the
+interpreter lock for the call, and the kernel keeps no state between calls,
+so threads search side by side.  The threads of one solve share a
+:class:`Split`: each walks the tree from the source and searches only the
+subtrees it claims from the split's counter, so the split itself needs no
+Python at all.
 
 The kernel also holds ``ws_earliest``, the copy of
 :func:`wayscore.traversal.earliest_arrival` (:meth:`FlatNetwork.earliest`).
@@ -56,8 +59,9 @@ except RuntimeError:  # no home directory: no cache, so no kernel
 
 # ws_search's and ws_earliest's return codes.  DEFER: the kernel met an
 # input it does not model (a NaN departure, on which the Python code raises)
-# or ran out of memory; the caller runs the Python code instead.
-DONE, LIMIT, DEFER = 0, 1, 2
+# or ran out of memory; the caller runs the Python code instead.  STOPPED:
+# a search's split was stopped (FlatNetwork.stop).
+DONE, LIMIT, DEFER, STOPPED = 0, 1, 2, 3
 
 _INT64_MAX = 2**63 - 1
 # The profile methods the kernel reproduces.  A replaced one (a tracer, a
@@ -91,8 +95,24 @@ class _Result(ctypes.Structure):
     _fields_ = [
         ("explored", ctypes.c_int64),
         ("length", ctypes.c_int64),
+        ("claimed", ctypes.c_int64),
         ("score", ctypes.c_double),
         ("arrival", ctypes.c_double),
+    ]
+
+
+class Split(ctypes.Structure):
+    """One search split among the threads that share it (``ws_split``).
+
+    Every search walks the tree from the source; of the labels ``depth``
+    edges from it, each roots a subtree that only the search which claims
+    its index from ``claims`` descends into.  ``depth`` 0 splits nothing.
+    """
+
+    _fields_ = [
+        ("depth", ctypes.c_int64),
+        ("claims", ctypes.c_int64),
+        ("stop", ctypes.c_int32),
     ]
 
 
@@ -129,15 +149,17 @@ def bind(path) -> ctypes.CDLL:
         ctypes.c_int64,  # destination
         ctypes.c_double,  # t_arr
         ctypes.c_double,  # eps
-        ctypes.c_void_p,  # prefix
-        ctypes.c_int64,  # prefix length
+        ctypes.c_int64,  # source
         ctypes.c_double,  # t
-        ctypes.c_double,  # score
         ctypes.c_int64,  # cap
+        ctypes.POINTER(Split),
+        ctypes.c_int,  # counts_shallow
         ctypes.c_void_p,  # best path
         ctypes.POINTER(_Result),
     ]
     lib.ws_search.restype = ctypes.c_int
+    lib.ws_stop.argtypes = [ctypes.POINTER(Split)]
+    lib.ws_stop.restype = None
     lib.ws_earliest.argtypes = [
         ctypes.POINTER(_Network),
         ctypes.c_int64,  # source
@@ -223,23 +245,29 @@ class FlatNetwork:
         thresholds: array,
         destination: int,
         t_arr: float,
-        prefix: Sequence[int],
+        source: int,
         t: float,
-        score: float,
         cap: Optional[int],
-    ) -> tuple[int, int, Optional[tuple]]:
-        """Search the subtree below ``prefix``: ``(status, explored, candidate)``.
+        split: Optional[Split] = None,
+        counts_shallow: bool = True,
+    ) -> tuple[int, int, Optional[tuple], int]:
+        """Search from ``source``, departing at ``t``:
+        ``(status, explored, candidate, claimed)``.
 
         ``bounds`` is the query's buffer of one double per node
         (:meth:`bounds`), which the kernel only reads, so concurrent searches
         may share it; it writes ``thresholds`` (:meth:`thresholds`), so each
         concurrent search needs its own.  ``cap`` is the number of labels
         the search may count, or None.
+
+        With a ``split``, the search descends only into the subtrees it
+        claims, ``claimed`` of them, and counts the labels at or above the
+        split's depth only if ``counts_shallow``; it returns STOPPED once
+        :meth:`stop` is called on the split.
         """
         # from_buffer raises ValueError for a buffer smaller than the type.
         bounds_view = self._bounds_type.from_buffer(bounds)
         thresholds_view = self._thresholds_type.from_buffer(thresholds)
-        path = array("i", prefix)
         best = array("i", bytes(4 * self.nodes))
         out = _Result()
         status = self._lib.ws_search(
@@ -249,18 +277,23 @@ class FlatNetwork:
             destination,
             t_arr,
             TIME_EPS,
-            path.buffer_info()[0],
-            len(path),
+            source,
             t,
-            score,
             _INT64_MAX if cap is None else max(-1, min(cap, _INT64_MAX)),
+            Split() if split is None else split,
+            counts_shallow,
             best.buffer_info()[0],
             out,
         )
         candidate = None
         if out.length:
             candidate = (out.score, out.arrival, tuple(best[: out.length]))
-        return status, out.explored, candidate
+        return status, out.explored, candidate, out.claimed
+
+    def stop(self, split: Split) -> None:
+        """End every search under ``split``, with an atomic store the
+        searching threads see at their next label."""
+        self._lib.ws_stop(split)
 
     def earliest(
         self, source: int, destination: int, t_dep: float

@@ -251,6 +251,11 @@ def _where(idx: int, e: Edge) -> str:
     return f"edge {idx} ({e.tail}->{e.head})"
 
 
+def _check_node_count(node_count: int) -> None:
+    if not 1 <= node_count <= MAX_NODES:
+        raise NetworkError(f"node_count must be in [1, {MAX_NODES}], got {node_count}")
+
+
 def _index(
     node_count: int,
     edges: Iterable[Edge],
@@ -261,10 +266,7 @@ def _index(
     Does not look at the profiles: :func:`load_network` builds every
     ``ArrivalProfile`` itself, and its constructor has run ``check_fifo``.
     """
-    if not 1 <= node_count <= MAX_NODES:
-        raise NetworkError(
-            f"node_count must be in [1, {MAX_NODES}], got {node_count}"
-        )
+    _check_node_count(node_count)
     kept: list[Edge] = []
     out_edges: list[list[int]] = [[] for _ in range(node_count)]
     in_edges: list[list[int]] = [[] for _ in range(node_count)]
@@ -425,7 +427,8 @@ def load_network(path: str) -> RoadNetwork:
     with open(path) as fh:
         try:
             doc = json.load(fh, object_hook=_arrival_hook(departures, built))
-        except json.JSONDecodeError as exc:
+        # RecursionError: arrays or objects nested deeper than the parser goes
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     _unbuild_outside_edges(doc, built)
     if not isinstance(doc, dict):
@@ -434,6 +437,7 @@ def load_network(path: str) -> RoadNetwork:
     raw_edges = _require(doc, "edges", path)
     if not _is_int(node_count) or not isinstance(raw_edges, list):
         raise FormatError(f"{path}: bad types for node_count/edges")
+    _check_node_count(node_count)
     edges = []
     for idx, raw in enumerate(raw_edges):
         where = f"{path}: edges[{idx}]"

@@ -18,14 +18,13 @@ at or after it skip the edge without evaluating its profile.  That is a
 rejection the bound check would have made anyway, so answers and counts
 are those of the plain search.
 
-Every search of a whole subtree (a sequential solve, the in-process probe
-of a parallel solve, a parallel thread's task) goes through :func:`_search`,
-which runs the compiled copy of that engine (:mod:`wayscore.kernel`) on the
-network's flat arrays (:meth:`wayscore.network.RoadNetwork.flat`).  It gives
-the same status, candidate and label count, about fifty times faster.  The
-Python engine runs instead when constraints are given, when a profile
-method the search evaluates has been replaced, or when the kernel is not
-available; and it always builds the parallel frontier, with its task sink.
+A sequential solve and the in-process probe of a parallel solve go
+through :func:`_search`, which runs the compiled copy of that engine
+(:mod:`wayscore.kernel`) on the network's flat arrays
+(:meth:`wayscore.network.RoadNetwork.flat`).  It gives the same status,
+candidate and label count, about fifty times faster.  The Python engine
+runs instead when constraints are given, when a profile method the search
+evaluates has been replaced, or when the kernel is not available.
 
 The Python search, the bounds and the Python budget derivation (where the
 kernel's copy does not run) walk the network's prepared adjacency
@@ -36,25 +35,26 @@ no per-network preparation after the first.
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
 optimum unique, which is what lets the parallel mode return byte-identical
-results for any thread count: subtree searches are independent tasks joined
+results for any thread count: subtree searches are independent and joined
 by a commutative max-reduction.
 
 Parallel execution runs on threads, since the kernel releases the
 interpreter lock while it searches (``ctypes`` releases it around every
-call into the library).
-The Python engine expands the tree breadth first down to a small fork
-depth, handing each child prefix to a task list instead of descending into
-it; the threads take the tasks from that one list and search each subtree
-to the end, which keeps them busy even when subtree sizes are wildly
-uneven.  Each thread keeps its own search state and edge thresholds, and
-all of them read the query's one bounds array.  Starting threads and
-handing out tasks still costs time, so a parallel solve first searches
-in-process under a small label budget; a query answered within it (most
-short ones) starts no thread, and only a larger one is split into frontier
-tasks.  Where the kernel does not search a query (constraints, a replaced
-profile method, no compiler), parallel mode runs the sequential search,
-which returns the same result: the Python engine holds the interpreter
-lock, so threads could not speed it up.
+call into the library).  Each thread makes one kernel call, which walks the
+tree from the source like the sequential search; of the labels a fixed
+split depth below the source, it descends only into the subtrees whose
+index it claims from one shared counter, taking the next claim when it has
+searched the last.  So the threads stay busy even when subtree sizes are
+wildly uneven, and the split costs no Python.  The caller's thread alone
+counts the labels above the split, so ``explored`` is the sequential count
+on any schedule.  Each thread keeps its own edge thresholds, and all of
+them read the query's one bounds array.  Starting threads still costs
+time, so a parallel solve first searches in-process under a small label
+budget; a query answered within it (most short ones) starts no thread, and
+only a larger one is split.  Where the kernel does not search a query
+(constraints, a replaced profile method, no compiler), parallel mode runs
+the sequential search, which returns the same result: the Python engine
+holds the interpreter lock, so threads could not speed it up.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class _SearchState:
     (:meth:`ArrivalProfile.floor_after`); ``flat_thresholds`` holds the
     kernel's, one double per edge.  They depend on the query's bounds, so
     they are per query: the engine calls of one solve share them, and each
-    thread of a parallel solve learns its own.  They change no answer and
-    no count, so the two engines and the threads need not share them.
+    helper thread of a parallel solve learns its own.  They change no answer
+    and no count, so the two engines and the threads need not share them.
     """
 
     __slots__ = (
@@ -190,36 +190,26 @@ class _SearchState:
 
 
 def _fast_search(
-    state: _SearchState,
-    path: Sequence[int],
-    t: float,
-    score: float,
-    extras: tuple[float, ...],
-    sink: Optional[list] = None,
+    state: _SearchState, source: int, t: float
 ) -> Optional["_Candidate"]:
-    """Best destination candidate among the loopless extensions of ``path``.
+    """Best destination candidate among the loopless paths from ``source``,
+    which is not the destination, departing at ``t``.
 
-    ``path`` is a prefix from the source that does not end at the
-    destination, reached at time ``t`` with the accumulated ``score`` and
-    constraint costs ``extras``.  The search is one loop over an explicit
-    stack: the current node's remaining out-edges and its time, score and
-    extras are locals, and descending pushes the parent's onto ``stack``.
-    ``path`` and ``visited`` hold the candidate path, so nothing is
-    allocated per label beyond its stack entry and edge iterator until a
-    destination is actually reached, and the depth of the search is bounded
-    by memory, not by the interpreter's recursion limit.
+    The search is one loop over an explicit stack: the current node's
+    remaining out-edges and its time, score and constraint costs are
+    locals, and descending pushes the parent's onto ``stack``.  ``path``
+    and ``visited`` hold the candidate path, so nothing is allocated per
+    label beyond its stack entry and edge iterator until a destination is
+    actually reached, and the depth of the search is bounded by memory, not
+    by the interpreter's recursion limit.
 
     An edge the bound rejects at departure ``t``, and whose profile's floor
     after ``t`` the bound rejects too, records ``t`` in
     ``state.thresholds``; later labels skip it at any departure ``>= t``
     without evaluating its profile.
-
-    With a ``sink``, the search goes one edge deep only: each admissible
-    child that is not the destination is appended to ``sink`` as a task
-    ``(prefix, arrival, score, extras)`` instead of being searched.
     """
-    path = list(path)
-    visited = set(path)
+    path = [source]
+    visited = {source}
     adj = state.adj
     bounds = state.bounds
     thresholds = state.thresholds
@@ -228,13 +218,15 @@ def _fast_search(
     constraints = state.constraints
     cap = None if state.cap is None else state.cap - state.explored
     explored = 0
+    score = 0.0
+    extras = (0.0,) * len(constraints)
     best_score = -math.inf
     best_arrival = math.inf
     best_seq: tuple[int, ...] = ()
     # The frames below the current node: (its parent's remaining out-edges,
     # departure time, score, extras).
     stack: list[tuple] = []
-    edges = iter(adj[path[-1]])
+    edges = iter(adj[source])
     try:
         while True:
             for head, arrival_at, score_at, edge, index in edges:
@@ -279,9 +271,6 @@ def _fast_search(
                                 if seq < best_seq:
                                     best_seq = seq
                     continue
-                if sink is not None:
-                    sink.append((tuple(path) + (head,), arr, new_score, new_extras))
-                    continue
                 stack.append((edges, t, score, extras))
                 visited.add(head)
                 path.append(head)
@@ -300,31 +289,25 @@ def _fast_search(
     return best_score, best_arrival, best_seq
 
 
-def _search(
-    state: _SearchState,
-    path: Sequence[int],
-    t: float,
-    score: float,
-    extras: tuple[float, ...],
-) -> Optional["_Candidate"]:
-    """The whole subtree below ``path``: the compiled kernel's search when
-    ``state.flat`` is set, else :func:`_fast_search`, with the same answer,
-    count and cap.  A search the kernel defers (an input it does not model)
-    runs in Python from the start.
+def _search(state: _SearchState, source: int, t: float) -> Optional["_Candidate"]:
+    """The search from ``source``: the compiled kernel's when ``state.flat``
+    is set, else :func:`_fast_search`, with the same answer, count and cap.
+    A search the kernel defers (an input it does not model) runs in Python
+    from the start.
     """
     flat = state.flat
     if flat is not None:
         cap = None if state.cap is None else state.cap - state.explored
-        status, explored, best = flat.search(
+        status, explored, best, _ = flat.search(
             state.bounds, state.flat_thresholds, state.destination, state.t_arr,
-            path, t, score, cap,
+            source, t, cap,
         )
         if status != kernel.DEFER:
             state.explored += explored
             if status == kernel.LIMIT:
                 raise _LimitHit
             return best
-    return _fast_search(state, path, t, score, extras)
+    return _fast_search(state, source, t)
 
 
 def path_from_nodes(
@@ -366,122 +349,74 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return a[2] < b[2]
 
 
-def _default_fork_depth(threads: int) -> int:
-    return int(2 * math.log2(max(2, threads))) + 4
-
-
-# Frontier tasks per worker.  Subtree sizes are heavy-tailed, so the wall
-# clock is bounded below by the largest task; hundreds of tasks per worker
-# keep that bound small at negligible dispatch cost.
-_TASKS_PER_WORKER = 32
-
 # Labels a parallel solve searches in-process before it splits the search.
 # Two threads can save at most half of an N-label search, N / (2 r) at r
-# labels per second.  Splitting costs the Python frontier, 0.3-0.5 ms for
-# the hundred-odd tasks of a default one, about 0.08 ms to start and join a
-# thread, and about 5 us per task handed out (long queries of the benchmark
-# grid, min of 5, 2-core x86 host, CPython 3.11).  At the kernel's 40-60 M
-# labels/s a split so pays only beyond some 50,000-150,000 labels, and the
-# budget splits smaller searches that would gain nothing.  It stays at
-# 5,000 since almost no measured query falls between the two: of the 120
-# short queries of two par-mixed benchmark seeds one passed it, at 5,551
-# labels, and the long ones all exceed 500,000.  The probe costs a search
-# that then splits about 0.2 ms.
+# labels per second.  Splitting costs about 0.04 ms to start and join a
+# thread, and 0.01-0.03 ms for the 209-548 labels above the split, which
+# every thread walks (the 33 catalogue queries of the benchmark grid, min of
+# 7, 2-core x86 host, CPython 3.11).  At the kernel's 40-60 M labels/s a
+# split so pays only beyond some 5,000-8,000 labels, about the budget.  The
+# probe costs a search that then splits about 0.13 ms.
 _PROBE_LABELS = 5_000
 
-
-def _build_frontier(
-    state: _SearchState,
-    root: tuple,
-    fork_depth: int,
-    target_tasks: int,
-) -> tuple[list[tuple], list[_Candidate]]:
-    """Breadth-first expansion of the shallow tree into independent tasks.
-
-    Each level expands every frontier prefix by one engine call with a task
-    sink; destination children come back as that call's candidate.  Tasks
-    are ``(prefix, arrival, score, extras)``, like ``root``.
-    """
-    found: list[_Candidate] = []
-    frontier = [root]
-    depth = 0
-    while frontier and depth < fork_depth and len(frontier) < target_tasks:
-        nxt: list[tuple] = []
-        for prefix, t, score, extras in frontier:
-            cand = _fast_search(state, prefix, t, score, extras, nxt)
-            if cand is not None:
-                found.append(cand)
-        frontier = nxt
-        depth += 1
-    return frontier, found
+# The depth of the split: the labels this many edges from the source root
+# the subtrees that the threads claim.  A catalogue query of the benchmark
+# grid has 100-304 of them, enough to balance subtrees of heavy-tailed sizes.
+_SPLIT_DEPTH = 6
 
 
-def _run_task(state: _SearchState, task: tuple) -> tuple[Optional[_Candidate], int]:
-    """Search one frontier task under ``state.cap``: ``(candidate, labels)``.
+def _run_threads(
+    state: _SearchState, source: int, t: float, workers: int, cap: Optional[int]
+) -> Optional[tuple[Optional[_Candidate], int]]:
+    """Search from ``source`` on ``workers`` threads, the caller's among them.
 
-    A task that hits the cap returns no candidate and a count above the cap,
-    which pushes the solve's total over ``max_expansions``.
-    """
-    state.explored = 0
-    try:
-        return _search(state, *task), state.explored
-    except _LimitHit:
-        return None, state.explored
-
-
-def _run_tasks(
-    state: _SearchState, tasks: list[tuple], workers: int, cap: Optional[int]
-) -> tuple[list[_Candidate], int]:
-    """Search ``tasks`` on ``workers`` threads, the caller's among them.
-
-    Returns the candidates found and the labels counted.  The threads take
-    the tasks one at a time from one list, since subtree sizes are
-    heavy-tailed.  Each searches with its own state, so its own thresholds,
-    under the per-task ``cap``, and all read ``state``'s bounds.  Counts are
-    summed as tasks finish; the first that takes the sum past ``cap``
-    settles the outcome, and no thread takes a task after it.  An exception
+    Returns the best candidate and the labels counted, or None when a
+    search deferred.  Each thread makes one kernel search that walks the
+    whole tree and descends only into the subtrees ``_SPLIT_DEPTH`` edges
+    deep that it claims from one shared counter, so uneven subtrees balance
+    themselves.  The caller's search alone counts the labels above them and
+    keeps ``state``'s thresholds; all read its bounds and search under
+    ``cap``.  Counts are summed as threads finish; the first that takes the
+    sum past ``cap`` settles the outcome and stops the rest.  An exception
     in any thread, an interrupt in the caller included, stops them the same
     way, and is raised in the caller once every thread has ended.
     """
+    flat = state.flat
+    split = kernel.Split(_SPLIT_DEPTH)
     lock = threading.Lock()
-    pending = iter(tasks)
-    found: list[_Candidate] = []
+    best: Optional[_Candidate] = None
     errors: list[BaseException] = []
     explored = 0
-    stopped = False
+    settled = deferred = False
 
-    def stop() -> None:
-        nonlocal stopped
-        with lock:
-            stopped = True
-
-    def work() -> None:
-        nonlocal explored, stopped
-        own = _SearchState(
-            state.adj, state.bounds, state.destination, state.t_arr, (), cap,
-            state.flat,
+    def work(caller: bool) -> None:
+        nonlocal best, explored, settled, deferred
+        status, count, cand, _ = flat.search(
+            state.bounds,
+            state.flat_thresholds if caller else flat.thresholds(),
+            state.destination, state.t_arr, source, t, cap,
+            split=split, counts_shallow=caller,
         )
-        while True:
-            with lock:
-                task = None if stopped else next(pending, None)
-            if task is None:
+        if status != kernel.DONE:
+            flat.stop(split)
+        with lock:
+            deferred = deferred or status == kernel.DEFER
+            if settled:
                 return
-            cand, count = _run_task(own, task)
-            with lock:
-                if stopped:
-                    return
-                explored += count
-                if cap is not None and explored > cap:
-                    stopped = True
-                elif cand is not None:
-                    found.append(cand)
+            explored += count
+            if cap is not None and explored > cap:
+                settled = True
+                flat.stop(split)
+            elif status == kernel.DONE and cand is not None:
+                if best is None or _better(cand, best):
+                    best = cand
 
     def helper() -> None:
         try:
-            work()
+            work(False)
         except BaseException as exc:
             errors.append(exc)
-            stop()
+            flat.stop(split)
 
     started = []
     try:
@@ -489,34 +424,33 @@ def _run_tasks(
             thread = threading.Thread(target=helper)
             thread.start()
             started.append(thread)
-        work()
+        work(True)
         for thread in started:
             thread.join()
     except BaseException:
-        stop()
+        flat.stop(split)
         for thread in started:
             thread.join()
         raise
     if errors:
         raise errors[0]
-    return found, explored
+    return None if deferred else (best, explored)
 
 
 def _solve_parallel(
     net: RoadNetwork,
     query: Query,
     state: _SearchState,
-    root: tuple,
     threads: int,
-    fork_depth: Optional[int],
     max_expansions: Optional[int],
-) -> SolveResult:
+) -> Optional[SolveResult]:
     """Answer a query on threads, or in-process if it is small.
 
     The search first runs in-process under ``_PROBE_LABELS``; a search that
     ends there returns what the sequential search returns and starts no
     thread, since splitting it would cost more than it saves.  Only a larger
-    one is searched again, as frontier tasks for the threads.
+    one is searched again, split among the threads.  Returns None when a
+    thread's search deferred: the sequential search then answers.
     """
     # The probe answers exactly as the sequential search does, and a cap
     # that fires within its budget gives the sequential limit.
@@ -525,38 +459,24 @@ def _solve_parallel(
     state.cap = probe_cap if max_expansions is None else min(max_expansions, probe_cap)
     try:
         with gc_paused():
-            best = _search(state, *root)
+            best = _search(state, query.source, query.t_dep)
     except _LimitHit:
         if max_expansions is not None and state.explored > max_expansions:
             return SolveResult(STATUS_LIMIT, None, state.explored)
     else:
         return _result(net, query, best, state.explored)
     # Too big to answer here: start over with the full cap.
-    state.explored = start
-    state.cap = max_expansions
-    depth = fork_depth if fork_depth is not None else _default_fork_depth(threads)
-    target = max(64, threads * _TASKS_PER_WORKER)
-    try:
-        tasks, candidates = _build_frontier(state, root, depth, target)
-    except _LimitHit:
-        return SolveResult(STATUS_LIMIT, None, state.explored)
-    explored = state.explored
-    if tasks:
-        remaining_cap = None  # the frontier stayed within the cap
-        if max_expansions is not None:
-            remaining_cap = max_expansions - explored
-        # More threads than cores cannot help a CPU-bound search.
-        workers = max(1, min(threads, os.cpu_count() or threads))
-        with gc_paused():
-            found, counted = _run_tasks(state, tasks, workers, remaining_cap)
-        candidates += found
-        explored += counted
+    cap = None if max_expansions is None else max_expansions - start
+    # More threads than cores cannot help a CPU-bound search.
+    workers = max(1, min(threads, os.cpu_count() or threads))
+    with gc_paused():
+        split = _run_threads(state, query.source, query.t_dep, workers, cap)
+    if split is None:
+        return None
+    best, counted = split
+    explored = start + counted
     if max_expansions is not None and explored > max_expansions:
         return SolveResult(STATUS_LIMIT, None, explored)
-    best = None
-    for cand in candidates:
-        if best is None or _better(cand, best):
-            best = cand
     return _result(net, query, best, explored)
 
 
@@ -623,7 +543,6 @@ def solve(
     threads: int = 1,
     pruning: bool = True,
     max_expansions: Optional[int] = None,
-    fork_depth: Optional[int] = None,
 ) -> SolveResult:
     """Find the loopless max-score path arriving by the query deadline.
 
@@ -665,17 +584,17 @@ def solve(
         flat,
     )
     state.explored = 1  # the source label
-    root = ((query.source,), query.t_dep, 0.0, (0.0,) * len(state.constraints))
     # Threads pay only while the kernel, which releases the interpreter
     # lock, searches; the Python engine's sequential search gives the same
     # answer.
     if mode == "parallel" and threads > 1 and flat is not None:
-        return _solve_parallel(
-            net, query, state, root, threads, fork_depth, max_expansions
-        )
+        result = _solve_parallel(net, query, state, threads, max_expansions)
+        if result is not None:
+            return result
+        state.explored, state.cap = 1, max_expansions
     try:
         with gc_paused():
-            best = _search(state, *root)
+            best = _search(state, query.source, query.t_dep)
     except _LimitHit:
         return SolveResult(STATUS_LIMIT, None, state.explored)
     return _result(net, query, best, state.explored)

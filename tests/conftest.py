@@ -74,24 +74,27 @@ def grid16():
 
 @pytest.fixture
 def dispatched(monkeypatch):
-    """Split every parallel search past the in-process probe into tasks.
+    """Split every parallel search past the in-process probe, one edge deep.
 
     The probe answers small searches without splitting them, so tests of the
-    threaded path set its budget to 0.  The returned list collects the
-    result of each task the threads searched, so a test can see that tasks
-    really ran.
+    threaded path set its budget to 0, and a split at depth 1 leaves even a
+    small tree subtrees to claim.  The returned list collects
+    ``(split, result)`` for each kernel call under a split, so a test can
+    see that the threads searched and what they claimed.
     """
     monkeypatch.setattr(solver, "_PROBE_LABELS", 0)
-    results = []
-    run_task = solver._run_task
+    monkeypatch.setattr(solver, "_SPLIT_DEPTH", 1)
+    calls = []
+    search = kernel.FlatNetwork.search
 
-    def counted(state, task):
-        result = run_task(state, task)
-        results.append(result)
+    def recorded(self, *args, split=None, **kwargs):
+        result = search(self, *args, split=split, **kwargs)
+        if split is not None:
+            calls.append((split, result))
         return result
 
-    monkeypatch.setattr(solver, "_run_task", counted)
-    return results
+    monkeypatch.setattr(kernel.FlatNetwork, "search", recorded)
+    return calls
 
 
 @pytest.fixture
@@ -109,8 +112,8 @@ def _record_statuses(monkeypatch, name):
     statuses = []
     method = getattr(kernel.FlatNetwork, name)
 
-    def counted(self, *args):
-        found = method(self, *args)
+    def counted(self, *args, **kwargs):
+        found = method(self, *args, **kwargs)
         statuses.append(found[0])
         return found
 

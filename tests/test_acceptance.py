@@ -128,13 +128,13 @@ def test_criterion_4_parallel_determinism(oracle_suite, request):
             if got != base_bytes:
                 diffs += 1
     # also force the threaded path on a few instances: no in-process probe,
-    # and a frontier one edge deep
+    # and a split one edge deep
     dispatched = request.getfixturevalue("dispatched")
     forced_diffs = 0
     for net, query in oracle_suite[:25]:
         base = solve(net, query, mode="sequential")
         for threads in (2, 4):
-            res = solve(net, query, mode="parallel", threads=threads, fork_depth=1)
+            res = solve(net, query, mode="parallel", threads=threads)
             a = base.path.to_json() if base.path else base.status
             b = res.path.to_json() if res.path else res.status
             if a != b:
@@ -145,7 +145,8 @@ def test_criterion_4_parallel_determinism(oracle_suite, request):
         ok,
         f"byte-identical serializations across threads 1/2/4/8 on "
         f"{len(oracle_suite)} instances ({diffs} diffs; {forced_diffs} diffs "
-        f"with forced splitting, {len(dispatched)} tasks run by the threads)",
+        f"with forced splitting, {len(dispatched)} split searches run by the "
+        f"threads)",
     )
     assert ok
 

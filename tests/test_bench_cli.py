@@ -182,10 +182,14 @@ class TestQueryCommand:
         (_one_edge_doc(score={"default": -1.0}), "must be non-negative"),
         (_one_edge_doc(score={"default": "x"}), "malformed score"),
         (_one_edge_doc(score={"boundaries": None}), "malformed score"),
+        # nested deeper than the parser goes; named, as the text would be its id
+        pytest.param("[" * 100_000, "not valid JSON", id="doc24-not valid JSON"),
+        ({"node_count": 0, "edges": [{"from": 0, "to": 1, "arrival": [[1.0, 0.0]]}]},
+         "node_count must be"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         rc = main(["query", "--graph", str(path), "--from", "0", "--to", "1",
                    "--depart", "0", "--budget", "8"])
         assert rc == 2

@@ -18,13 +18,12 @@ import pytest
 
 from wayscore import kernel, solver
 from wayscore.network import Edge, RoadNetwork, build_network
-from wayscore.profiles import ArrivalProfile, ScoreProfile
+from wayscore.profiles import TIME_EPS, ArrivalProfile, ScoreProfile
 from wayscore.reference import random_instance
 from wayscore.solver import (
     STATUS_LIMIT,
     STATUS_OK,
     Constraint,
-    _build_frontier,
     _fast_search,
     _search,
     _SearchState,
@@ -92,9 +91,8 @@ def _assert_candidates_agree(net, q, kernel_runs):
     the Python engine's to the last bit; a solve compares only the path that
     the forward simulation rebuilds from it."""
     python, native = _states(net, q)
-    root = ((q.source,), q.t_dep, 0.0, ())
     ran = len(kernel_runs)
-    assert _search(native, *root) == _fast_search(python, *root)
+    assert _search(native, q.source, q.t_dep) == _fast_search(python, q.source, q.t_dep)
     assert native.explored == python.explored
     assert kernel_runs[ran:] == [kernel.DONE]
 
@@ -135,21 +133,61 @@ class TestEquivalence:
             # the source label, then one label past what the cap leaves
             assert res.explored == max(cap, 1) + 1
 
-    def test_prefix_tasks(self, kernel_runs):
-        """The frontier tasks of TestEngineEquivalence, searched one by one
-        under one state's thresholds, as a worker does."""
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_claimed_subtrees_reduce_to_sequential_search(
+        self, grid16, dispatched, kernel_runs, monkeypatch, depth
+    ):
+        """Split at ``depth``, on one thread and on two, the threads' best
+        candidates reduce to solve()'s path, their counts sum to its
+        ``explored``, and each subtree is searched by exactly one thread."""
+        monkeypatch.setattr(solver, "_SPLIT_DEPTH", depth)
         rng = random.Random(88)
-        tasks_seen = 0
+        net16, queries = grid16
+        instances = [random_instance(rng) for _ in range(40)]
+        instances += [(net16, q) for q in queries[:6]]
+        split_any = 0
+        for net, q in instances:
+            res = solve(net, q)
+            if res.explored == 0:  # ruled out by the bounds before searching
+                continue
+            want = res.path and (res.path.score, res.path.arrival, res.path.nodes)
+            subtrees = _subtrees(net, q, depth)
+            for workers in (1, 2):
+                _, native = _states(net, q)
+                sent = len(dispatched)
+                best, counted = solver._run_threads(
+                    native, q.source, q.t_dep, workers, None
+                )
+                assert best == want
+                assert 1 + counted == res.explored
+                calls = dispatched[sent:]
+                assert len(calls) == workers
+                assert sum(claimed for _, (*_, claimed) in calls) == subtrees
+            split_any += subtrees > 1
+        assert split_any >= 10
+        assert kernel.DEFER not in kernel_runs
+
+    def test_prefix_tasks(self, kernel_runs):
+        """The subtrees two edges from the source, searched in the kernel by
+        one thread that claims them all, under the thresholds an earlier
+        search of the same state learned, give the Python engine's candidate
+        and count."""
+        rng = random.Random(88)
+        subtrees_seen = 0
         for _ in range(40):
             net, q = random_instance(rng)
             python, native = _states(net, q)
-            tasks, _ = _build_frontier(python, ((q.source,), q.t_dep, 0.0, ()), 2, 10**9)
-            for task in tasks:
-                python.explored = native.explored = 0
-                assert _search(native, *task) == _fast_search(python, *task)
-                assert native.explored == python.explored
-            tasks_seen += len(tasks)
-        assert tasks_seen >= 30
+            want = _fast_search(python, q.source, q.t_dep)
+            assert _search(native, q.source, q.t_dep) == want
+            assert native.explored == python.explored
+            status, count, got, claimed = native.flat.search(
+                native.bounds, native.flat_thresholds, q.destination, q.t_arr,
+                q.source, q.t_dep, None, split=kernel.Split(2),
+            )
+            assert (status, count, got) == (kernel.DONE, python.explored, want)
+            assert claimed == _subtrees(net, q, 2)
+            subtrees_seen += claimed
+        assert subtrees_seen >= 30
         assert kernel_runs and kernel.DEFER not in kernel_runs
 
     def test_tie_breaking_networks(self, kernel_runs):
@@ -271,39 +309,65 @@ class TestEquivalence:
         such a search back, so both engines fail the same way.  The profile
         check refuses such a segment, so it is put in after the network is
         built, as code that mutates a profile could."""
-        steep = ArrivalProfile([(0.0, 0.0)])
-        net = build_network(3, [
-            Edge(0, 1, steep, ScoreProfile.constant(1.0)),
-            _edge(1, 2, 1.0, 1.0),
-        ])
-        steep.xs, steep.ys = (-1.7e308, -1e308, 5e307), (-1.7e308, -1e308, 1.7e308)
-        q = Query.from_budget(0, 2, -1e308, 10.0)
-
-        def outcome(run):
-            try:
-                return _record(run(net, q, pruning=False))
-            except Exception as exc:  # the engines must fail alike
-                return type(exc)
-
-        assert outcome(solve) == outcome(_python)
+        assert _nan_outcome(solve) == _nan_outcome(_python)
         assert kernel_runs == [kernel.DEFER]
 
+    def test_nan_departure_in_a_split_is_handed_to_python(
+        self, kernel_runs, dispatched
+    ):
+        """A thread of a split search meets the NaN departure below the
+        probe; the solve then runs the sequential search, which hands it to
+        Python as before."""
+        got = _nan_outcome(solve, mode="parallel", threads=2)
+        assert got == _nan_outcome(_python)
+        assert dispatched and kernel_runs.count(kernel.DEFER) == 2
+
     def test_workers_search_with_the_kernel(self, grid16, dispatched, monkeypatch):
-        """The threads run their tasks in the kernel: the Python engine is
-        refused anything but the frontier."""
+        """The threads search in the kernel: the Python engine is refused."""
         net, queries = grid16
         q = queries[4]
         want = _record(solve(net, q))
-        search = solver._fast_search
-
-        def frontier_only(state, path, t, score, extras, sink=None):
-            assert sink is not None, "the Python engine searched a whole subtree"
-            return search(state, path, t, score, extras, sink)
-
-        monkeypatch.setattr(solver, "_fast_search", frontier_only)
-        got = solve(net, q, mode="parallel", threads=2, fork_depth=1)
+        monkeypatch.setattr(solver, "_fast_search", _refuse_python)
+        got = solve(net, q, mode="parallel", threads=2)
         assert _record(got) == want
         assert dispatched
+
+
+def _nan_outcome(run, **kwargs):
+    """How ``run`` solves a query whose second edge departs at a NaN time."""
+    steep = ArrivalProfile([(0.0, 0.0)])
+    net = build_network(3, [
+        Edge(0, 1, steep, ScoreProfile.constant(1.0)),
+        _edge(1, 2, 1.0, 1.0),
+    ])
+    steep.xs, steep.ys = (-1.7e308, -1e308, 5e307), (-1.7e308, -1e308, 1.7e308)
+    try:
+        return _record(run(net, Query.from_budget(0, 2, -1e308, 10.0),
+                           pruning=False, **kwargs))
+    except Exception as exc:  # the engines must fail alike
+        return type(exc)
+
+
+def _refuse_python(*args):
+    raise AssertionError("the Python engine searched")
+
+
+def _subtrees(net, q, depth):
+    """The labels ``depth`` edges from the source that do not end at the
+    destination: the subtrees of a split at ``depth``."""
+    bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
+    adj = net.prepared().out_adj
+
+    def count(path, t):
+        found = 0
+        for head, arrival_at, _, _, _ in adj[path[-1]]:
+            arr = arrival_at(t)
+            if head in path or head == q.destination or arr > bounds[head] + TIME_EPS:
+                continue
+            found += 1 if len(path) == depth else count(path + [head], arr)
+        return found
+
+    return count([q.source], q.t_dep)
 
 
 def _python_earliest(net, *args):
@@ -485,10 +549,13 @@ class TestBuild:
 
 @pytest.mark.slow
 def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
-    """The oracle suite, the fuzz documents and the kernel tests (of
-    ``ws_search`` and ``ws_earliest``), with the kernel built under ASan and
-    UBSan; any report aborts the process.  The
-    inner run does not capture output, so that a report reaches stderr."""
+    """The oracle suite, the fuzz documents, the kernel tests (of
+    ``ws_search`` and ``ws_earliest``) and the parallel tests, whose threads
+    share a split's claim counter and stop flag, with the kernel built under
+    ASan and UBSan; any report aborts the process.  The inner run does not
+    capture output, so that a report reaches stderr.  It leaves out the
+    page-fault count of the Python engine's frames, which measures the
+    allocator that ASan replaces, not the kernel."""
     gcc = shutil.which(kernel.COMPILE[0])
     if gcc is None:
         pytest.skip(f"{kernel.COMPILE[0]} is not on PATH")
@@ -507,10 +574,11 @@ def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
         "from wayscore import kernel\n"
         "kernel._library = kernel.bind(sys.argv[1])\n"
         "sys.exit(pytest.main(['-q', '-s', '-p', 'no:cacheprovider', '-m', 'not slow',\n"
-        "    '-k', 'not TestBuild',\n"
+        "    '-k', 'not TestBuild and not maps_memory_per_profile_call',\n"
         "    sys.argv[2] + '/test_kernel.py', sys.argv[2] + '/test_fuzz.py',\n"
         "    sys.argv[2] + '/test_acceptance.py::test_criterion_2_oracle_equivalence',\n"
-        "    sys.argv[2] + '/test_acceptance.py::test_criterion_4_parallel_determinism']))\n"
+        "    sys.argv[2] + '/test_acceptance.py::test_criterion_4_parallel_determinism',\n"
+        "    sys.argv[2] + '/test_solver.py::TestParallel']))\n"
     )
     env = dict(
         os.environ,

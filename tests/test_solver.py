@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import sys
@@ -6,7 +5,7 @@ import threading
 
 import pytest
 
-from wayscore import solver
+from wayscore import kernel, solver
 from wayscore.datagen import GenConfig, generate_network, generate_query_sets
 from wayscore.network import Edge, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
@@ -22,7 +21,6 @@ from wayscore.solver import (
     STATUS_LIMIT,
     STATUS_OK,
     _better,
-    _build_frontier,
     _fast_search,
     _SearchState,
     _verified_path,
@@ -31,8 +29,10 @@ from wayscore.solver import (
 from wayscore.traversal import Query, latest_departures
 
 
-# The probe budget as shipped; the ``dispatched`` fixture patches it to 0.
+# The probe budget and split depth as shipped; the ``dispatched`` fixture
+# patches them to 0 and 1.
 PROBE_LABELS = solver._PROBE_LABELS
+SPLIT_DEPTH = solver._SPLIT_DEPTH
 
 
 def _query(net, s, d, t_dep, budget):
@@ -121,10 +121,10 @@ class TestProcessLabel:
     def test_recursion_returns_best_descendant(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
         state = _state(toy_network, q)
-        # searching on from the prefix A->C, reached at t=3 with score 0
-        best = _fast_search(state, (0, 2), 3.0, 0.0, ())
+        # the grandchild A->C->B beats the destination child A->B
+        best = _fast_search(state, 0, 0.0)
         assert best == (7.0, 5.0, (0, 2, 1))
-        assert state.explored == 1
+        assert state.explored == 3
 
     def test_label_at_destination_returns_itself(self, toy_network):
         # A->C reaches the destination C; its out-edges C->A and C->B are
@@ -132,16 +132,6 @@ class TestProcessLabel:
         res = solve(toy_network, _query(toy_network, 0, 2, 0.0, 8.0), pruning=False)
         assert res.path.nodes == (0, 2)
         assert res.explored == 3
-
-    def test_sink_collects_children_instead_of_searching(self, toy_network):
-        q = _query(toy_network, 0, 1, 0.0, 8.0)
-        state = _state(toy_network, q)
-        tasks = []
-        best = _fast_search(state, (0,), 0.0, 0.0, (), tasks)
-        # the destination child is a candidate; the other child is a task
-        assert best == (5.0, 2.0, (0, 1))
-        assert tasks == [((0, 2), 3.0, 0.0, ())]
-        assert state.explored == 2
 
 
 class TestReconstruction:
@@ -217,23 +207,26 @@ class TestTieBreaking:
 
 
 class TestEngineEquivalence:
-    def test_frontier_tasks_reduce_to_sequential_search(self):
-        """Splitting the search into frontier tasks, searching each to the
-        end and reducing the candidates gives solve()'s path and count."""
+    def test_frontier_tasks_reduce_to_sequential_search(self, dispatched, monkeypatch):
+        """Splitting the search among three threads at depth 2, each
+        searching the subtrees it claims to the end, and reducing their
+        candidates by hand gives solve()'s path and count."""
+        monkeypatch.setattr(solver, "_SPLIT_DEPTH", 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         rng = random.Random(88)
+        paths = 0
         for _ in range(40):
             net, q = random_instance(rng)
             res = solve(net, q)
             if res.explored == 0:  # ruled out by the bounds before searching
                 continue
-            state = _state(net, q)
-            state.explored = 1
-            tasks, found = _build_frontier(
-                state, ((q.source,), q.t_dep, 0.0, ()), 2, 10**9
-            )
-            found += [_fast_search(state, *task) for task in tasks]
-            found = [c for c in found if c is not None]
-            assert state.explored == res.explored
+            sent = len(dispatched)
+            assert _record(solve(net, q, mode="parallel", threads=3)) == _record(res)
+            calls = [result for _, result in dispatched[sent:]]
+            assert len(calls) == 3
+            assert all(status == kernel.DONE for status, *_ in calls)
+            assert 1 + sum(count for _, count, _, _ in calls) == res.explored
+            found = [cand for _, _, cand, _ in calls if cand is not None]
             if res.path is None:
                 assert found == []
                 continue
@@ -242,6 +235,8 @@ class TestEngineEquivalence:
                 if _better(cand, best):
                     best = cand
             assert best == (res.path.score, res.path.arrival, res.path.nodes)
+            paths += 1
+        assert paths >= 10
 
 
 class TestAgainstOracle:
@@ -312,28 +307,44 @@ class TestParallel:
         for _ in range(25):
             net, q = random_instance(rng)
             seq = solve(net, q)
-            par = solve(net, q, mode="parallel", threads=2, fork_depth=1)
+            par = solve(net, q, mode="parallel", threads=2)
             assert seq.status == par.status
             if seq.path is not None:
                 assert par.path.to_json() == seq.path.to_json()
             assert par.explored == seq.explored
         assert dispatched
 
-    def test_grid_frontiers_agree_with_sequential(self, grid16, dispatched):
+    def test_grid_frontiers_agree_with_sequential(
+        self, grid16, dispatched, monkeypatch
+    ):
         net, queries = grid16
-        for q in queries[:6]:
-            seq = solve(net, q)
-            for depth in (1, None):
+        for depth in (1, SPLIT_DEPTH):
+            monkeypatch.setattr(solver, "_SPLIT_DEPTH", depth)
+            for q in queries[:6]:
+                seq = solve(net, q)
                 sent = len(dispatched)
-                par = solve(net, q, mode="parallel", threads=2, fork_depth=depth)
+                par = solve(net, q, mode="parallel", threads=2)
                 assert par.status == seq.status
                 assert par.path.to_json() == seq.path.to_json()
                 assert par.explored == seq.explored
-                if depth == 1:  # a default-depth frontier may use up the tree
-                    assert len(dispatched) > sent
+                assert len(dispatched) > sent
+
+    def test_one_kernel_call_per_worker_thread(self, grid16, dispatched, monkeypatch):
+        """Past the probe, each worker thread makes one kernel call, and the
+        workers are the threads asked for, capped at the cores."""
+        net, queries = grid16
+        q = queries[5]
+        want = _record(solve(net, q))
+        for cores, threads, workers in ((4, 2, 2), (4, 3, 3), (1, 4, 1), (2, 8, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            sent = len(dispatched)
+            assert _record(solve(net, q, mode="parallel", threads=threads)) == want
+            calls = dispatched[sent:]
+            assert len(calls) == workers
+            assert len({id(split) for split, _ in calls}) == 1  # one shared split
 
     def test_deep_path_leaves_the_recursion_limit_alone(self, chain3200, dispatched):
-        # In parallel, a worker searches the task that holds the chain's tail.
+        # In parallel, a thread searches the subtree that holds the chain's tail.
         net, q = chain3200
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
@@ -374,7 +385,7 @@ class TestParallel:
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the search was split into tasks")
+    raise AssertionError("the search was split among threads")
 
 
 def _record(res):
@@ -388,8 +399,8 @@ def _assert_same(par, seq):
 
 
 def _assert_agrees(net, q, dispatched, threads=2, **kwargs):
-    """A parallel solve equals the sequential one, and its tasks ran;
-    ``dispatched`` is the fixture's list of task results."""
+    """A parallel solve equals the sequential one, and its threads searched;
+    ``dispatched`` is the fixture's list of split kernel calls."""
     seq = solve(net, q)
     sent = len(dispatched)
     par = solve(net, q, mode="parallel", threads=threads, **kwargs)
@@ -398,10 +409,10 @@ def _assert_agrees(net, q, dispatched, threads=2, **kwargs):
 
 
 class TestWorkerPool:
-    """A parallel solve searches its tasks on threads that end with it."""
+    """A parallel solve searches on threads that end with it."""
 
     def test_edge_thresholds_do_not_outlive_their_query(self, dispatched, monkeypatch):
-        """In the first query, every task rejects the edge H->Y (Y cannot
+        """In the first query, the search rejects the edge H->Y (Y cannot
         reach D1 in time) and records its threshold; the second query's
         optimum takes H->Y at the same departure.  The second solve must not
         start from the first query's thresholds, or it prunes that optimum."""
@@ -415,10 +426,10 @@ class TestWorkerPool:
             _edge(y, d2, 1.0, 0.0),
         ]
         net = build_network(8, edges)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one thread runs every task
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one thread claims everything
         first, second = _query(net, src, d1, 0.0, 4.0), _query(net, src, d2, 0.0, 10.0)
-        _assert_agrees(net, first, dispatched, fork_depth=1)
-        _assert_agrees(net, second, dispatched, fork_depth=1)
+        _assert_agrees(net, first, dispatched)
+        _assert_agrees(net, second, dispatched)
         assert solve(net, second).path.nodes == (src, 1, hub, y, d2)
 
     def test_solve_after_a_cap_hit_agrees(self, grid16, dispatched):
@@ -438,48 +449,43 @@ class TestWorkerPool:
             for network in (net, twin):
                 _assert_agrees(network, q, dispatched)
 
-    @pytest.mark.parametrize("who", ["third task", "helper thread", "caller"])
+    @pytest.mark.parametrize("who", ["helper thread", "caller"])
     def test_an_error_stops_every_thread(self, grid16, dispatched, monkeypatch, who):
-        """An exception in the third task or in a helper thread's task, or an
-        interrupt in the calling thread's task, reaches the caller; the
-        threads take no task after it, and none outlives the solve."""
+        """An exception in a helper thread, or an interrupt in the calling
+        thread, reaches the caller; it stops the other thread's search, and
+        no thread outlives the solve."""
         net, queries = grid16
         q = queries[6]
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one helper thread
         solve(net, q, mode="parallel", threads=2)
-        total = len(dispatched)
+        full = dispatched[-1][0].claims  # subtrees claimed without the error
         before = threading.active_count()
         caller = threading.current_thread()
-        started = itertools.count(1)
-        search = solver._search
-        # The helper thread starts first and could take every task before
-        # the caller takes one; for the caller's interrupt, it waits.
-        caller_entered = threading.Event()
+        # The other side searches only once the failing side has stopped the
+        # split, so it cannot finish first however the threads are scheduled.
+        stopped = threading.Event()
+        splits = []
+        search, stop = kernel.FlatNetwork.search, kernel.FlatNetwork.stop
 
-        def failing(state, path, *rest):
-            if len(path) > 1:  # a task, not the probe, which starts at the root
-                in_caller = threading.current_thread() is caller
-                if who == "caller":
-                    if in_caller:
-                        caller_entered.set()
-                    else:
-                        caller_entered.wait(timeout=60)
-                n = next(started)
-                if who == "caller" and in_caller:
-                    raise KeyboardInterrupt
-                if (who == "third task" and n == 3) or (
-                    who == "helper thread" and not in_caller
-                ):
-                    raise RuntimeError("task failed")
-            return search(state, path, *rest)
+        def failing(self, *args, split=None, **kwargs):
+            if split is not None:  # not the probe
+                splits.append(split)
+                if (threading.current_thread() is caller) == (who == "caller"):
+                    raise KeyboardInterrupt if who == "caller" else RuntimeError
+                assert stopped.wait(timeout=60)
+            return search(self, *args, split=split, **kwargs)
 
-        monkeypatch.setattr(solver, "_search", failing)
-        error = KeyboardInterrupt if who == "caller" else RuntimeError
-        with pytest.raises(error):
+        def stopping(self, split):
+            stop(self, split)
+            stopped.set()
+
+        monkeypatch.setattr(kernel.FlatNetwork, "search", failing)
+        monkeypatch.setattr(kernel.FlatNetwork, "stop", stopping)
+        with pytest.raises(KeyboardInterrupt if who == "caller" else RuntimeError):
             solve(net, q, mode="parallel", threads=2)
         assert threading.active_count() == before
-        assert total > 8
-        assert next(started) - 1 < total  # the threads stopped early
+        assert len(splits) == 2 and splits[0] is splits[1]
+        assert splits[0].claims < full  # the search stopped early
 
     def test_solves_from_two_threads_at_once(self, grid16, dispatched, monkeypatch):
         """Two callers solve in parallel mode at once, with more threads
@@ -522,7 +528,7 @@ class TestWorkerPool:
 
 class TestProbe:
     """A parallel solve searches in-process first, and only a search that
-    outgrows ``_PROBE_LABELS`` is split into tasks for the threads."""
+    outgrows ``_PROBE_LABELS`` is split among the threads."""
 
     def test_search_within_the_budget_sends_no_task(self, grid16, monkeypatch):
         net, queries = grid16
@@ -530,7 +536,7 @@ class TestProbe:
             seq = solve(net, q)
             assert seq.explored <= solver._PROBE_LABELS
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_run_tasks", _refuse)
+                patch.setattr(solver, "_run_threads", _refuse)
                 par = solve(net, q, mode="parallel", threads=2)
             _assert_same(par, seq)
 
@@ -555,7 +561,7 @@ class TestProbe:
             seq = solve(net, q, max_expansions=cap)
             assert seq.status == STATUS_LIMIT
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_run_tasks", _refuse)
+                patch.setattr(solver, "_run_threads", _refuse)
                 par = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
             _assert_same(par, seq)
 
@@ -642,10 +648,7 @@ class TestConstraints:
         # parallel solve runs the sequential search.
         q = _query(toy_network, 0, 1, 0.0, 8.0)
         hops = Constraint(cost=lambda edge, t: 1.0, budget=1.0)
-        res = solve(
-            toy_network, q, constraints=[hops], mode="parallel", threads=2,
-            fork_depth=1,
-        )
+        res = solve(toy_network, q, constraints=[hops], mode="parallel", threads=2)
         assert res.path.nodes == (0, 1)
         _assert_same(res, solve(toy_network, q, constraints=[hops]))
         assert not dispatched
@@ -668,8 +671,8 @@ class TestExplorationCap:
             res = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
             assert res.status == STATUS_LIMIT
             assert res.path is None
-            # the frontier and the finished tasks stay within the cap, and
-            # the task that crosses it adds at most the remainder plus one
+            # the threads finished before stay within the cap, and the one
+            # that crosses it adds at most the remainder plus one
             assert cap < res.explored <= 2 * cap + 1
             assert len(dispatched) > sent
 
