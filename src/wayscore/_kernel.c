@@ -3,8 +3,9 @@
  * ws_search is wayscore.solver._fast_search, branch for branch: the
  * loopless check, the learned per-edge thresholds, the bound check and the
  * floor behind a new threshold, the expansion cap, and the score -> arrival
- * -> node sequence tie-break.  It can also search one share of a split tree
- * (ws_split), for the threads of a parallel solve.  ws_earliest is
+ * -> node sequence tie-break.  Asked for more than one worker, it splits a
+ * search that outgrows its probe among threads it starts and joins itself
+ * (build with -pthread).  ws_earliest is
  * wayscore.traversal.earliest_arrival, the forward Dijkstra behind each
  * query's budget, with the same heap order and relaxation rules.  The
  * profile evaluators are ArrivalProfile.arrival, ArrivalProfile.floor_after
@@ -23,6 +24,7 @@
  */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -49,22 +51,44 @@ typedef struct {
 typedef struct {
     int64_t explored;
     int64_t length;  /* of the best node sequence, 0 when none was found */
-    int64_t claimed; /* subtrees of a split that this search searched */
+    int64_t claimed; /* subtrees of the split searched */
+    int64_t threads; /* that searched, the caller's among them */
     double score;
     double arrival;
 } ws_result;
 
-/* A search split among threads.  The labels depth edges from the source
- * that are not the destination root subtrees, indexed in the order of the
- * walk, which every thread makes alike; a thread searches only those whose
- * index it claims.  depth 0 splits nothing.  ws_stop ends every search. */
-typedef struct {
-    int64_t depth;
-    int64_t claims; /* the next unclaimed subtree index */
-    int32_t stop;
-} ws_split;
-
 enum { WS_DONE = 0, WS_LIMIT = 1, WS_DEFER = 2, WS_STOPPED = 3 };
+
+struct ws_thread;
+
+/* What the threads of one search share.  The labels split_depth edges from
+ * the source that are not the destination root subtrees, indexed in the
+ * order of the walk, which every thread makes alike; a thread searches only
+ * those whose index it claims. */
+typedef struct {
+    const ws_network *net;
+    const double *bounds;
+    int64_t dest, source, cap, split_depth;
+    double deadline, eps, t;
+    int64_t claims; /* the next unclaimed subtree index */
+    int32_t stop;   /* set once a thread limits or defers */
+    /* The caller's helper threads: room for wanted, started of them.  Only
+     * the caller touches these. */
+    struct ws_thread *helpers;
+    int64_t wanted, started;
+} ws_shared;
+
+/* One thread's search: its buffers, what it counts and what it found. */
+typedef struct ws_thread {
+    ws_shared *sh;
+    double *thresholds;
+    int32_t *best_path;
+    int64_t counted_from; /* a label counts when its parent is this deep */
+    int64_t probe;        /* labels counted before the helpers start */
+    ws_result res;
+    int status;
+    pthread_t id;
+} ws_thread;
 
 /* bisect.bisect_right */
 static int64_t bisect_right(const double *a, int64_t n, double x)
@@ -127,17 +151,24 @@ static double score_value(const ws_network *net, int64_t e, double d)
     return net->sv[lo + bisect_right(b, k, d) - 1];
 }
 
-/* Whether (path[0..len), h) sorts before best[0..best_len) as tuples do. */
-static int sequence_less(const int32_t *path, int64_t len, int32_t h,
-                         const int32_t *best, int64_t best_len)
+/* Whether candidate a beats candidate b: a higher score, then an earlier
+ * arrival, then a node sequence that sorts first as tuples do.  The order is
+ * total over distinct paths, so the threads' best candidates reduce by it to
+ * the sequential search's on any schedule. */
+static int better(double score_a, double arrival_a, const int32_t *a,
+                  int64_t len_a, double score_b, double arrival_b,
+                  const int32_t *b, int64_t len_b)
 {
-    const int64_t n = len + 1, common = n < best_len ? n : best_len;
+    if (score_a != score_b)
+        return score_a > score_b;
+    if (arrival_a != arrival_b)
+        return arrival_a < arrival_b;
+    const int64_t common = len_a < len_b ? len_a : len_b;
     for (int64_t i = 0; i < common; i++) {
-        const int32_t a = i < len ? path[i] : h;
-        if (a != best[i])
-            return a < best[i];
+        if (a[i] != b[i])
+            return a[i] < b[i];
     }
-    return n < best_len;
+    return len_a < len_b;
 }
 
 /* floor_after's suffix floors for every edge, by the same expressions.
@@ -163,46 +194,29 @@ int ws_floors(int64_t edges, const int64_t *bp_start, const double *xs,
     return 0;
 }
 
-void ws_stop(ws_split *split)
-{
-    __atomic_store_n(&split->stop, 1, __ATOMIC_RELAXED);
-}
+static void start_helpers(const ws_thread *caller);
 
-/* The best destination candidate among the loopless paths from source,
- * departing at t.
- *
- * thresholds holds one departure per edge, NaN where none was learned; it
- * is read and updated like _SearchState.thresholds.  The search counts at
- * most cap + 1 labels (1 for a negative cap) and returns WS_LIMIT when it
- * counts past cap.  best_path has room for one id per node.
- *
- * Under a split it searches only the subtrees it claims, and counts the
- * labels at or above split->depth only if counts_shallow, so the counts of
- * the searches that share a split, one of them counting those, sum to the
- * sequential count.  It returns WS_STOPPED once split->stop is set. */
-int ws_search(const ws_network *net, const double *bounds, double *thresholds,
-              int64_t dest, double t_arr, double eps, int64_t source,
-              double t, int64_t cap, ws_split *split, int counts_shallow,
-              int32_t *best_path, ws_result *res)
+/* One thread's share of ws_search. */
+static int search(ws_thread *w)
 {
-    const int64_t n = net->nodes;
+    ws_shared *sh = w->sh;
+    const ws_network *net = sh->net;
+    const int64_t n = net->nodes, source = sh->source, dest = sh->dest;
     const int64_t *out_start = net->out_start;
     const int32_t *out_edge = net->out_edge, *head = net->head;
-    const double deadline = t_arr + eps;
-    const int64_t split_depth = split->depth;
-    /* A label is counted when its parent is at least this deep. */
-    const int64_t counted_from = counts_shallow ? 0 : split_depth;
+    const double *bounds = sh->bounds, eps = sh->eps, deadline = sh->deadline;
+    double *thresholds = w->thresholds;
+    int32_t *best_path = w->best_path;
+    const int64_t cap = sh->cap, split_depth = sh->split_depth;
+    const int64_t counted_from = w->counted_from;
+    /* Counting past until, the search starts its helpers or is past cap. */
+    int64_t until = w->probe < cap ? w->probe : cap;
     int status = WS_DONE;
     int64_t explored = 0, best_len = 0;
-    /* Subtrees met, this search's claim, subtrees searched. */
+    /* Subtrees met, this thread's claim, subtrees searched. */
     int64_t seen = 0, mine = -1, claimed = 0;
-    double score = 0.0, best_score = -INFINITY, best_arrival = INFINITY;
+    double t = sh->t, score = 0.0, best_score = -INFINITY, best_arrival = INFINITY;
 
-    res->explored = 0;
-    res->length = 0;
-    res->claimed = 0;
-    if (source < 0 || source >= n)
-        return WS_DEFER;
     /* The frames below the current node: its parent's remaining out-edges
      * pos..end, departure time and score. */
     struct frame {
@@ -237,36 +251,28 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
                     thresholds[e] = t;
                 continue;
             }
-            if (__atomic_load_n(&split->stop, __ATOMIC_RELAXED)) {
+            if (__atomic_load_n(&sh->stop, __ATOMIC_RELAXED)) {
                 status = WS_STOPPED;
                 goto out;
             }
-            if (depth >= counted_from && ++explored > cap) {
-                status = WS_LIMIT;
-                goto out;
+            if (depth >= counted_from && ++explored > until) {
+                if (explored > cap) {
+                    status = WS_LIMIT;
+                    goto out;
+                }
+                start_helpers(w);
+                until = cap;
             }
             const double new_score = score + score_value(net, e, t);
             if (h == dest) {
-                if (arr <= deadline) {
-                    int take = 0;
-                    if (new_score > best_score) {
-                        best_score = new_score;
-                        best_arrival = arr;
-                        take = 1;
-                    } else if (new_score == best_score) {
-                        if (arr < best_arrival) {
-                            best_arrival = arr;
-                            take = 1;
-                        } else if (arr == best_arrival) {
-                            take = sequence_less(path, depth + 1, h, best_path,
-                                                 best_len);
-                        }
-                    }
-                    if (take) {
-                        memcpy(best_path, path, (size_t)(depth + 1) * sizeof *path);
-                        best_path[depth + 1] = h;
-                        best_len = depth + 2;
-                    }
+                path[depth + 1] = h; /* h is not on the path: there is room */
+                if (arr <= deadline
+                    && better(new_score, arr, path, depth + 2, best_score,
+                              best_arrival, best_path, best_len)) {
+                    best_score = new_score;
+                    best_arrival = arr;
+                    best_len = depth + 2;
+                    memcpy(best_path, path, (size_t)best_len * sizeof *path);
                 }
                 continue;
             }
@@ -274,7 +280,7 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
                 /* A claim is taken only once the last one is searched, when
                  * the counter is past every index this walk has met. */
                 if (mine < seen)
-                    mine = __atomic_fetch_add(&split->claims, 1, __ATOMIC_RELAXED);
+                    mine = __atomic_fetch_add(&sh->claims, 1, __ATOMIC_RELAXED);
                 if (seen++ != mine)
                     continue;
                 claimed++;
@@ -301,15 +307,113 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
         score = stack[sp].score;
     }
 out:
-    res->explored = explored;
-    res->length = best_len;
-    res->claimed = claimed;
-    res->score = best_score;
-    res->arrival = best_arrival;
+    if (status == WS_LIMIT || status == WS_DEFER)
+        __atomic_store_n(&sh->stop, 1, __ATOMIC_RELAXED);
+    w->res = (ws_result){explored, best_len, claimed, 1, best_score, best_arrival};
     free(stack);
     free(path);
     free(visited);
     return status;
+}
+
+static void *helper_main(void *arg)
+{
+    ws_thread *h = arg;
+    h->status = search(h);
+    return NULL;
+}
+
+/* Start the caller's helpers, each from a copy of the thresholds learned so
+ * far.  A helper that cannot be started leaves its share to the others. */
+static void start_helpers(const ws_thread *caller)
+{
+    ws_shared *sh = caller->sh;
+    const size_t edges = (size_t)sh->net->edges, nodes = (size_t)sh->net->nodes;
+    while (sh->started < sh->wanted) {
+        ws_thread *h = &sh->helpers[sh->started];
+        *h = (ws_thread){.sh = sh, .counted_from = sh->split_depth, .probe = INT64_MAX};
+        h->thresholds = malloc(edges * sizeof *h->thresholds);
+        h->best_path = malloc(nodes * sizeof *h->best_path);
+        if (h->thresholds && h->best_path) {
+            memcpy(h->thresholds, caller->thresholds, edges * sizeof *h->thresholds);
+            if (pthread_create(&h->id, NULL, helper_main, h) == 0) {
+                sh->started++;
+                continue;
+            }
+        }
+        free(h->thresholds);
+        free(h->best_path);
+        break;
+    }
+}
+
+/* The best destination candidate among the loopless paths from source,
+ * departing at t.
+ *
+ * thresholds holds one departure per edge, NaN where none was learned; it
+ * is read and updated like _SearchState.thresholds.  The search returns
+ * WS_LIMIT when it counts past cap.  best_path has room for one id per node.
+ *
+ * The calling thread searches alone, claiming the subtrees split_depth edges
+ * deep from a counter in walk order.  With workers > 1 and split_depth > 0,
+ * once it has counted more than probe labels it starts workers - 1 helper
+ * threads where it stands.  Each walks the tree from the source and
+ * descends only into the subtrees it claims from the same counter, the next
+ * once the last is searched, so it skips every subtree already claimed and
+ * none is searched twice; it counts only the labels below the split, which
+ * the caller alone counts above.  The helpers are joined here: counts and
+ * claims are summed, the best candidates reduced by better(), and
+ * res->threads says how many threads searched.  A thread that limits or
+ * defers stops the others.  Any deferral returns WS_DEFER; a limit, or
+ * counts that sum past cap, return WS_LIMIT with max(cap, 0) + 1 labels,
+ * the sequential search's count. */
+int ws_search(const ws_network *net, const double *bounds, double *thresholds,
+              int64_t dest, double t_arr, double eps, int64_t source,
+              double t, int64_t cap, int64_t workers, int64_t split_depth,
+              int64_t probe, int32_t *best_path, ws_result *res)
+{
+    ws_shared sh = {net, bounds, dest, source, cap, split_depth, t_arr + eps, eps, t};
+    ws_thread caller = {&sh, thresholds, best_path, 0, INT64_MAX};
+    const int64_t allowed = cap > 0 ? cap : 0;
+
+    *res = (ws_result){0, 0, 0, 1, -INFINITY, INFINITY};
+    if (source < 0 || source >= net->nodes)
+        return WS_DEFER;
+    if (workers > 1 && split_depth > 0) {
+        sh.helpers = malloc((size_t)(workers - 1) * sizeof *sh.helpers);
+        sh.wanted = sh.helpers ? workers - 1 : 0;
+        caller.probe = probe;
+    }
+    const int status = search(&caller);
+    int deferred = status == WS_DEFER, limited = status == WS_LIMIT;
+    *res = caller.res;
+    for (int64_t i = 0; i < sh.started; i++) {
+        ws_thread *h = &sh.helpers[i];
+        pthread_join(h->id, NULL);
+        deferred |= h->status == WS_DEFER;
+        limited |= h->status == WS_LIMIT;
+        res->explored += h->res.explored;
+        res->claimed += h->res.claimed;
+        if (h->res.length
+            && better(h->res.score, h->res.arrival, h->best_path, h->res.length,
+                      res->score, res->arrival, best_path, res->length)) {
+            memcpy(best_path, h->best_path, (size_t)h->res.length * sizeof *best_path);
+            res->length = h->res.length;
+            res->score = h->res.score;
+            res->arrival = h->res.arrival;
+        }
+        free(h->thresholds);
+        free(h->best_path);
+    }
+    free(sh.helpers);
+    res->threads += sh.started;
+    if (deferred)
+        return WS_DEFER;
+    if (limited || res->explored > allowed) {
+        res->explored = allowed + 1;
+        return WS_LIMIT;
+    }
+    return WS_DONE;
 }
 
 /* A heap entry of ws_earliest, ordered as heapq orders (time, node) tuples. */

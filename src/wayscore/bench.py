@@ -3,15 +3,15 @@
 One output row per (query set, thread count).  Wall time is measured
 around :func:`wayscore.solver.solve` only, which includes the backward
 bound computation (it is part of answering a query) but excludes file
-loading.  A parallel query whose search ends within the solver's
-in-process probe (``solver._PROBE_LABELS``) is answered without threads; a
-larger one pays the probe and the thread start-up (the thread count, capped
-at the cores) on top of its split search, in which every thread walks the
-tree above the split.  Where the
-compiled kernel does not search (no compiler, a replaced profile method),
-every row times the sequential search, which parallel mode then runs.  Averages
-cover feasible queries only; queries that came back infeasible or hit the
-expansion cap are tallied in the ``infeasible`` column.
+loading.  A parallel query whose search ends within the kernel's probe
+(``solver._PROBE_LABELS`` labels) is answered on the calling thread alone;
+a larger one also pays for starting the kernel's other threads (the thread
+count, capped at the cores), each of which walks the tree above the split.
+Where the compiled kernel does not search (no compiler, a replaced profile
+method), every row times the sequential search, which parallel mode then
+runs.  Averages cover feasible queries only; queries that came back
+infeasible or hit the expansion cap are tallied in the ``infeasible``
+column.
 """
 
 from __future__ import annotations

@@ -69,6 +69,13 @@ def _threads_type(text: str) -> list[int]:
     return values
 
 
+def _thread_count(text: str) -> int:
+    values = _threads_type(text)
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"expected one thread count, got {text!r}")
+    return values[0]
+
+
 def _add_overhead_flags(parser, with_budget: bool = False, required: bool = True):
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument(
@@ -119,7 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument("--to", dest="destination", required=True, metavar="NODE")
     p.add_argument("--depart", type=float, required=True, metavar="MINUTES")
     _add_overhead_flags(p, with_budget=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--max-expansions", type=int, default=None, metavar="K")
 
@@ -138,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-nodes", type=int, default=12)
     p.add_argument("--out-degree", type=int, default=3)
     p.add_argument("--max-breakpoints", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     return parser
 
 

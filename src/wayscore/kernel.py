@@ -2,13 +2,12 @@
 
 :func:`wayscore.solver._fast_search` stays the reference engine; the kernel
 is its copy in C and gives the same status, candidate and label count.  The
-solver runs every search with it when it can: the sequential solve, the
-parallel probe and the parallel threads' searches.  ``ctypes`` releases the
+solver runs every search with it when it can, sequential or parallel, in
+one call.  Asked for more than one worker, the kernel splits a search that
+outgrows its probe among threads it starts and joins itself, so a parallel
+solve runs no Python while it searches.  ``ctypes`` releases the
 interpreter lock for the call, and the kernel keeps no state between calls,
-so threads search side by side.  The threads of one solve share a
-:class:`Split`: each walks the tree from the source and searches only the
-subtrees it claims from the split's counter, so the split itself needs no
-Python at all.
+so solves from several threads search side by side.
 
 The kernel also holds ``ws_earliest``, the copy of
 :func:`wayscore.traversal.earliest_arrival` (:meth:`FlatNetwork.earliest`).
@@ -51,7 +50,7 @@ from typing import Optional, Sequence
 from .profiles import TIME_EPS, ArrivalProfile, ScoreProfile
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 try:
     CACHE_DIR: Optional[Path] = Path.home() / ".cache" / "wayscore"
 except RuntimeError:  # no home directory: no cache, so no kernel
@@ -59,9 +58,8 @@ except RuntimeError:  # no home directory: no cache, so no kernel
 
 # ws_search's and ws_earliest's return codes.  DEFER: the kernel met an
 # input it does not model (a NaN departure, on which the Python code raises)
-# or ran out of memory; the caller runs the Python code instead.  STOPPED:
-# a search's split was stopped (FlatNetwork.stop).
-DONE, LIMIT, DEFER, STOPPED = 0, 1, 2, 3
+# or ran out of memory; the caller runs the Python code instead.
+DONE, LIMIT, DEFER = 0, 1, 2
 
 _INT64_MAX = 2**63 - 1
 # The profile methods the kernel reproduces.  A replaced one (a tracer, a
@@ -96,23 +94,9 @@ class _Result(ctypes.Structure):
         ("explored", ctypes.c_int64),
         ("length", ctypes.c_int64),
         ("claimed", ctypes.c_int64),
+        ("threads", ctypes.c_int64),
         ("score", ctypes.c_double),
         ("arrival", ctypes.c_double),
-    ]
-
-
-class Split(ctypes.Structure):
-    """One search split among the threads that share it (``ws_split``).
-
-    Every search walks the tree from the source; of the labels ``depth``
-    edges from it, each roots a subtree that only the search which claims
-    its index from ``claims`` descends into.  ``depth`` 0 splits nothing.
-    """
-
-    _fields_ = [
-        ("depth", ctypes.c_int64),
-        ("claims", ctypes.c_int64),
-        ("stop", ctypes.c_int32),
     ]
 
 
@@ -152,14 +136,13 @@ def bind(path) -> ctypes.CDLL:
         ctypes.c_int64,  # source
         ctypes.c_double,  # t
         ctypes.c_int64,  # cap
-        ctypes.POINTER(Split),
-        ctypes.c_int,  # counts_shallow
+        ctypes.c_int64,  # workers
+        ctypes.c_int64,  # split depth
+        ctypes.c_int64,  # probe
         ctypes.c_void_p,  # best path
         ctypes.POINTER(_Result),
     ]
     lib.ws_search.restype = ctypes.c_int
-    lib.ws_stop.argtypes = [ctypes.POINTER(Split)]
-    lib.ws_stop.restype = None
     lib.ws_earliest.argtypes = [
         ctypes.POINTER(_Network),
         ctypes.c_int64,  # source
@@ -248,22 +231,24 @@ class FlatNetwork:
         source: int,
         t: float,
         cap: Optional[int],
-        split: Optional[Split] = None,
-        counts_shallow: bool = True,
-    ) -> tuple[int, int, Optional[tuple], int]:
+        workers: int,
+        split_depth: int,
+        probe: int,
+    ) -> tuple[int, int, Optional[tuple], int, int]:
         """Search from ``source``, departing at ``t``:
-        ``(status, explored, candidate, claimed)``.
+        ``(status, explored, candidate, claimed, threads)``.
 
         ``bounds`` is the query's buffer of one double per node
-        (:meth:`bounds`), which the kernel only reads, so concurrent searches
-        may share it; it writes ``thresholds`` (:meth:`thresholds`), so each
-        concurrent search needs its own.  ``cap`` is the number of labels
-        the search may count, or None.
+        (:meth:`bounds`), which the kernel only reads; it writes
+        ``thresholds`` (:meth:`thresholds`), so concurrent searches need
+        their own.  ``cap`` is the number of labels the search may count, or
+        None.
 
-        With a ``split``, the search descends only into the subtrees it
-        claims, ``claimed`` of them, and counts the labels at or above the
-        split's depth only if ``counts_shallow``; it returns STOPPED once
-        :meth:`stop` is called on the split.
+        The search claims the subtrees ``split_depth`` edges deep, in walk
+        order, from one counter; ``claimed`` is how many were searched.  With
+        ``workers`` > 1, once it has counted more than ``probe`` labels it
+        starts ``workers - 1`` threads that claim the rest, and joins them
+        before it returns; ``threads`` is how many searched.
         """
         # from_buffer raises ValueError for a buffer smaller than the type.
         bounds_view = self._bounds_type.from_buffer(bounds)
@@ -280,20 +265,16 @@ class FlatNetwork:
             source,
             t,
             _INT64_MAX if cap is None else max(-1, min(cap, _INT64_MAX)),
-            Split() if split is None else split,
-            counts_shallow,
+            workers,
+            split_depth,
+            probe,
             best.buffer_info()[0],
             out,
         )
         candidate = None
         if out.length:
             candidate = (out.score, out.arrival, tuple(best[: out.length]))
-        return status, out.explored, candidate, out.claimed
-
-    def stop(self, split: Split) -> None:
-        """End every search under ``split``, with an atomic store the
-        searching threads see at their next label."""
-        self._lib.ws_stop(split)
+        return status, out.explored, candidate, out.claimed, out.threads
 
     def earliest(
         self, source: int, destination: int, t_dep: float

@@ -18,9 +18,8 @@ at or after it skip the edge without evaluating its profile.  That is a
 rejection the bound check would have made anyway, so answers and counts
 are those of the plain search.
 
-A sequential solve and the in-process probe of a parallel solve go
-through :func:`_search`, which runs the compiled copy of that engine
-(:mod:`wayscore.kernel`) on the network's flat arrays
+Every solve goes through :func:`_search`, which runs the compiled copy of
+that engine (:mod:`wayscore.kernel`) on the network's flat arrays
 (:meth:`wayscore.network.RoadNetwork.flat`).  It gives the same status,
 candidate and label count, about fifty times faster.  The Python engine
 runs instead when constraints are given, when a profile method the search
@@ -38,20 +37,18 @@ optimum unique, which is what lets the parallel mode return byte-identical
 results for any thread count: subtree searches are independent and joined
 by a commutative max-reduction.
 
-Parallel execution runs on threads, since the kernel releases the
-interpreter lock while it searches (``ctypes`` releases it around every
-call into the library).  Each thread makes one kernel call, which walks the
-tree from the source like the sequential search; of the labels a fixed
-split depth below the source, it descends only into the subtrees whose
-index it claims from one shared counter, taking the next claim when it has
-searched the last.  So the threads stay busy even when subtree sizes are
-wildly uneven, and the split costs no Python.  The caller's thread alone
-counts the labels above the split, so ``explored`` is the sequential count
-on any schedule.  Each thread keeps its own edge thresholds, and all of
-them read the query's one bounds array.  Starting threads still costs
-time, so a parallel solve first searches in-process under a small label
-budget; a query answered within it (most short ones) starts no thread, and
-only a larger one is split.  Where the kernel does not search a query
+A parallel solve makes the same single kernel call as a sequential one,
+asking for up to one worker per core.  The kernel searches alone until it
+has counted ``_PROBE_LABELS`` labels, so a small query (most short ones)
+starts no thread; past that it starts the other workers' threads where it
+stands.  Of the labels ``_SPLIT_DEPTH`` edges below the source, each
+thread descends only into the subtrees it claims from one shared counter,
+in walk order, so no label is searched twice and uneven subtrees balance
+themselves; the calling thread alone counts the labels above the split, so
+``explored`` is the sequential count on any schedule.  The kernel joins the
+threads and reduces their candidates before it returns.  An interrupt
+(Ctrl-C) takes effect when the kernel call returns, in a parallel solve as
+in a sequential one.  Where the kernel does not search a query
 (constraints, a replaced profile method, no compiler), parallel mode runs
 the sequential search, which returns the same result: the Python engine
 holds the interpreter lock, so threads could not speed it up.
@@ -64,7 +61,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -159,8 +155,9 @@ class _SearchState:
     (:meth:`ArrivalProfile.floor_after`); ``flat_thresholds`` holds the
     kernel's, one double per edge.  They depend on the query's bounds, so
     they are per query: the engine calls of one solve share them, and each
-    helper thread of a parallel solve learns its own.  They change no answer
-    and no count, so the two engines and the threads need not share them.
+    helper thread the kernel starts learns its own from a copy.  They change
+    no answer and no count, so the two engines and the threads need not
+    share them.
     """
 
     __slots__ = (
@@ -189,11 +186,10 @@ class _SearchState:
         self.flat_thresholds = None if flat is None else flat.thresholds()
 
 
-def _fast_search(
-    state: _SearchState, source: int, t: float
-) -> Optional["_Candidate"]:
-    """Best destination candidate among the loopless paths from ``source``,
-    which is not the destination, departing at ``t``.
+def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
+    """Best destination candidate ``(score, arrival, node sequence)`` among
+    the loopless paths from ``source``, which is not the destination,
+    departing at ``t``.
 
     The search is one loop over an explicit stack: the current node's
     remaining out-edges and its time, score and constraint costs are
@@ -289,18 +285,20 @@ def _fast_search(
     return best_score, best_arrival, best_seq
 
 
-def _search(state: _SearchState, source: int, t: float) -> Optional["_Candidate"]:
+def _search(
+    state: _SearchState, source: int, t: float, workers: int
+) -> Optional[tuple]:
     """The search from ``source``: the compiled kernel's when ``state.flat``
-    is set, else :func:`_fast_search`, with the same answer, count and cap.
-    A search the kernel defers (an input it does not model) runs in Python
-    from the start.
+    is set, on up to ``workers`` threads, else :func:`_fast_search`, with the
+    same answer, count and cap.  A search the kernel defers (an input it
+    does not model) runs in Python from the start.
     """
     flat = state.flat
     if flat is not None:
         cap = None if state.cap is None else state.cap - state.explored
-        status, explored, best, _ = flat.search(
+        status, explored, best, _, _ = flat.search(
             state.bounds, state.flat_thresholds, state.destination, state.t_arr,
-            source, t, cap,
+            source, t, cap, workers, _SPLIT_DEPTH, _PROBE_LABELS,
         )
         if status != kernel.DEFER:
             state.explored += explored
@@ -308,6 +306,21 @@ def _search(state: _SearchState, source: int, t: float) -> Optional["_Candidate"
                 raise _LimitHit
             return best
     return _fast_search(state, source, t)
+
+
+# Labels a parallel search counts alone before the kernel starts its other
+# threads.  Two threads can save at most half of an N-label search, N / (2 r)
+# at r labels per second.  Starting and joining a thread costs about
+# 0.04 ms, and each thread walks the 209-548 labels above the split in
+# 0.01-0.03 ms (the 33 catalogue queries of the benchmark grid, min of 7,
+# 2-core x86 host, CPython 3.11).  At the kernel's 40-60 M labels/s a split
+# so pays only beyond some 5,000-8,000 labels, about the budget.
+_PROBE_LABELS = 5_000
+
+# The depth of the split: the labels this many edges from the source root
+# the subtrees that the threads claim.  A catalogue query of the benchmark
+# grid has 100-304 of them, enough to balance subtrees of heavy-tailed sizes.
+_SPLIT_DEPTH = 6
 
 
 def path_from_nodes(
@@ -332,156 +345,8 @@ def path_from_nodes(
     )
 
 
-# ---------------------------------------------------------------------------
-# Parallel execution
-# ---------------------------------------------------------------------------
-
-# Candidate = (score, arrival, full node sequence); the reduction order is
-# total over distinct paths, so the winner is scheduling-independent.
-_Candidate = tuple[float, float, tuple[int, ...]]
-
-
-def _better(a: _Candidate, b: _Candidate) -> bool:
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
-
-
-# Labels a parallel solve searches in-process before it splits the search.
-# Two threads can save at most half of an N-label search, N / (2 r) at r
-# labels per second.  Splitting costs about 0.04 ms to start and join a
-# thread, and 0.01-0.03 ms for the 209-548 labels above the split, which
-# every thread walks (the 33 catalogue queries of the benchmark grid, min of
-# 7, 2-core x86 host, CPython 3.11).  At the kernel's 40-60 M labels/s a
-# split so pays only beyond some 5,000-8,000 labels, about the budget.  The
-# probe costs a search that then splits about 0.13 ms.
-_PROBE_LABELS = 5_000
-
-# The depth of the split: the labels this many edges from the source root
-# the subtrees that the threads claim.  A catalogue query of the benchmark
-# grid has 100-304 of them, enough to balance subtrees of heavy-tailed sizes.
-_SPLIT_DEPTH = 6
-
-
-def _run_threads(
-    state: _SearchState, source: int, t: float, workers: int, cap: Optional[int]
-) -> Optional[tuple[Optional[_Candidate], int]]:
-    """Search from ``source`` on ``workers`` threads, the caller's among them.
-
-    Returns the best candidate and the labels counted, or None when a
-    search deferred.  Each thread makes one kernel search that walks the
-    whole tree and descends only into the subtrees ``_SPLIT_DEPTH`` edges
-    deep that it claims from one shared counter, so uneven subtrees balance
-    themselves.  The caller's search alone counts the labels above them and
-    keeps ``state``'s thresholds; all read its bounds and search under
-    ``cap``.  Counts are summed as threads finish; the first that takes the
-    sum past ``cap`` settles the outcome and stops the rest.  An exception
-    in any thread, an interrupt in the caller included, stops them the same
-    way, and is raised in the caller once every thread has ended.
-    """
-    flat = state.flat
-    split = kernel.Split(_SPLIT_DEPTH)
-    lock = threading.Lock()
-    best: Optional[_Candidate] = None
-    errors: list[BaseException] = []
-    explored = 0
-    settled = deferred = False
-
-    def work(caller: bool) -> None:
-        nonlocal best, explored, settled, deferred
-        status, count, cand, _ = flat.search(
-            state.bounds,
-            state.flat_thresholds if caller else flat.thresholds(),
-            state.destination, state.t_arr, source, t, cap,
-            split=split, counts_shallow=caller,
-        )
-        if status != kernel.DONE:
-            flat.stop(split)
-        with lock:
-            deferred = deferred or status == kernel.DEFER
-            if settled:
-                return
-            explored += count
-            if cap is not None and explored > cap:
-                settled = True
-                flat.stop(split)
-            elif status == kernel.DONE and cand is not None:
-                if best is None or _better(cand, best):
-                    best = cand
-
-    def helper() -> None:
-        try:
-            work(False)
-        except BaseException as exc:
-            errors.append(exc)
-            flat.stop(split)
-
-    started = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=helper)
-            thread.start()
-            started.append(thread)
-        work(True)
-        for thread in started:
-            thread.join()
-    except BaseException:
-        flat.stop(split)
-        for thread in started:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return None if deferred else (best, explored)
-
-
-def _solve_parallel(
-    net: RoadNetwork,
-    query: Query,
-    state: _SearchState,
-    threads: int,
-    max_expansions: Optional[int],
-) -> Optional[SolveResult]:
-    """Answer a query on threads, or in-process if it is small.
-
-    The search first runs in-process under ``_PROBE_LABELS``; a search that
-    ends there returns what the sequential search returns and starts no
-    thread, since splitting it would cost more than it saves.  Only a larger
-    one is searched again, split among the threads.  Returns None when a
-    thread's search deferred: the sequential search then answers.
-    """
-    # The probe answers exactly as the sequential search does, and a cap
-    # that fires within its budget gives the sequential limit.
-    start = state.explored
-    probe_cap = start + _PROBE_LABELS
-    state.cap = probe_cap if max_expansions is None else min(max_expansions, probe_cap)
-    try:
-        with gc_paused():
-            best = _search(state, query.source, query.t_dep)
-    except _LimitHit:
-        if max_expansions is not None and state.explored > max_expansions:
-            return SolveResult(STATUS_LIMIT, None, state.explored)
-    else:
-        return _result(net, query, best, state.explored)
-    # Too big to answer here: start over with the full cap.
-    cap = None if max_expansions is None else max_expansions - start
-    # More threads than cores cannot help a CPU-bound search.
-    workers = max(1, min(threads, os.cpu_count() or threads))
-    with gc_paused():
-        split = _run_threads(state, query.source, query.t_dep, workers, cap)
-    if split is None:
-        return None
-    best, counted = split
-    explored = start + counted
-    if max_expansions is not None and explored > max_expansions:
-        return SolveResult(STATUS_LIMIT, None, explored)
-    return _result(net, query, best, explored)
-
-
 def _result(
-    net: RoadNetwork, query: Query, best: Optional[_Candidate], explored: int
+    net: RoadNetwork, query: Query, best: Optional[tuple], explored: int
 ) -> SolveResult:
     """The result of a search that ran to the end and found ``best``."""
     if best is None:
@@ -489,7 +354,7 @@ def _result(
     return SolveResult(STATUS_OK, _verified_path(net, query, best), explored)
 
 
-def _verified_path(net: RoadNetwork, query: Query, cand: _Candidate) -> PathResult:
+def _verified_path(net: RoadNetwork, query: Query, cand: tuple) -> PathResult:
     """Rebuild a candidate by forward simulation and cross-check its claim.
 
     Every path a search returns passes through here.  A repeated node, a
@@ -550,12 +415,14 @@ def solve(
     path can make the deadline; a value, not an error) or
     "exploration-limit" (the optional ``max_expansions`` cap fired).  With
     ``mode="parallel"`` the result is identical to sequential mode for any
-    ``threads`` value.  Setting ``pruning=False`` removes the temporal
+    ``threads`` value of at least 1.  Setting ``pruning=False`` removes the temporal
     bounds (useful only for measuring their effect); the answer is the
     same, the work is a superset.
     """
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not (0 <= query.source < net.node_count):
         raise QueryError(f"source {query.source} out of range")
     if not (0 <= query.destination < net.node_count):
@@ -584,17 +451,11 @@ def solve(
         flat,
     )
     state.explored = 1  # the source label
-    # Threads pay only while the kernel, which releases the interpreter
-    # lock, searches; the Python engine's sequential search gives the same
-    # answer.
-    if mode == "parallel" and threads > 1 and flat is not None:
-        result = _solve_parallel(net, query, state, threads, max_expansions)
-        if result is not None:
-            return result
-        state.explored, state.cap = 1, max_expansions
+    # More threads than cores cannot help a CPU-bound search.
+    workers = min(threads, os.cpu_count() or threads) if mode == "parallel" else 1
     try:
         with gc_paused():
-            best = _search(state, query.source, query.t_dep)
+            best = _search(state, query.source, query.t_dep, workers)
     except _LimitHit:
         return SolveResult(STATUS_LIMIT, None, state.explored)
     return _result(net, query, best, state.explored)

@@ -3,8 +3,7 @@
 * :func:`earliest_arrival` -- forward time-dependent Dijkstra; correct under
   the FIFO property every edge is validated against.  Its compiled copy
   (``ws_earliest`` in ``_kernel.c``) answers wherever the network has flat
-  arrays and both node ids are ints in range; the loop here is the
-  reference and the fallback.
+  arrays; the loop here is the reference and the fallback.
 * :func:`build_query` -- turns (source, destination, departure, overhead)
   into a concrete arrival deadline by adding the overhead to the fastest
   travel time.
@@ -30,6 +29,12 @@ class QueryError(ValueError):
     """Raised for queries that cannot be posed (e.g. unreachable pair)."""
 
 
+def _check_node(net: RoadNetwork, node, role: str) -> None:
+    """Raise QueryError unless ``node`` is an int node id of ``net``."""
+    if type(node) is not int or not 0 <= node < net.node_count:
+        raise QueryError(f"{role} {node!r} is not a node id in [0, {net.node_count})")
+
+
 def earliest_arrival(
     net: RoadNetwork, source: int, destination: int, t_dep: float
 ) -> Optional[tuple[float, list[int]]]:
@@ -38,20 +43,22 @@ def earliest_arrival(
     Edge arrival functions are evaluated at the traveller's actual arrival
     time at each edge's tail.  Returns None when the destination is
     unreachable; ``source == destination`` yields ``(t_dep, [source])``.
+    Raises QueryError, before any search, unless both ids are ints in
+    ``[0, node_count)`` and the departure is finite.
 
     The compiled kernel (:meth:`wayscore.kernel.FlatNetwork.earliest`)
-    answers when the network has flat arrays (:meth:`RoadNetwork.flat`) and
-    both ids are ints in ``[0, node_count)``; the loop below answers
-    otherwise, and wherever the kernel defers (a NaN departure), with the
-    same ``(t, path)``, the same None, or the same exception.
+    answers when the network has flat arrays (:meth:`RoadNetwork.flat`);
+    the loop below answers otherwise, and wherever the kernel defers, with
+    the same ``(t, path)`` or the same None.
     """
+    _check_node(net, source, "source")
+    _check_node(net, destination, "destination")
+    if not math.isfinite(t_dep):
+        raise QueryError(f"departure {t_dep} must be finite")
     if source == destination:
         return t_dep, [source]
     n = net.node_count
-    # The kernel is handed ints in range only: Python indexes a negative id
-    # from the end and raises for any other id it cannot index.
-    indexable = all(type(v) is int and 0 <= v < n for v in (source, destination))
-    flat = net.flat() if indexable else None
+    flat = net.flat()
     if flat is not None:
         status, reached = flat.earliest(source, destination, t_dep)
         if status != DEFER:
@@ -188,8 +195,12 @@ def latest_departures(
     first for reproducibility.
 
     The labels bound path prefixes, not solution paths, so no loop checking
-    is needed here.
+    is needed here.  Raises QueryError unless the destination is an int node
+    id of ``net`` and both times are finite.
     """
+    _check_node(net, destination, "destination")
+    if not (math.isfinite(t_arr) and math.isfinite(t_dep)):
+        raise QueryError(f"deadline {t_arr} and departure {t_dep} must be finite")
     n = net.node_count
     times = [UNREACHABLE] * n
     witness = [-1] * n

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from wayscore import kernel, solver
@@ -74,23 +76,28 @@ def grid16():
 
 @pytest.fixture
 def dispatched(monkeypatch):
-    """Split every parallel search past the in-process probe, one edge deep.
+    """Split every parallel search from its first label, one edge deep, on
+    up to four threads whatever the host's cores.
 
-    The probe answers small searches without splitting them, so tests of the
-    threaded path set its budget to 0, and a split at depth 1 leaves even a
-    small tree subtrees to claim.  The returned list collects
-    ``(split, result)`` for each kernel call under a split, so a test can
-    see that the threads searched and what they claimed.
+    The kernel searches alone until it has counted ``_PROBE_LABELS`` labels,
+    so tests of the threaded path set that budget to 0, and a split at depth
+    1 leaves even a small tree subtrees to claim.  The returned list collects
+    the result ``(status, explored, candidate, claimed, threads)`` of each
+    kernel call asked for more than one worker, so a test can see how many
+    threads searched and what they claimed.
     """
     monkeypatch.setattr(solver, "_PROBE_LABELS", 0)
     monkeypatch.setattr(solver, "_SPLIT_DEPTH", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     calls = []
     search = kernel.FlatNetwork.search
 
-    def recorded(self, *args, split=None, **kwargs):
-        result = search(self, *args, split=split, **kwargs)
-        if split is not None:
-            calls.append((split, result))
+    def recorded(self, bounds, thresholds, destination, t_arr, source, t, cap,
+                 workers, *split):
+        result = search(self, bounds, thresholds, destination, t_arr, source, t,
+                        cap, workers, *split)
+        if workers > 1:
+            calls.append(result)
         return result
 
     monkeypatch.setattr(kernel.FlatNetwork, "search", recorded)

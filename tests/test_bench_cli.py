@@ -239,6 +239,21 @@ class TestQueryCommand:
                   "--depart", "0", "--budget", "8", "--overhead-pct", "30"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["query", "--from", "A", "--to", "B", "--depart", "0", "--budget", "8"],
+        ["validate", "--instances", "2"],
+        ["bench", "--queries", "unread.csv"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_is_usage_error(self, toy_file, capsys,
+                                                   command, threads):
+        name, *flags = command
+        graph = ["--graph", toy_file] if name != "validate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([name, *graph, *flags, "--threads", threads])
+        assert exc.value.code == 1
+        assert "thread counts must be >= 1" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_csv_schema_and_thread_sweep(self, grid_files, capsys):

@@ -29,7 +29,7 @@ from wayscore.solver import (
     _SearchState,
     solve,
 )
-from wayscore.traversal import Query, earliest_arrival, latest_departures
+from wayscore.traversal import Query, QueryError, earliest_arrival, latest_departures
 
 TESTS = Path(__file__).resolve().parent
 
@@ -92,7 +92,7 @@ def _assert_candidates_agree(net, q, kernel_runs):
     the forward simulation rebuilds from it."""
     python, native = _states(net, q)
     ran = len(kernel_runs)
-    assert _search(native, q.source, q.t_dep) == _fast_search(python, q.source, q.t_dep)
+    assert _search(native, q.source, q.t_dep, 1) == _fast_search(python, q.source, q.t_dep)
     assert native.explored == python.explored
     assert kernel_runs[ran:] == [kernel.DONE]
 
@@ -135,12 +135,12 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_claimed_subtrees_reduce_to_sequential_search(
-        self, grid16, dispatched, kernel_runs, monkeypatch, depth
+        self, grid16, kernel_runs, depth
     ):
-        """Split at ``depth``, on one thread and on two, the threads' best
-        candidates reduce to solve()'s path, their counts sum to its
-        ``explored``, and each subtree is searched by exactly one thread."""
-        monkeypatch.setattr(solver, "_SPLIT_DEPTH", depth)
+        """Split at ``depth`` from the first label, on one thread and on two,
+        the kernel's reduced candidate is solve()'s path, the threads' counts
+        sum to its ``explored``, and each subtree is searched by exactly one
+        thread."""
         rng = random.Random(88)
         net16, queries = grid16
         instances = [random_instance(rng) for _ in range(40)]
@@ -154,15 +154,15 @@ class TestEquivalence:
             subtrees = _subtrees(net, q, depth)
             for workers in (1, 2):
                 _, native = _states(net, q)
-                sent = len(dispatched)
-                best, counted = solver._run_threads(
-                    native, q.source, q.t_dep, workers, None
+                status, counted, best, claimed, threads = native.flat.search(
+                    native.bounds, native.flat_thresholds, q.destination, q.t_arr,
+                    q.source, q.t_dep, None, workers, depth, 0,
                 )
-                assert best == want
+                assert (status, best) == (kernel.DONE, want)
                 assert 1 + counted == res.explored
-                calls = dispatched[sent:]
-                assert len(calls) == workers
-                assert sum(claimed for _, (*_, claimed) in calls) == subtrees
+                assert claimed == subtrees
+                # the helper starts at the first label counted
+                assert threads == (workers if res.explored > 1 else 1)
             split_any += subtrees > 1
         assert split_any >= 10
         assert kernel.DEFER not in kernel_runs
@@ -178,13 +178,13 @@ class TestEquivalence:
             net, q = random_instance(rng)
             python, native = _states(net, q)
             want = _fast_search(python, q.source, q.t_dep)
-            assert _search(native, q.source, q.t_dep) == want
+            assert _search(native, q.source, q.t_dep, 1) == want
             assert native.explored == python.explored
-            status, count, got, claimed = native.flat.search(
+            status, count, got, claimed, threads = native.flat.search(
                 native.bounds, native.flat_thresholds, q.destination, q.t_arr,
-                q.source, q.t_dep, None, split=kernel.Split(2),
+                q.source, q.t_dep, None, 1, 2, 0,
             )
-            assert (status, count, got) == (kernel.DONE, python.explored, want)
+            assert (status, count, got, threads) == (kernel.DONE, python.explored, want, 1)
             assert claimed == _subtrees(net, q, 2)
             subtrees_seen += claimed
         assert subtrees_seen >= 30
@@ -315,12 +315,15 @@ class TestEquivalence:
     def test_nan_departure_in_a_split_is_handed_to_python(
         self, kernel_runs, dispatched
     ):
-        """A thread of a split search meets the NaN departure below the
-        probe; the solve then runs the sequential search, which hands it to
-        Python as before."""
+        """A thread of a split search meets the NaN departure; the kernel
+        call defers, and the Python engine repeats the search as in a
+        sequential solve."""
         got = _nan_outcome(solve, mode="parallel", threads=2)
         assert got == _nan_outcome(_python)
-        assert dispatched and kernel_runs.count(kernel.DEFER) == 2
+        assert kernel_runs == [kernel.DEFER]
+        assert [(status, threads) for status, *_, threads in dispatched] == [
+            (kernel.DEFER, 2)
+        ]
 
     def test_workers_search_with_the_kernel(self, grid16, dispatched, monkeypatch):
         """The threads search in the kernel: the Python engine is refused."""
@@ -330,7 +333,7 @@ class TestEquivalence:
         monkeypatch.setattr(solver, "_fast_search", _refuse_python)
         got = solve(net, q, mode="parallel", threads=2)
         assert _record(got) == want
-        assert dispatched
+        assert [threads for *_, threads in dispatched] == [2]
 
 
 def _nan_outcome(run, **kwargs):
@@ -376,14 +379,6 @@ def _python_earliest(net, *args):
         return earliest_arrival(net, *args)
 
 
-def _outcome(find, net, *args):
-    """What ``find`` returns, or the type of the exception it raises."""
-    try:
-        return find(net, *args)
-    except Exception as exc:  # the two must fail alike
-        return type(exc)
-
-
 class TestEarliestArrival:
     """``ws_earliest`` gives the Python loop's ``(t, path)``, or hands the
     query back to it."""
@@ -413,8 +408,11 @@ class TestEarliestArrival:
 
     def test_source_is_destination(self, grid16, earliest_runs):
         net, _ = grid16
-        for node in (0, 17, -1, net.node_count + 5):
+        for node in (0, 17):
             assert earliest_arrival(net, node, node, 3.5) == (3.5, [node])
+        for node in (-1, net.node_count + 5):
+            with pytest.raises(QueryError, match="not a node id"):
+                earliest_arrival(net, node, node, 3.5)
         assert earliest_runs == []
 
     def test_unreachable_destination(self, earliest_runs):
@@ -426,26 +424,42 @@ class TestEarliestArrival:
         assert earliest_runs == [kernel.DONE] * 3
 
     def test_ids_the_kernel_cannot_index(self, grid16, earliest_runs):
-        """A negative id indexes from the end in Python and a too-large one
-        raises IndexError (or, as a destination, is never reached); a
-        non-int id raises TypeError.  The loop answers all of them."""
+        """A negative id, which Python would index from the end, a too-large
+        one and a non-int one are refused before any search, in the kernel's
+        path and the loop's alike, and by ``latest_departures``.  The kernel
+        checks the ids it is handed again, and defers on the ones it cannot
+        index."""
         net, _ = grid16
         n = net.node_count
         cases = [(-1, 5), (-n, 40), (3, -1), (-2, -7), (n, 3), (3, n),
                  (2**70, 1), (1, -(2**70)), (1.0, 3), (True, 3)]
         for s, d in cases:
-            got = _outcome(earliest_arrival, net, s, d, 480.0)
-            assert got == _outcome(_python_earliest, net, s, d, 480.0)
-        assert _outcome(earliest_arrival, net, n, 3, 480.0) is IndexError
+            for find in (earliest_arrival, _python_earliest):
+                with pytest.raises(QueryError, match="not a node id"):
+                    find(net, s, d, 480.0)
+        for d in (-1, n, 2.0):
+            with pytest.raises(QueryError, match="not a node id"):
+                latest_departures(net, d, 500.0, 480.0)
         assert earliest_runs == []
+        flat = net.flat()
+        for s, d in cases[:6] + [(5, 5)]:
+            assert flat.earliest(s, d, 480.0) == (kernel.DEFER, None)
 
     def test_nan_departure_defers_then_raises(self, grid16, earliest_runs):
+        """A departure that is not finite is refused before any search; the
+        kernel, handed a NaN one, defers."""
         net, _ = grid16
-        nan = float("nan")
-        got = _outcome(earliest_arrival, net, 0, 200, nan)
-        assert got is IndexError
-        assert got == _outcome(_python_earliest, net, 0, 200, nan)
-        assert earliest_runs == [kernel.DEFER]
+        nan, inf = float("nan"), float("inf")
+        for t in (nan, inf, -inf):
+            for find in (earliest_arrival, _python_earliest):
+                with pytest.raises(QueryError, match="must be finite"):
+                    find(net, 0, 200, t)
+            with pytest.raises(QueryError, match="must be finite"):
+                latest_departures(net, 200, t, 480.0)
+            with pytest.raises(QueryError, match="must be finite"):
+                latest_departures(net, 200, 500.0, t)
+        assert earliest_runs == []
+        assert net.flat().earliest(0, 200, nan) == (kernel.DEFER, None)
 
     def test_replaced_arrival_sees_every_call(self, grid16, earliest_runs,
                                               monkeypatch):
@@ -550,9 +564,10 @@ class TestBuild:
 @pytest.mark.slow
 def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
     """The oracle suite, the fuzz documents, the kernel tests (of
-    ``ws_search`` and ``ws_earliest``) and the parallel tests, whose threads
-    share a split's claim counter and stop flag, with the kernel built under
-    ASan and UBSan; any report aborts the process.  The inner run does not
+    ``ws_search`` and ``ws_earliest``) and the parallel, worker, probe and
+    cap tests, whose kernel threads share a claim counter and stop flag,
+    with the kernel built under ASan and UBSan; any report aborts the
+    process.  The inner run does not
     capture output, so that a report reaches stderr.  It leaves out the
     page-fault count of the Python engine's frames, which measures the
     allocator that ASan replaces, not the kernel."""
@@ -578,7 +593,10 @@ def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
         "    sys.argv[2] + '/test_kernel.py', sys.argv[2] + '/test_fuzz.py',\n"
         "    sys.argv[2] + '/test_acceptance.py::test_criterion_2_oracle_equivalence',\n"
         "    sys.argv[2] + '/test_acceptance.py::test_criterion_4_parallel_determinism',\n"
-        "    sys.argv[2] + '/test_solver.py::TestParallel']))\n"
+        "    sys.argv[2] + '/test_solver.py::TestParallel',\n"
+        "    sys.argv[2] + '/test_solver.py::TestWorkerPool',\n"
+        "    sys.argv[2] + '/test_solver.py::TestProbe',\n"
+        "    sys.argv[2] + '/test_solver.py::TestExplorationCap']))\n"
     )
     env = dict(
         os.environ,

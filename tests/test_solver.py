@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import sys
@@ -20,7 +21,6 @@ from wayscore.solver import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OK,
-    _better,
     _fast_search,
     _SearchState,
     _verified_path,
@@ -208,9 +208,9 @@ class TestTieBreaking:
 
 class TestEngineEquivalence:
     def test_frontier_tasks_reduce_to_sequential_search(self, dispatched, monkeypatch):
-        """Splitting the search among three threads at depth 2, each
-        searching the subtrees it claims to the end, and reducing their
-        candidates by hand gives solve()'s path and count."""
+        """Split at depth 2 among three threads, the kernel's reduction of
+        the threads' candidates gives solve()'s path, and their counts sum
+        to its ``explored``."""
         monkeypatch.setattr(solver, "_SPLIT_DEPTH", 2)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         rng = random.Random(88)
@@ -222,18 +222,14 @@ class TestEngineEquivalence:
                 continue
             sent = len(dispatched)
             assert _record(solve(net, q, mode="parallel", threads=3)) == _record(res)
-            calls = [result for _, result in dispatched[sent:]]
-            assert len(calls) == 3
-            assert all(status == kernel.DONE for status, *_ in calls)
-            assert 1 + sum(count for _, count, _, _ in calls) == res.explored
-            found = [cand for _, _, cand, _ in calls if cand is not None]
+            ((status, count, best, _, threads),) = dispatched[sent:]
+            assert status == kernel.DONE
+            assert 1 + count == res.explored
+            # the threads start at the first label counted
+            assert threads == (3 if res.explored > 1 else 1)
             if res.path is None:
-                assert found == []
+                assert best is None
                 continue
-            best = found[0]
-            for cand in found[1:]:
-                if _better(cand, best):
-                    best = cand
             assert best == (res.path.score, res.path.arrival, res.path.nodes)
             paths += 1
         assert paths >= 10
@@ -312,7 +308,7 @@ class TestParallel:
             if seq.path is not None:
                 assert par.path.to_json() == seq.path.to_json()
             assert par.explored == seq.explored
-        assert dispatched
+        assert any(threads > 1 for *_, threads in dispatched)
 
     def test_grid_frontiers_agree_with_sequential(
         self, grid16, dispatched, monkeypatch
@@ -327,24 +323,26 @@ class TestParallel:
                 assert par.status == seq.status
                 assert par.path.to_json() == seq.path.to_json()
                 assert par.explored == seq.explored
-                assert len(dispatched) > sent
+                assert _threads(dispatched, sent) == 2
 
-    def test_one_kernel_call_per_worker_thread(self, grid16, dispatched, monkeypatch):
-        """Past the probe, each worker thread makes one kernel call, and the
-        workers are the threads asked for, capped at the cores."""
+    def test_one_kernel_call_per_worker_thread(
+        self, grid16, dispatched, kernel_runs, monkeypatch
+    ):
+        """A parallel solve makes one kernel call, whose threads are the
+        threads asked for, capped at the cores."""
         net, queries = grid16
         q = queries[5]
         want = _record(solve(net, q))
         for cores, threads, workers in ((4, 2, 2), (4, 3, 3), (1, 4, 1), (2, 8, 2)):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            sent = len(dispatched)
+            ran, sent = len(kernel_runs), len(dispatched)
             assert _record(solve(net, q, mode="parallel", threads=threads)) == want
-            calls = dispatched[sent:]
-            assert len(calls) == workers
-            assert len({id(split) for split, _ in calls}) == 1  # one shared split
+            assert len(kernel_runs) == ran + 1
+            # one worker is the sequential search, which the list leaves out
+            assert [t for *_, t in dispatched[sent:]] == [workers][: workers - 1]
 
     def test_deep_path_leaves_the_recursion_limit_alone(self, chain3200, dispatched):
-        # In parallel, a thread searches the subtree that holds the chain's tail.
+        # In parallel, the kernel's threads search the chain.
         net, q = chain3200
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
@@ -356,7 +354,7 @@ class TestParallel:
                 assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old)
-        assert dispatched
+        assert _threads(dispatched, 0) == 2
 
     def test_no_caller_depth_maps_memory_per_profile_call(self, grid16, python_engine):
         """CPython keeps frames in chunks and unmaps a chunk when its first
@@ -383,9 +381,12 @@ class TestParallel:
         with pytest.raises(ValueError):
             solve(toy_network, _query(toy_network, 0, 1, 0.0, 8.0), mode="magic")
 
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("the search was split among threads")
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_thread_count_below_one_rejected(self, toy_network, mode):
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                solve(toy_network, q, mode=mode, threads=threads)
 
 
 def _record(res):
@@ -398,20 +399,62 @@ def _assert_same(par, seq):
     assert par.explored == seq.explored
 
 
+def _threads(dispatched, sent):
+    """How many threads searched in the one split kernel call that
+    ``dispatched``, the fixture's list, recorded after its first ``sent``."""
+    ((*_, threads),) = dispatched[sent:]
+    return threads
+
+
+def _os_threads():
+    """The process's OS threads, the kernel's included, which ``threading``
+    does not see."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts OS threads through /proc/self/task")
+    return len(os.listdir("/proc/self/task"))
+
+
 def _assert_agrees(net, q, dispatched, threads=2, **kwargs):
-    """A parallel solve equals the sequential one, and its threads searched;
-    ``dispatched`` is the fixture's list of split kernel calls."""
+    """A parallel solve equals the sequential one, and it ran on ``threads``
+    threads; ``dispatched`` is the fixture's list of split kernel calls."""
     seq = solve(net, q)
     sent = len(dispatched)
     par = solve(net, q, mode="parallel", threads=threads, **kwargs)
     _assert_same(par, seq)
-    assert len(dispatched) > sent
+    assert _threads(dispatched, sent) == threads
+
+
+def _split_search(net, q, times, depth, cap):
+    """One kernel search of ``q`` on two threads, split at ``depth`` from its
+    first label; ``times`` are the bounds (the query's when None)."""
+    flat = net.flat()
+    if times is None:
+        times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
+    return flat.search(flat.bounds(times), flat.thresholds(), q.destination,
+                       q.t_arr, q.source, q.t_dep, cap, 2, depth, 0)
+
+
+def _deferring_network():
+    """A query whose second subtree, the first a helper thread claims, meets
+    a NaN departure at once, which the kernel hands back; the eight others
+    hold some 10^5 labels each."""
+    dest = 11
+    steep = ArrivalProfile([(0.0, 0.0)])
+    edges = [_edge(0, 3, 1.0, 1.0), Edge(0, 1, steep, ScoreProfile.constant(1.0)),
+             _edge(1, 2, 1.0, 1.0)]
+    edges += [_edge(0, v, 1.0, 1.0) for v in range(4, 11)]
+    edges += [_edge(u, v, 1.0, 1.0) for u in range(2, 11) for v in range(2, 12) if u != v]
+    net = build_network(12, edges)
+    # The profile check refuses an overflowing segment, so it is put in after
+    # the network is built: its arrival at a breakpoint is inf * 0.
+    steep.xs, steep.ys = (-1.7e308, -1e308, 5e307), (-1.7e308, -1e308, 1.7e308)
+    return net, Query.from_budget(0, dest, -1e308, 10.0)
 
 
 class TestWorkerPool:
     """A parallel solve searches on threads that end with it."""
 
-    def test_edge_thresholds_do_not_outlive_their_query(self, dispatched, monkeypatch):
+    def test_edge_thresholds_do_not_outlive_their_query(self, dispatched):
         """In the first query, the search rejects the edge H->Y (Y cannot
         reach D1 in time) and records its threshold; the second query's
         optimum takes H->Y at the same departure.  The second solve must not
@@ -426,7 +469,6 @@ class TestWorkerPool:
             _edge(y, d2, 1.0, 0.0),
         ]
         net = build_network(8, edges)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one thread claims everything
         first, second = _query(net, src, d1, 0.0, 4.0), _query(net, src, d2, 0.0, 10.0)
         _assert_agrees(net, first, dispatched)
         _assert_agrees(net, second, dispatched)
@@ -434,12 +476,12 @@ class TestWorkerPool:
 
     def test_solve_after_a_cap_hit_agrees(self, grid16, dispatched):
         net, queries = grid16
-        before = threading.active_count()
+        before = _os_threads()
         _assert_agrees(net, queries[0], dispatched)
         capped = solve(net, queries[-1], mode="parallel", threads=2,
                        max_expansions=2000)
         assert capped.status == STATUS_LIMIT
-        assert threading.active_count() == before  # no thread outlives the cap hit
+        assert _os_threads() == before  # no thread outlives the cap hit
         _assert_agrees(net, queries[0], dispatched)
 
     def test_two_networks_solved_alternately(self, grid16, dispatched):
@@ -449,43 +491,29 @@ class TestWorkerPool:
             for network in (net, twin):
                 _assert_agrees(network, q, dispatched)
 
-    @pytest.mark.parametrize("who", ["helper thread", "caller"])
-    def test_an_error_stops_every_thread(self, grid16, dispatched, monkeypatch, who):
-        """An exception in a helper thread, or an interrupt in the calling
-        thread, reaches the caller; it stops the other thread's search, and
-        no thread outlives the solve."""
-        net, queries = grid16
-        q = queries[6]
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one helper thread
-        solve(net, q, mode="parallel", threads=2)
-        full = dispatched[-1][0].claims  # subtrees claimed without the error
-        before = threading.active_count()
-        caller = threading.current_thread()
-        # The other side searches only once the failing side has stopped the
-        # split, so it cannot finish first however the threads are scheduled.
-        stopped = threading.Event()
-        splits = []
-        search, stop = kernel.FlatNetwork.search, kernel.FlatNetwork.stop
-
-        def failing(self, *args, split=None, **kwargs):
-            if split is not None:  # not the probe
-                splits.append(split)
-                if (threading.current_thread() is caller) == (who == "caller"):
-                    raise KeyboardInterrupt if who == "caller" else RuntimeError
-                assert stopped.wait(timeout=60)
-            return search(self, *args, split=split, **kwargs)
-
-        def stopping(self, split):
-            stop(self, split)
-            stopped.set()
-
-        monkeypatch.setattr(kernel.FlatNetwork, "search", failing)
-        monkeypatch.setattr(kernel.FlatNetwork, "stop", stopping)
-        with pytest.raises(KeyboardInterrupt if who == "caller" else RuntimeError):
-            solve(net, q, mode="parallel", threads=2)
-        assert threading.active_count() == before
-        assert len(splits) == 2 and splits[0] is splits[1]
-        assert splits[0].claims < full  # the search stopped early
+    @pytest.mark.parametrize("stop", ["limit", "defer"])
+    def test_a_stop_in_one_thread_ends_every_thread(self, grid16, stop):
+        """A thread that counts past the cap, or meets an input the kernel
+        hands back, stops the other's search: fewer subtrees are claimed
+        than the full search claims, and no OS thread outlives the call."""
+        if stop == "limit":
+            net, queries = grid16
+            q, times, depth, cap = queries[6], None, 3, 500
+            full = _split_search(net, q, times, depth, None)
+            assert full[0] == kernel.DONE and full[1] > 20 * cap
+            subtrees = full[3]
+            want = (kernel.LIMIT, cap + 1)
+        else:
+            net, q = _deferring_network()
+            times, depth, cap = [math.inf] * net.node_count, 1, None
+            subtrees = len(net.out_edges[q.source])  # none to the destination
+            want = (kernel.DEFER,)
+        before = _os_threads()
+        status, explored, _, claimed, threads = _split_search(net, q, times, depth, cap)
+        assert _os_threads() == before
+        assert (status, explored)[: len(want)] == want
+        assert threads == 2
+        assert 0 < claimed < subtrees
 
     def test_solves_from_two_threads_at_once(self, grid16, dispatched, monkeypatch):
         """Two callers solve in parallel mode at once, with more threads
@@ -527,43 +555,41 @@ class TestWorkerPool:
 
 
 class TestProbe:
-    """A parallel solve searches in-process first, and only a search that
-    outgrows ``_PROBE_LABELS`` is split among the threads."""
+    """The kernel searches alone until it has counted ``_PROBE_LABELS``
+    labels, and only a search that outgrows them starts the other threads."""
 
-    def test_search_within_the_budget_sends_no_task(self, grid16, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def shipped(self, dispatched, monkeypatch):
+        monkeypatch.setattr(solver, "_PROBE_LABELS", PROBE_LABELS)
+        monkeypatch.setattr(solver, "_SPLIT_DEPTH", SPLIT_DEPTH)
+
+    def test_search_within_the_budget_sends_no_task(self, grid16, dispatched):
         net, queries = grid16
         for q in queries[:4]:
             seq = solve(net, q)
-            assert seq.explored <= solver._PROBE_LABELS
-            with monkeypatch.context() as patch:
-                patch.setattr(solver, "_run_threads", _refuse)
-                par = solve(net, q, mode="parallel", threads=2)
-            _assert_same(par, seq)
+            assert seq.explored <= PROBE_LABELS
+            sent = len(dispatched)
+            _assert_same(solve(net, q, mode="parallel", threads=2), seq)
+            assert _threads(dispatched, sent) == 1
 
-    def test_search_past_the_budget_is_dispatched(
-        self, grid16, dispatched, monkeypatch
-    ):
-        monkeypatch.setattr(solver, "_PROBE_LABELS", PROBE_LABELS)
+    def test_search_past_the_budget_is_dispatched(self, grid16, dispatched):
         net, queries = grid16
         q = queries[4]
         seq = solve(net, q)
         assert seq.explored > PROBE_LABELS
-        par = solve(net, q, mode="parallel", threads=2)
-        _assert_same(par, seq)
-        assert dispatched
+        _assert_same(solve(net, q, mode="parallel", threads=2), seq)
+        assert _threads(dispatched, 0) == 2
 
-    def test_cap_within_the_budget_is_the_sequential_limit(
-        self, grid16, monkeypatch
-    ):
+    def test_cap_within_the_budget_is_the_sequential_limit(self, grid16, dispatched):
         net, queries = grid16
         q = queries[-1]
-        for cap in (0, 1, 2000, solver._PROBE_LABELS + 1):
+        for cap in (0, 1, 2000, PROBE_LABELS + 1):
             seq = solve(net, q, max_expansions=cap)
             assert seq.status == STATUS_LIMIT
-            with monkeypatch.context() as patch:
-                patch.setattr(solver, "_run_threads", _refuse)
-                par = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
+            sent = len(dispatched)
+            par = solve(net, q, mode="parallel", threads=2, max_expansions=cap)
             _assert_same(par, seq)
+            assert _threads(dispatched, sent) == 1
 
 
 class TestPreparedNetwork:
@@ -675,6 +701,32 @@ class TestExplorationCap:
             # that crosses it adds at most the remainder plus one
             assert cap < res.explored <= 2 * cap + 1
             assert len(dispatched) > sent
+
+    @pytest.mark.parametrize(
+        "probe, depth", [(0, 1), (0, SPLIT_DEPTH), (PROBE_LABELS, SPLIT_DEPTH)]
+    )
+    def test_capped_parallel_solve_is_the_sequential_one(
+        self, grid16, dispatched, monkeypatch, probe, depth
+    ):
+        """Caps within and past the probe, on one to four threads, give the
+        sequential status and ``explored``: a limit counts what the
+        sequential search counts, whichever thread crosses the cap, and so
+        does a cap that only the threads' sum crosses."""
+        monkeypatch.setattr(solver, "_PROBE_LABELS", probe)
+        monkeypatch.setattr(solver, "_SPLIT_DEPTH", depth)
+        net, queries = grid16
+        caps = (0, 1, 2000, PROBE_LABELS, PROBE_LABELS + 1, PROBE_LABELS + 2,
+                7000, 20_000, 100_000)
+        for q in (queries[4], queries[6], queries[8]):
+            # one label short of the search: only the threads' sum crosses it
+            labels = solve(net, q).explored
+            for cap in caps + (labels - 1,):
+                seq = solve(net, q, max_expansions=cap)
+                for threads in (1, 2, 3, 4):
+                    par = solve(net, q, mode="parallel", threads=threads,
+                                max_expansions=cap)
+                    _assert_same(par, seq)
+        assert any(threads > 1 for *_, threads in dispatched)
 
     def test_generous_cap_is_invisible(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
