@@ -320,19 +320,20 @@ def _doubles(tuples: list) -> array:
 def flatten(net) -> Optional[FlatNetwork]:
     """``net`` in the kernel's layout, or None when the kernel cannot search it.
 
-    It cannot when the library is unavailable, a profile method has been
-    replaced, or a profile is of a subclass, whose methods may differ.  The
-    index arrays are checked here, since the kernel trusts them.
+    It cannot when the library is unavailable or a profile is of a subclass,
+    whose methods may differ.  The index arrays are checked here, since the
+    kernel trusts them.  Whether the profile methods are the ones the kernel
+    reproduces is for the caller to check (:func:`native_methods`), on every
+    use: :meth:`wayscore.network.RoadNetwork.flat` does.
     """
     lib = library()
-    if lib is None or not native_methods():
+    if lib is None:
         return None
-    n, edges = net.node_count, net.edges
-    arrivals = list(map(attrgetter("arrival"), edges))
-    scores = list(map(attrgetter("score"), edges))
+    n, arrivals, scores = net.node_count, net.arrivals, net.scores
+    m = len(arrivals)
     if (
         len(net.out_edges) != n
-        or len(edges) >= 2**31
+        or m >= 2**31
         or not set(map(type, arrivals)) <= {ArrivalProfile}
         or not set(map(type, scores)) <= {ScoreProfile}
     ):
@@ -343,7 +344,7 @@ def flatten(net) -> Optional[FlatNetwork]:
     arrays = {
         "out_start": array("q", accumulate(map(len, net.out_edges), initial=0)),
         "out_edge": array("i", list(chain.from_iterable(net.out_edges))),
-        "head": array("i", list(map(attrgetter("head"), edges))),
+        "head": array("i", net.heads),
         "bp_start": array("q", accumulate(map(len, xs), initial=0)),
         "xs": _doubles(xs),
         "ys": _doubles(ys),
@@ -358,12 +359,12 @@ def flatten(net) -> Optional[FlatNetwork]:
     if (
         len(arrays["xs"]) != len(arrays["ys"])
         or len(arrays["sb"]) != len(arrays["sv"])
-        or (edges and not 0 <= min(head) <= max(head) < n)
-        or (out_edge and not 0 <= min(out_edge) <= max(out_edge) < len(edges))
+        or (head and not 0 <= min(head) <= max(head) < n)
+        or (out_edge and not 0 <= min(out_edge) <= max(out_edge) < m)
     ):
         return None
     floors = arrays["floors"] = array("d", (0.0,)) * len(arrays["xs"])
     pointers = [arrays[k].buffer_info()[0] for k in ("bp_start", "xs", "ys")]
-    if lib.ws_floors(len(edges), *pointers, floors.buffer_info()[0]) != 0:
+    if lib.ws_floors(m, *pointers, floors.buffer_info()[0]) != 0:
         return None
     return FlatNetwork(lib, n, arrays)

@@ -41,9 +41,9 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .kernel import FlatNetwork, flatten
+from .kernel import FlatNetwork, flatten, native_methods
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 
 
@@ -57,18 +57,16 @@ MAX_NODES = 2**24
 def gc_paused():
     """Suspend cyclic GC while building structures that form no cycles.
 
-    A search allocates labels at a high rate, a prepared network tens of
-    thousands of tuples and bound methods, and a network file's load
+    A search allocates labels at a high rate, and a network file's load
     hundreds of thousands of parsed floats and profiles; none of them forms
     a reference cycle, so collector passes in between are pure overhead.
     Worse, a full pass walks every object in the process (the whole
-    network among them), and one triggered while a network is loaded or
-    prepared can cost several times a short solve.  The users are
-    :func:`load_network`, :meth:`RoadNetwork.prepared` and the solver's
-    searches.  The collector's switch is process-wide: a parallel solve
-    pauses it once for all its threads, and while a network loads (about
-    0.3 s for the 50x50 benchmark grid) no other thread is collected
-    either.  The switch is restored on exit, on an error too.
+    network among them), and one triggered while a network loads can cost
+    several times a short solve.  The users are :func:`load_network` and
+    the solver's searches.  The collector's switch is process-wide: a
+    parallel solve pauses it once for all its threads, and while a network
+    loads (about 0.3 s for the 50x50 benchmark grid) no other thread is
+    collected either.  The switch is restored on exit, on an error too.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -100,23 +98,17 @@ class Edge:
     length_m: Optional[float] = None
 
 
-class PreparedNetwork(NamedTuple):
-    """The adjacency every traversal walks, with each edge's evaluators bound.
-
-    ``out_adj[u]`` holds ``(head, arrival_at, score_at, edge, edge index)``
-    for each out-edge of ``u``, and ``in_adj[v]`` holds ``(tail,
-    latest_departure_at, edge index)`` for each in-edge of ``v``, in the
-    order of ``out_edges`` and ``in_edges``.  Binding the methods once keeps
-    attribute lookups out of the hot loops.
-    """
-
-    out_adj: list[list[tuple]]
-    in_adj: list[list[tuple]]
-
-
 @dataclass
 class RoadNetwork:
-    """Directed graph with per-edge time profiles and both adjacency indexes."""
+    """Directed graph with per-edge time profiles and both adjacency indexes.
+
+    Besides ``edges``, the network keeps one list per edge field, indexed by
+    edge: ``heads``, ``tails``, ``arrivals`` (the arrival profiles) and
+    ``scores`` (the score profiles).  The traversals walk ``out_edges`` or
+    ``in_edges`` and read these columns, so a hot loop pays no attribute
+    lookup on an ``Edge``; each profile method is still looked up at the
+    call, so a replaced method or a subclass override sees every call.
+    """
 
     node_count: int
     edges: list[Edge]
@@ -129,62 +121,31 @@ class RoadNetwork:
             self._name_to_id = {name: nid for nid, name in self.labels.items()}
         else:
             self._name_to_id = {}
-        self._prepared: Optional[tuple[tuple, PreparedNetwork]] = None
-        self._flat: Optional[tuple[PreparedNetwork, Optional[FlatNetwork]]] = None
-
-    def prepared(self) -> PreparedNetwork:
-        """The prepared adjacency, built on first use and then reused.
-
-        The bound evaluators capture the profile classes' methods as they
-        are when the adjacency is built, so the cache is keyed on those
-        methods and rebuilt when one of them has been replaced: a wrapped
-        method (a counter, a tracer) must see every later call.  The key
-        also holds ``floor_after``, which the compiled kernel reproduces, so
-        that :meth:`flat` is keyed on every method a search evaluates.  The
-        build pauses the collector (:func:`gc_paused`).  Two threads that
-        build at once build equal values, so no lock is needed.
-        """
-        key = (
-            ArrivalProfile.arrival,
-            ScoreProfile.value,
-            ArrivalProfile.latest_departure,
-            ArrivalProfile.floor_after,
-        )
-        cached = self._prepared
-        if cached is not None and cached[0] == key:
-            return cached[1]
         edges = self.edges
-        with gc_paused():
-            prepared = PreparedNetwork(
-                [
-                    [
-                        (e.head, e.arrival.arrival, e.score.value, e, i)
-                        for i in out
-                        for e in [edges[i]]
-                    ]
-                    for out in self.out_edges
-                ],
-                [
-                    [(edges[i].tail, edges[i].arrival.latest_departure, i)
-                     for i in into]
-                    for into in self.in_edges
-                ],
-            )
-        self._prepared = (key, prepared)
-        return prepared
+        self.heads: list[int] = [e.head for e in edges]
+        self.tails: list[int] = [e.tail for e in edges]
+        self.arrivals: list[ArrivalProfile] = [e.arrival for e in edges]
+        self.scores: list[ScoreProfile] = [e.score for e in edges]
+        # (flatten's value,) once built: that value may be None.
+        self._flat: Optional[tuple[Optional[FlatNetwork]]] = None
 
     def flat(self) -> Optional[FlatNetwork]:
         """The network in the compiled kernel's layout, or None when the
-        kernel cannot search it (:func:`wayscore.kernel.flatten`).
+        kernel cannot search it.
 
-        Built on first use and kept as long as :meth:`prepared` keeps its
-        adjacency, so a replaced profile method drops it too.
+        It cannot while a profile method the kernel reproduces has been
+        replaced (:func:`wayscore.kernel.native_methods`), so that the
+        replacement sees every call.  Otherwise it is
+        :func:`wayscore.kernel.flatten`'s value, built on first use and kept:
+        once replaced methods are restored, it is the same object as before.
+        Two threads that build at once build equal values, so no lock is
+        needed.
         """
-        prepared = self.prepared()
-        cached = self._flat
-        if cached is None or cached[0] is not prepared:
-            cached = self._flat = (prepared, flatten(self))
-        return cached[1]
+        if not native_methods():
+            return None
+        if self._flat is None:
+            self._flat = (flatten(self),)
+        return self._flat[0]
 
     def node_name(self, node: int) -> str:
         if self.labels and node in self.labels:
@@ -204,8 +165,9 @@ class RoadNetwork:
         return node
 
     def edge_between(self, tail: int, head: int) -> Optional[int]:
+        heads = self.heads
         for idx in self.out_edges[tail]:
-            if self.edges[idx].head == head:
+            if heads[idx] == head:
                 return idx
         return None
 

@@ -26,10 +26,12 @@ runs instead when constraints are given, when a profile method the search
 evaluates has been replaced, or when the kernel is not available.
 
 The Python search, the bounds and the Python budget derivation (where the
-kernel's copy does not run) walk the network's prepared adjacency
-(:meth:`wayscore.network.RoadNetwork.prepared`), which binds each edge's
-profile evaluators once per network, on first use.  A solve therefore does
-no per-network preparation after the first.
+kernel's copy does not run) walk ``out_edges`` or ``in_edges`` and read the
+network's per-edge columns (``heads``, ``tails``, ``arrivals``,
+``scores``), which the network builds with itself.  They look each profile
+method up at the call, so a replaced method or a subclass's override sees
+every call.  The kernel's flat arrays are built on a network's first
+solve; later solves do no per-network preparation.
 
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
@@ -144,9 +146,8 @@ class SolveResult:
 class _SearchState:
     """Per-query bundle shared by every engine call of one solve.
 
-    ``adj`` is the network's prepared out-adjacency
-    (:meth:`RoadNetwork.prepared`), built once per network, not per solve.
-    ``flat`` is the network in the compiled kernel's layout
+    ``net`` is the network the Python engine walks through its per-edge
+    columns.  ``flat`` is the network in the compiled kernel's layout
     (:meth:`RoadNetwork.flat`) when the kernel searches this query, else
     None; the bounds are then a buffer of doubles the kernel reads.
     ``thresholds`` maps an edge index to the earliest departure from which
@@ -161,7 +162,7 @@ class _SearchState:
     """
 
     __slots__ = (
-        "adj",
+        "net",
         "flat",
         "bounds",
         "destination",
@@ -173,8 +174,8 @@ class _SearchState:
         "flat_thresholds",
     )
 
-    def __init__(self, adj, bounds, destination, t_arr, constraints, cap, flat=None):
-        self.adj = adj
+    def __init__(self, net, bounds, destination, t_arr, constraints, cap, flat=None):
+        self.net = net
         self.flat = flat
         self.bounds = bounds
         self.destination = destination
@@ -206,7 +207,10 @@ def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
     """
     path = [source]
     visited = {source}
-    adj = state.adj
+    net = state.net
+    out_edges, heads, arrivals, scores = (
+        net.out_edges, net.heads, net.arrivals, net.scores
+    )
     bounds = state.bounds
     thresholds = state.thresholds
     dest = state.destination
@@ -222,23 +226,26 @@ def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
     # The frames below the current node: (its parent's remaining out-edges,
     # departure time, score, extras).
     stack: list[tuple] = []
-    edges = iter(adj[source])
+    edges = iter(out_edges[source])
     try:
         while True:
-            for head, arrival_at, score_at, edge, index in edges:
+            for index in edges:
+                head = heads[index]
                 if head in visited or (
                     index in thresholds and t >= thresholds[index]
                 ):
                     continue
-                arr = arrival_at(t)
+                arrival = arrivals[index]
+                arr = arrival.arrival(t)
                 limit = bounds[head] + TIME_EPS
                 if arr > limit:
                     # No later departure arrives below min(arr, floor), so
                     # with the floor above the limit the edge fails from t on.
-                    if edge.arrival.floor_after(t) > limit:
+                    if arrival.floor_after(t) > limit:
                         thresholds[index] = t
                     continue
                 if constraints:
+                    edge = net.edges[index]
                     new_extras = tuple(
                         x + c.cost(edge, t) for x, c in zip(extras, constraints)
                     )
@@ -252,7 +259,7 @@ def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
                 explored += 1
                 if cap is not None and explored > cap:
                     raise _LimitHit
-                new_score = score + score_at(t)
+                new_score = score + scores[index].value(t)
                 if head == dest:
                     if arr <= deadline:
                         if new_score > best_score:
@@ -270,7 +277,7 @@ def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
                 stack.append((edges, t, score, extras))
                 visited.add(head)
                 path.append(head)
-                edges = iter(adj[head])
+                edges = iter(out_edges[head])
                 t, score, extras = arr, new_score, new_extras
                 break
             else:
@@ -417,16 +424,19 @@ def solve(
     ``mode="parallel"`` the result is identical to sequential mode for any
     ``threads`` value of at least 1.  Setting ``pruning=False`` removes the temporal
     bounds (useful only for measuring their effect); the answer is the
-    same, the work is a superset.
+    same, the work is a superset.  Raises QueryError, before any search,
+    unless the source and destination are ints in ``[0, node_count)`` (a
+    bool is not) and the deadline does not precede the departure.
     """
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if not (0 <= query.source < net.node_count):
-        raise QueryError(f"source {query.source} out of range")
-    if not (0 <= query.destination < net.node_count):
-        raise QueryError(f"destination {query.destination} out of range")
+    for role, node in (("source", query.source), ("destination", query.destination)):
+        if type(node) is not int:  # bools too: True is not node 1
+            raise QueryError(f"{role} {node!r} is not an int node id")
+        if not 0 <= node < net.node_count:
+            raise QueryError(f"{role} {node} out of range")
     if query.t_arr < query.t_dep:
         raise QueryError("arrival deadline precedes departure")
     if query.source == query.destination:
@@ -442,7 +452,7 @@ def solve(
     # The kernel cannot call a constraint's Python cost function.
     flat = None if constraints else net.flat()
     state = _SearchState(
-        net.prepared().out_adj,
+        net,
         times if flat is None else flat.bounds(times),
         query.destination,
         query.t_arr,

@@ -67,7 +67,7 @@ def earliest_arrival(
     via = [-1] * n  # predecessor on the best path found so far
     best[source] = t_dep
     heap = [(t_dep, source)]
-    out_adj = net.prepared().out_adj
+    out_edges, heads, arrivals = net.out_edges, net.heads, net.arrivals
     while heap:
         t, u = heapq.heappop(heap)
         if t > best[u]:
@@ -80,8 +80,9 @@ def earliest_arrival(
                 path.append(node)
             path.reverse()
             return t, path
-        for head, arrival_at, _, _, _ in out_adj[u]:
-            arr = arrival_at(t)
+        for i in out_edges[u]:
+            arr = arrivals[i].arrival(t)
+            head = heads[i]
             if arr < best[head]:
                 best[head] = arr
                 via[head] = u
@@ -207,7 +208,7 @@ def latest_departures(
     closed = [False] * n
     times[destination] = t_arr
     heap = [(-t_arr, destination)]
-    in_adj = net.prepared().in_adj
+    in_edges, tails, arrivals = net.in_edges, net.tails, net.arrivals
     while heap:
         neg, v = heapq.heappop(heap)
         label = -neg
@@ -217,10 +218,11 @@ def latest_departures(
         if closed[v] or label < times[v]:
             continue
         closed[v] = True
-        for u, latest_departure_at, idx in in_adj[v]:
+        for idx in in_edges[v]:
+            u = tails[idx]
             if closed[u]:
                 continue
-            cand = latest_departure_at(label)
+            cand = arrivals[idx].latest_departure(label)
             if cand is not None and cand > times[u]:
                 times[u] = cand
                 witness[u] = idx

@@ -79,10 +79,10 @@ def _assert_engines_agree(net, q, kernel_runs, **kwargs):
 def _states(net, q):
     """Uncapped search states for ``q``: the Python engine's and the kernel's."""
     times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
-    adj, flat = net.prepared().out_adj, net.flat()
+    flat = net.flat()
     return (
-        _SearchState(adj, times, q.destination, q.t_arr, (), None),
-        _SearchState(adj, flat.bounds(times), q.destination, q.t_arr, (), None, flat),
+        _SearchState(net, times, q.destination, q.t_arr, (), None),
+        _SearchState(net, flat.bounds(times), q.destination, q.t_arr, (), None, flat),
     )
 
 
@@ -359,12 +359,11 @@ def _subtrees(net, q, depth):
     """The labels ``depth`` edges from the source that do not end at the
     destination: the subtrees of a split at ``depth``."""
     bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
-    adj = net.prepared().out_adj
 
     def count(path, t):
         found = 0
-        for head, arrival_at, _, _, _ in adj[path[-1]]:
-            arr = arrival_at(t)
+        for i in net.out_edges[path[-1]]:
+            head, arr = net.heads[i], net.arrivals[i].arrival(t)
             if head in path or head == q.destination or arr > bounds[head] + TIME_EPS:
                 continue
             found += 1 if len(path) == depth else count(path + [head], arr)
@@ -426,13 +425,14 @@ class TestEarliestArrival:
     def test_ids_the_kernel_cannot_index(self, grid16, earliest_runs):
         """A negative id, which Python would index from the end, a too-large
         one and a non-int one are refused before any search, in the kernel's
-        path and the loop's alike, and by ``latest_departures``.  The kernel
-        checks the ids it is handed again, and defers on the ones it cannot
-        index."""
+        path and the loop's alike, and by ``latest_departures`` and
+        ``solve``.  The kernel checks the ids it is handed again, and defers
+        on the ones it cannot index."""
         net, _ = grid16
         n = net.node_count
         cases = [(-1, 5), (-n, 40), (3, -1), (-2, -7), (n, 3), (3, n),
-                 (2**70, 1), (1, -(2**70)), (1.0, 3), (True, 3)]
+                 (2**70, 1), (1, -(2**70)), (1.0, 3), (True, 3), (3, 2.0),
+                 (3, False)]
         for s, d in cases:
             for find in (earliest_arrival, _python_earliest):
                 with pytest.raises(QueryError, match="not a node id"):
@@ -440,6 +440,9 @@ class TestEarliestArrival:
         for d in (-1, n, 2.0):
             with pytest.raises(QueryError, match="not a node id"):
                 latest_departures(net, d, 500.0, 480.0)
+        for s, d in cases:
+            with pytest.raises(QueryError, match="out of range|not an int node id"):
+                solve(net, Query.from_budget(s, d, 480.0, 20.0))
         assert earliest_runs == []
         flat = net.flat()
         for s, d in cases[:6] + [(5, 5)]:

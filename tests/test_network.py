@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from wayscore import network, profiles
+from wayscore import kernel, network, profiles
 from wayscore.datagen import GenConfig, generate_network
 from wayscore.network import (
     MAX_NODES,
@@ -80,21 +80,34 @@ class TestBuild:
                 assert (idx in net.out_edges[node]) == (node == e.tail)
                 assert (idx in net.in_edges[node]) == (node == e.head)
 
-    def test_prepared_adjacency_is_built_once(self, toy_network, monkeypatch):
-        e = toy_network.edges
-        prepared = toy_network.prepared()
-        assert toy_network.prepared() is prepared
-        assert prepared.out_adj[2] == [
-            (0, e[2].arrival.arrival, e[2].score.value, e[2], 2),
-            (1, e[3].arrival.arrival, e[3].score.value, e[3], 3),
-        ]
-        assert prepared.in_adj[1] == [
-            (0, e[0].arrival.latest_departure, 0),
-            (2, e[3].arrival.latest_departure, 3),
-        ]
-        # replacing a method the adjacency binds rebuilds it
-        monkeypatch.setattr(ScoreProfile, "value", lambda self, t: 0.0)
-        assert toy_network.prepared() is not prepared
+    def test_columns_and_flat_arrays(self, toy_network, monkeypatch):
+        net = toy_network
+        e = net.edges
+        assert net.heads == [1, 2, 0, 1]
+        assert net.tails == [0, 0, 2, 2]
+        assert all(a is edge.arrival for a, edge in zip(net.arrivals, e, strict=True))
+        assert all(s is edge.score for s, edge in zip(net.scores, e, strict=True))
+        if kernel.library() is None:
+            pytest.skip("no compiled kernel: test_kernel.py says why")
+        built = []
+        monkeypatch.setattr(
+            network, "flatten", lambda n: built.append(n) or kernel.flatten(n)
+        )
+        flat = net.flat()
+        assert flat is not None and net.flat() is flat
+        # the kernel does not reproduce latest_departure: the bounds run in Python
+        monkeypatch.setattr(ArrivalProfile, "latest_departure", lambda self, t: None)
+        assert net.flat() is flat
+        for cls, name in (
+            (ArrivalProfile, "arrival"),
+            (ArrivalProfile, "floor_after"),
+            (ScoreProfile, "value"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, name, lambda self, t: 0.0)
+                assert net.flat() is None
+            assert net.flat() is flat
+        assert len(built) == 1
 
     def test_resolve_node(self, toy_network):
         assert toy_network.resolve_node("A") == 0

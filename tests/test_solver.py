@@ -26,7 +26,7 @@ from wayscore.solver import (
     _verified_path,
     solve,
 )
-from wayscore.traversal import Query, latest_departures
+from wayscore.traversal import Query, earliest_arrival, latest_departures
 
 
 # The probe budget and split depth as shipped; the ``dispatched`` fixture
@@ -46,9 +46,7 @@ def _edge(u, v, tt, score):
 def _state(net, q):
     """The search state solve() builds for ``q``, with no expansion cap."""
     bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep)
-    return _SearchState(
-        net.prepared().out_adj, bounds.times, q.destination, q.t_arr, (), None
-    )
+    return _SearchState(net, bounds.times, q.destination, q.t_arr, (), None)
 
 
 @pytest.fixture(scope="module")
@@ -592,13 +590,14 @@ class TestProbe:
             assert _threads(dispatched, sent) == 1
 
 
-class TestPreparedNetwork:
-    """Solves reuse the network's prepared adjacency; reuse changes nothing."""
+class TestNetworkReuse:
+    """Solves reuse the network's columns and flat arrays; reuse changes
+    nothing."""
 
     def test_replaced_profile_methods_see_every_call(self, grid16, monkeypatch):
         net, queries = grid16
         q = queries[0]
-        before = solve(net, q)  # the prepared adjacency binds the originals
+        before = solve(net, q)  # the flat arrays are built with the originals
         counts = {}
         for cls, name in (
             (ArrivalProfile, "arrival"),
@@ -635,6 +634,53 @@ class TestPreparedNetwork:
                     assert res.status == fresh.status
                     assert res.path.to_json() == fresh.path.to_json()
                     assert res.explored == fresh.explored
+
+
+class _Slowed(ArrivalProfile):
+    """A profile one minute slower than its breakpoints, on every call."""
+
+    def arrival(self, departure):
+        return super().arrival(departure) + 1.0
+
+    def latest_departure(self, arrival_by):
+        return super().latest_departure(arrival_by - 1.0)
+
+
+class TestProfileSubclass:
+    def test_overrides_are_honoured_by_every_python_traversal(self):
+        """A network of ``_Slowed`` constant profiles answers as the network
+        whose travel times are one minute longer: the budget derivation's
+        loop, the bounds and the search (constrained or not) call the
+        overrides.  Integer times keep both sides exact."""
+        rng = random.Random(20)
+        differs = 0
+        for _ in range(60):
+            n = rng.randint(3, 8)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            slowed, plain, base = [], [], []
+            for u, v in rng.sample(pairs, rng.randint(n, len(pairs))):
+                tt, score = rng.randint(1, 4), ScoreProfile.constant(rng.randint(0, 5))
+                slowed.append(Edge(u, v, _Slowed.constant(tt), score))
+                plain.append(Edge(u, v, ArrivalProfile.constant(tt + 1), score))
+                base.append(Edge(u, v, ArrivalProfile.constant(tt), score))
+            slowed, plain, base = (build_network(n, e) for e in (slowed, plain, base))
+            assert slowed.flat() is None  # a subclass: Python traverses it
+            s, d = rng.sample(range(n), 2)
+            t_dep = float(rng.randint(0, 10))
+            reached = earliest_arrival(slowed, s, d, t_dep)
+            assert reached == earliest_arrival(plain, s, d, t_dep)
+            differs += reached != earliest_arrival(base, s, d, t_dep)
+            t_arr = t_dep + rng.randint(2, 12)
+            got = latest_departures(slowed, d, t_arr, t_dep)
+            want = latest_departures(plain, d, t_arr, t_dep)
+            assert (got.times, got.witness) == (want.times, want.witness)
+            q = _query(slowed, s, d, t_dep, t_arr - t_dep)
+            hops = Constraint(cost=lambda edge, t: 1.0, budget=3.0)
+            for constraints in ((), (hops,)):
+                assert _record(solve(slowed, q, constraints)) == _record(
+                    solve(plain, q, constraints)
+                )
+        assert differs > 10
 
 
 class TestConstraints:
