@@ -350,9 +350,10 @@ static void start_helpers(const ws_thread *caller)
 /* The best destination candidate among the loopless paths from source,
  * departing at t.
  *
- * thresholds holds one departure per edge, NaN where none was learned; it
- * is read and updated like _SearchState.thresholds.  The search returns
- * WS_LIMIT when it counts past cap.  best_path has room for one id per node.
+ * The search learns per-edge thresholds as _fast_search does, in a buffer
+ * of one departure per edge, NaN where none was learned, that it allocates
+ * and frees.  It returns WS_LIMIT when it counts past cap.  best_path has
+ * room for one id per node.
  *
  * The calling thread searches alone, claiming the subtrees split_depth edges
  * deep from a counter in walk order.  With workers > 1 and split_depth > 0,
@@ -364,21 +365,30 @@ static void start_helpers(const ws_thread *caller)
  * the caller alone counts above.  The helpers are joined here: counts and
  * claims are summed, the best candidates reduced by better(), and
  * res->threads says how many threads searched.  A thread that limits or
- * defers stops the others.  Any deferral returns WS_DEFER; a limit, or
- * counts that sum past cap, return WS_LIMIT with max(cap, 0) + 1 labels,
- * the sequential search's count. */
-int ws_search(const ws_network *net, const double *bounds, double *thresholds,
-              int64_t dest, double t_arr, double eps, int64_t source,
-              double t, int64_t cap, int64_t workers, int64_t split_depth,
-              int64_t probe, int32_t *best_path, ws_result *res)
+ * defers stops the others.  Any deferral, a failed allocation included,
+ * returns WS_DEFER; a limit, or counts that sum past cap, return WS_LIMIT
+ * with max(cap, 0) + 1 labels, the sequential search's count. */
+int ws_search(const ws_network *net, const double *bounds, int64_t dest,
+              double t_arr, double eps, int64_t source, double t, int64_t cap,
+              int64_t workers, int64_t split_depth, int64_t probe,
+              int32_t *best_path, ws_result *res)
 {
-    ws_shared sh = {net, bounds, dest, source, cap, split_depth, t_arr + eps, eps, t};
-    ws_thread caller = {&sh, thresholds, best_path, 0, INT64_MAX};
+    ws_shared sh = {.net = net, .bounds = bounds, .dest = dest, .source = source,
+                    .cap = cap, .split_depth = split_depth,
+                    .deadline = t_arr + eps, .eps = eps, .t = t};
+    ws_thread caller = {.sh = &sh, .best_path = best_path, .probe = INT64_MAX};
     const int64_t allowed = cap > 0 ? cap : 0;
 
     *res = (ws_result){0, 0, 0, 1, -INFINITY, INFINITY};
     if (source < 0 || source >= net->nodes)
         return WS_DEFER;
+    /* One spare double, so that an edgeless network does not malloc(0),
+     * which may return NULL. */
+    caller.thresholds = malloc(((size_t)net->edges + 1) * sizeof *caller.thresholds);
+    if (!caller.thresholds)
+        return WS_DEFER;
+    for (int64_t e = 0; e < net->edges; e++)
+        caller.thresholds[e] = NAN;
     if (workers > 1 && split_depth > 0) {
         sh.helpers = malloc((size_t)(workers - 1) * sizeof *sh.helpers);
         sh.wanted = sh.helpers ? workers - 1 : 0;
@@ -406,6 +416,7 @@ int ws_search(const ws_network *net, const double *bounds, double *thresholds,
         free(h->best_path);
     }
     free(sh.helpers);
+    free(caller.thresholds);
     res->threads += sh.started;
     if (deferred)
         return WS_DEFER;

@@ -1,13 +1,15 @@
 """The compiled search kernel: ``_kernel.c``, built at first use, called by ``ctypes``.
 
 :func:`wayscore.solver._fast_search` stays the reference engine; the kernel
-is its copy in C and gives the same status, candidate and label count.  The
+is its copy in C (:meth:`FlatNetwork.search`), which takes the same
+query arguments and returns the same status, label count and candidate.  The
 solver runs every search with it when it can, sequential or parallel, in
 one call.  Asked for more than one worker, the kernel splits a search that
 outgrows its probe among threads it starts and joins itself, so a parallel
 solve runs no Python while it searches.  ``ctypes`` releases the
-interpreter lock for the call, and the kernel keeps no state between calls,
-so solves from several threads search side by side.
+interpreter lock for the call, and the kernel keeps no state between calls
+(each search allocates and frees its own per-edge thresholds), so solves
+from several threads search side by side.
 
 The kernel also holds ``ws_earliest``, the copy of
 :func:`wayscore.traversal.earliest_arrival` (:meth:`FlatNetwork.earliest`).
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import struct
 import subprocess
@@ -129,7 +130,6 @@ def bind(path) -> ctypes.CDLL:
     lib.ws_search.argtypes = [
         ctypes.POINTER(_Network),
         ctypes.c_void_p,  # bounds
-        ctypes.c_void_p,  # thresholds
         ctypes.c_int64,  # destination
         ctypes.c_double,  # t_arr
         ctypes.c_double,  # eps
@@ -199,33 +199,16 @@ class FlatNetwork:
         self._arrays = arrays  # the buffers the struct points into
         self.nodes = nodes
         self.edges = len(arrays["head"])
-        self._bounds_type = ctypes.c_double * nodes
-        self._thresholds_type = ctypes.c_double * self.edges
-        self._pack_bounds = struct.Struct(f"{nodes}d").pack_into
+        self._pack_bounds = struct.Struct(f"{nodes}d").pack
         self._net = _Network(
             nodes,
             self.edges,
             *(arrays[name].buffer_info()[0] for name, _ in _Network._fields_[2:]),
         )
 
-    def bounds(self, times: Sequence[float]) -> array:
-        """The query's bounds in the kernel's layout, one double per node.
-
-        ``struct`` converts a node list about three times faster than
-        ``array('d', times)``, which a short query would notice.
-        """
-        out = array("d", (0.0,)) * self.nodes
-        self._pack_bounds(out, 0, *times)
-        return out
-
-    def thresholds(self) -> array:
-        """A fresh per-query threshold buffer: none learned yet."""
-        return array("d", (math.nan,)) * self.edges
-
     def search(
         self,
-        bounds,
-        thresholds: array,
+        times: Sequence[float],
         destination: int,
         t_arr: float,
         source: int,
@@ -238,11 +221,13 @@ class FlatNetwork:
         """Search from ``source``, departing at ``t``:
         ``(status, explored, candidate, claimed, threads)``.
 
-        ``bounds`` is the query's buffer of one double per node
-        (:meth:`bounds`), which the kernel only reads; it writes
-        ``thresholds`` (:meth:`thresholds`), so concurrent searches need
-        their own.  ``cap`` is the number of labels the search may count, or
-        None.
+        The first three are :func:`wayscore.solver._fast_search`'s, the
+        candidate None unless the status is DONE.
+        ``times`` are the query's bounds, one per node: ``struct`` packs
+        them for the kernel, about three times faster than ``array('d',
+        times)``, which a short query would notice, and raises
+        ``struct.error`` for any other length.  ``cap`` is the number of
+        labels the search may count, or None.
 
         The search claims the subtrees ``split_depth`` edges deep, in walk
         order, from one counter; ``claimed`` is how many were searched.  With
@@ -250,15 +235,12 @@ class FlatNetwork:
         starts ``workers - 1`` threads that claim the rest, and joins them
         before it returns; ``threads`` is how many searched.
         """
-        # from_buffer raises ValueError for a buffer smaller than the type.
-        bounds_view = self._bounds_type.from_buffer(bounds)
-        thresholds_view = self._thresholds_type.from_buffer(thresholds)
+        bounds = self._pack_bounds(*times)
         best = array("i", bytes(4 * self.nodes))
         out = _Result()
         status = self._lib.ws_search(
             self._net,
-            ctypes.addressof(bounds_view),
-            ctypes.addressof(thresholds_view),
+            bounds,
             destination,
             t_arr,
             TIME_EPS,
@@ -272,7 +254,7 @@ class FlatNetwork:
             out,
         )
         candidate = None
-        if out.length:
+        if out.length and status == DONE:
             candidate = (out.score, out.arrival, tuple(best[: out.length]))
         return status, out.explored, candidate, out.claimed, out.threads
 

@@ -143,12 +143,14 @@ class ArrivalProfile:
             return departure + (y1 - x1)
         return dy * (departure - x1) / dx + y1
 
-    def latest_departure(self, arrival_by: float) -> Optional[float]:
-        """Latest non-negative departure whose arrival is <= ``arrival_by``.
+    def latest_departure(self, arrival_by: float) -> float:
+        """Latest departure whose arrival is <= ``arrival_by``.
 
-        Returns None when even departing at time 0 arrives too late.  On a
-        flat (constant-arrival) stretch the right endpoint is returned: it
-        is the latest departure that still makes the deadline.
+        Departures are not bounded below: before the first breakpoint the
+        travel time stays the first breakpoint's, so the answer may be
+        negative.  On a flat (constant-arrival) stretch the right endpoint
+        is returned: it is the latest departure that still makes the
+        deadline.
         """
         xs, ys = self.xs, self.ys
         if arrival_by >= ys[-1]:
@@ -172,8 +174,6 @@ class ArrivalProfile:
                 dep = math.nextafter(dep, x1)
             else:
                 dep = x1
-        if dep < 0.0:
-            return None
         return dep
 
     def floor_after(self, t: float) -> float:

@@ -18,12 +18,14 @@ at or after it skip the edge without evaluating its profile.  That is a
 rejection the bound check would have made anyway, so answers and counts
 are those of the plain search.
 
-Every solve goes through :func:`_search`, which runs the compiled copy of
-that engine (:mod:`wayscore.kernel`) on the network's flat arrays
-(:meth:`wayscore.network.RoadNetwork.flat`).  It gives the same status,
-candidate and label count, about fifty times faster.  The Python engine
-runs instead when constraints are given, when a profile method the search
-evaluates has been replaced, or when the kernel is not available.
+Every solve makes one engine call.  It runs the compiled copy of that
+engine (:meth:`wayscore.kernel.FlatNetwork.search`) on the network's flat
+arrays (:meth:`wayscore.network.RoadNetwork.flat`), which takes the same
+query arguments and gives the same status, label count and candidate, about
+fifty times faster.  The Python engine runs instead when constraints are
+given, when a profile method the search evaluates has been replaced, when
+the kernel is not available, or when the kernel defers a search it does
+not model.
 
 The Python search, the bounds and the Python budget derivation (where the
 kernel's copy does not run) walk ``out_edges`` or ``in_edges`` and read the
@@ -80,21 +82,25 @@ class ConsistencyError(RuntimeError):
     """A returned path disagrees with its recomputation: solver bug."""
 
 
-class _LimitHit(Exception):
-    """Internal: the expansion cap was exceeded."""
-
-
 @dataclass(frozen=True)
 class Constraint:
     """A secondary feasibility limit: accumulated cost must stay within budget.
 
     ``cost`` maps (edge, departure time at the edge's tail) to a
-    non-negative amount.  Constraints are pure feasibility checks; they do
-    not prune via bounds.
+    non-negative amount; the search raises ValueError for a cost that is
+    negative or NaN.  ``budget`` must be finite and non-negative (ValueError
+    otherwise).  Constraints are pure feasibility checks; they do not prune
+    via bounds.
     """
 
     cost: Callable[[Edge, float], float]
     budget: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.budget) and self.budget >= 0.0):
+            raise ValueError(
+                f"constraint budget {self.budget!r} must be finite and >= 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -143,54 +149,24 @@ class SolveResult:
         return self.status == STATUS_OK
 
 
-class _SearchState:
-    """Per-query bundle shared by every engine call of one solve.
+def _fast_search(
+    net: RoadNetwork,
+    times: Sequence[float],
+    destination: int,
+    t_arr: float,
+    source: int,
+    t: float,
+    cap: Optional[int],
+    constraints: Sequence[Constraint] = (),
+) -> tuple[int, int, Optional[tuple]]:
+    """Search the loopless paths from ``source``, which is not the
+    destination, departing at ``t``: ``(status, explored, candidate)``.
 
-    ``net`` is the network the Python engine walks through its per-edge
-    columns.  ``flat`` is the network in the compiled kernel's layout
-    (:meth:`RoadNetwork.flat`) when the kernel searches this query, else
-    None; the bounds are then a buffer of doubles the kernel reads.
-    ``thresholds`` maps an edge index to the earliest departure from which
-    the edge is known to fail its head's bound: its arrival exceeded the
-    bound there, and so did the profile's floor for later departures
-    (:meth:`ArrivalProfile.floor_after`); ``flat_thresholds`` holds the
-    kernel's, one double per edge.  They depend on the query's bounds, so
-    they are per query: the engine calls of one solve share them, and each
-    helper thread the kernel starts learns its own from a copy.  They change
-    no answer and no count, so the two engines and the threads need not
-    share them.
-    """
-
-    __slots__ = (
-        "net",
-        "flat",
-        "bounds",
-        "destination",
-        "t_arr",
-        "constraints",
-        "explored",
-        "cap",
-        "thresholds",
-        "flat_thresholds",
-    )
-
-    def __init__(self, net, bounds, destination, t_arr, constraints, cap, flat=None):
-        self.net = net
-        self.flat = flat
-        self.bounds = bounds
-        self.destination = destination
-        self.t_arr = t_arr
-        self.constraints = tuple(constraints)
-        self.explored = 0
-        self.cap = cap
-        self.thresholds = {}
-        self.flat_thresholds = None if flat is None else flat.thresholds()
-
-
-def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
-    """Best destination candidate ``(score, arrival, node sequence)`` among
-    the loopless paths from ``source``, which is not the destination,
-    departing at ``t``.
+    ``times`` are the query's bounds, one per node.  The status is
+    ``kernel.DONE``, or ``kernel.LIMIT`` once the search counts more than
+    ``cap`` labels (None: no cap); ``explored`` is the labels counted, and
+    ``candidate`` the best destination candidate ``(score, arrival, node
+    sequence)`` of a finished search, or None.
 
     The search is one loop over an explicit stack: the current node's
     remaining out-edges and its time, score and constraint costs are
@@ -201,22 +177,17 @@ def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
     by the interpreter's recursion limit.
 
     An edge the bound rejects at departure ``t``, and whose profile's floor
-    after ``t`` the bound rejects too, records ``t`` in
-    ``state.thresholds``; later labels skip it at any departure ``>= t``
-    without evaluating its profile.
+    after ``t`` the bound rejects too, records ``t`` in ``thresholds``;
+    later labels skip it at any departure ``>= t`` without evaluating its
+    profile.
     """
     path = [source]
     visited = {source}
-    net = state.net
     out_edges, heads, arrivals, scores = (
         net.out_edges, net.heads, net.arrivals, net.scores
     )
-    bounds = state.bounds
-    thresholds = state.thresholds
-    dest = state.destination
-    deadline = state.t_arr + TIME_EPS
-    constraints = state.constraints
-    cap = None if state.cap is None else state.cap - state.explored
+    thresholds = {}
+    deadline = t_arr + TIME_EPS
     explored = 0
     score = 0.0
     extras = (0.0,) * len(constraints)
@@ -227,92 +198,70 @@ def _fast_search(state: _SearchState, source: int, t: float) -> Optional[tuple]:
     # departure time, score, extras).
     stack: list[tuple] = []
     edges = iter(out_edges[source])
-    try:
-        while True:
-            for index in edges:
-                head = heads[index]
-                if head in visited or (
-                    index in thresholds and t >= thresholds[index]
+    while True:
+        for index in edges:
+            head = heads[index]
+            if head in visited or (
+                index in thresholds and t >= thresholds[index]
+            ):
+                continue
+            arrival = arrivals[index]
+            arr = arrival.arrival(t)
+            limit = times[head] + TIME_EPS
+            if arr > limit:
+                # No later departure arrives below min(arr, floor), so
+                # with the floor above the limit the edge fails from t on.
+                if arrival.floor_after(t) > limit:
+                    thresholds[index] = t
+                continue
+            if constraints:
+                edge = net.edges[index]
+                costs = [c.cost(edge, t) for c in constraints]
+                if not all(cost >= 0.0 for cost in costs):  # NaN too
+                    raise ValueError(
+                        f"constraint costs {costs} of edge {index} at {t} "
+                        "must be numbers >= 0"
+                    )
+                new_extras = tuple(x + c for x, c in zip(extras, costs))
+                if any(
+                    x > c.budget + TIME_EPS
+                    for x, c in zip(new_extras, constraints)
                 ):
                     continue
-                arrival = arrivals[index]
-                arr = arrival.arrival(t)
-                limit = bounds[head] + TIME_EPS
-                if arr > limit:
-                    # No later departure arrives below min(arr, floor), so
-                    # with the floor above the limit the edge fails from t on.
-                    if arrival.floor_after(t) > limit:
-                        thresholds[index] = t
-                    continue
-                if constraints:
-                    edge = net.edges[index]
-                    new_extras = tuple(
-                        x + c.cost(edge, t) for x, c in zip(extras, constraints)
-                    )
-                    if any(
-                        x > c.budget + TIME_EPS
-                        for x, c in zip(new_extras, constraints)
-                    ):
-                        continue
-                else:
-                    new_extras = ()
-                explored += 1
-                if cap is not None and explored > cap:
-                    raise _LimitHit
-                new_score = score + scores[index].value(t)
-                if head == dest:
-                    if arr <= deadline:
-                        if new_score > best_score:
-                            best_score, best_arrival = new_score, arr
-                            best_seq = tuple(path) + (head,)
-                        elif new_score == best_score:
-                            if arr < best_arrival:
-                                best_arrival = arr
-                                best_seq = tuple(path) + (head,)
-                            elif arr == best_arrival:
-                                seq = tuple(path) + (head,)
-                                if seq < best_seq:
-                                    best_seq = seq
-                    continue
-                stack.append((edges, t, score, extras))
-                visited.add(head)
-                path.append(head)
-                edges = iter(out_edges[head])
-                t, score, extras = arr, new_score, new_extras
-                break
             else:
-                if not stack:
-                    break
-                visited.discard(path.pop())
-                edges, t, score, extras = stack.pop()
-    finally:
-        state.explored += explored
+                new_extras = ()
+            explored += 1
+            if cap is not None and explored > cap:
+                return kernel.LIMIT, explored, None
+            new_score = score + scores[index].value(t)
+            if head == destination:
+                if arr <= deadline:
+                    if new_score > best_score:
+                        best_score, best_arrival = new_score, arr
+                        best_seq = tuple(path) + (head,)
+                    elif new_score == best_score:
+                        if arr < best_arrival:
+                            best_arrival = arr
+                            best_seq = tuple(path) + (head,)
+                        elif arr == best_arrival:
+                            seq = tuple(path) + (head,)
+                            if seq < best_seq:
+                                best_seq = seq
+                continue
+            stack.append((edges, t, score, extras))
+            visited.add(head)
+            path.append(head)
+            edges = iter(out_edges[head])
+            t, score, extras = arr, new_score, new_extras
+            break
+        else:
+            if not stack:
+                break
+            visited.discard(path.pop())
+            edges, t, score, extras = stack.pop()
     if best_seq == ():
-        return None
-    return best_score, best_arrival, best_seq
-
-
-def _search(
-    state: _SearchState, source: int, t: float, workers: int
-) -> Optional[tuple]:
-    """The search from ``source``: the compiled kernel's when ``state.flat``
-    is set, on up to ``workers`` threads, else :func:`_fast_search`, with the
-    same answer, count and cap.  A search the kernel defers (an input it
-    does not model) runs in Python from the start.
-    """
-    flat = state.flat
-    if flat is not None:
-        cap = None if state.cap is None else state.cap - state.explored
-        status, explored, best, _, _ = flat.search(
-            state.bounds, state.flat_thresholds, state.destination, state.t_arr,
-            source, t, cap, workers, _SPLIT_DEPTH, _PROBE_LABELS,
-        )
-        if status != kernel.DEFER:
-            state.explored += explored
-            if status == kernel.LIMIT:
-                raise _LimitHit
-            return best
-    return _fast_search(state, source, t)
+        return kernel.DONE, explored, None
+    return kernel.DONE, explored, (best_score, best_arrival, best_seq)
 
 
 # Labels a parallel search counts alone before the kernel starts its other
@@ -350,15 +299,6 @@ def path_from_nodes(
     return PathResult(
         tuple(nodes), tuple(departures), tuple(arrivals), score, t - t_dep, t_dep
     )
-
-
-def _result(
-    net: RoadNetwork, query: Query, best: Optional[tuple], explored: int
-) -> SolveResult:
-    """The result of a search that ran to the end and found ``best``."""
-    if best is None:
-        return SolveResult(STATUS_INFEASIBLE, None, explored)
-    return SolveResult(STATUS_OK, _verified_path(net, query, best), explored)
 
 
 def _verified_path(net: RoadNetwork, query: Query, cand: tuple) -> PathResult:
@@ -426,10 +366,18 @@ def solve(
     bounds (useful only for measuring their effect); the answer is the
     same, the work is a superset.  Raises QueryError, before any search,
     unless the source and destination are ints in ``[0, node_count)`` (a
-    bool is not) and the deadline does not precede the departure.
+    bool is not) and the deadline does not precede the departure, and
+    ValueError unless ``threads`` is an int of at least 1 and
+    ``max_expansions`` is None or an int (bools are neither).
     """
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
+    if type(threads) is not int:  # bools too
+        raise ValueError(f"threads must be an int, got {threads!r}")
+    if max_expansions is not None and type(max_expansions) is not int:
+        raise ValueError(
+            f"max_expansions must be an int or None, got {max_expansions!r}"
+        )
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     for role, node in (("source", query.source), ("destination", query.destination)):
@@ -449,23 +397,23 @@ def solve(
             return SolveResult(STATUS_INFEASIBLE, None, 0)
     else:
         times = [math.inf] * net.node_count
+    # The source label counts toward the cap, so the search may count one less.
+    cap = None if max_expansions is None else max_expansions - 1
+    search = (times, query.destination, query.t_arr, query.source, query.t_dep, cap)
     # The kernel cannot call a constraint's Python cost function.
     flat = None if constraints else net.flat()
-    state = _SearchState(
-        net,
-        times if flat is None else flat.bounds(times),
-        query.destination,
-        query.t_arr,
-        constraints,
-        max_expansions,
-        flat,
-    )
-    state.explored = 1  # the source label
     # More threads than cores cannot help a CPU-bound search.
     workers = min(threads, os.cpu_count() or threads) if mode == "parallel" else 1
-    try:
-        with gc_paused():
-            best = _search(state, query.source, query.t_dep, workers)
-    except _LimitHit:
-        return SolveResult(STATUS_LIMIT, None, state.explored)
-    return _result(net, query, best, state.explored)
+    with gc_paused():
+        if flat is not None:
+            status, explored, best, _, _ = flat.search(
+                *search, workers, _SPLIT_DEPTH, _PROBE_LABELS
+            )
+        if flat is None or status == kernel.DEFER:
+            status, explored, best = _fast_search(net, *search, constraints)
+    explored += 1  # the source label
+    if status == kernel.LIMIT:
+        return SolveResult(STATUS_LIMIT, None, explored)
+    if best is None:
+        return SolveResult(STATUS_INFEASIBLE, None, explored)
+    return SolveResult(STATUS_OK, _verified_path(net, query, best), explored)

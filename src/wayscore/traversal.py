@@ -223,7 +223,7 @@ def latest_departures(
             if closed[u]:
                 continue
             cand = arrivals[idx].latest_departure(label)
-            if cand is not None and cand > times[u]:
+            if cand > times[u]:
                 times[u] = cand
                 witness[u] = idx
                 heapq.heappush(heap, (-cand, u))

@@ -92,10 +92,9 @@ def dispatched(monkeypatch):
     calls = []
     search = kernel.FlatNetwork.search
 
-    def recorded(self, bounds, thresholds, destination, t_arr, source, t, cap,
-                 workers, *split):
-        result = search(self, bounds, thresholds, destination, t_arr, source, t,
-                        cap, workers, *split)
+    def recorded(self, times, destination, t_arr, source, t, cap, workers, *split):
+        result = search(self, times, destination, t_arr, source, t, cap, workers,
+                        *split)
         if workers > 1:
             calls.append(result)
         return result

@@ -135,6 +135,25 @@ class TestQueryCommand:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "infeasible"
 
+    def test_negative_departure(self, tmp_path, capsys):
+        """A deadline before time 0 gave a wrong ``infeasible``."""
+        doc = {"node_count": 3, "edges": [
+            {"from": 0, "to": 1, "arrival": [[0.0, 1.0]],
+             "score": {"boundaries": [], "values": [], "default": 2.0}},
+            {"from": 1, "to": 2, "arrival": [[0.0, 1.0]],
+             "score": {"boundaries": [], "values": [], "default": 2.0}},
+            {"from": 0, "to": 2, "arrival": [[0.0, 1.5]],
+             "score": {"boundaries": [], "values": [], "default": 1.0}},
+        ]}
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["query", "--graph", str(path), "--from", "0", "--to", "2",
+                   "--depart", "-5", "--budget", "2"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["node_ids"] == [0, 1, 2]
+        assert out["arrivals"] == [-4.0, -3.0]
+
     def test_missing_graph_is_data_error(self, capsys):
         rc = main(["query", "--graph", "/nonexistent.json", "--from", "0",
                    "--to", "1", "--depart", "0", "--budget", "1"])
@@ -253,6 +272,16 @@ class TestQueryCommand:
             main([name, *graph, *flags, "--threads", threads])
         assert exc.value.code == 1
         assert "thread counts must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--threads", "2.5"], ["--threads", "True"],
+        ["--max-expansions", "1.5"], ["--max-expansions", "nan"],
+    ])
+    def test_count_that_is_not_an_int_is_usage_error(self, toy_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--graph", toy_file, "--from", "A", "--to", "B",
+                  "--depart", "0", "--budget", "8", *flags])
+        assert exc.value.code == 1
 
 
 class TestBenchCommand:

@@ -7,9 +7,11 @@ back to Python.  ``earliest_arrival`` is compared the same way, on its
 ``(t, path)``.
 """
 
+import math
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,12 +23,11 @@ from wayscore.network import Edge, RoadNetwork, build_network
 from wayscore.profiles import TIME_EPS, ArrivalProfile, ScoreProfile
 from wayscore.reference import random_instance
 from wayscore.solver import (
+    STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OK,
     Constraint,
     _fast_search,
-    _search,
-    _SearchState,
     solve,
 )
 from wayscore.traversal import Query, QueryError, earliest_arrival, latest_departures
@@ -76,25 +77,19 @@ def _assert_engines_agree(net, q, kernel_runs, **kwargs):
     return got
 
 
-def _states(net, q):
-    """Uncapped search states for ``q``: the Python engine's and the kernel's."""
+def _assert_searches_agree(net, q, workers=1, depth=solver._SPLIT_DEPTH,
+                           probe=solver._PROBE_LABELS, cap=None):
+    """The kernel's search of ``q`` on ``workers`` threads, split ``depth``
+    edges deep past ``probe`` labels, returns the Python engine's ``(status,
+    explored, candidate)``, so it did not defer, and the candidate's computed
+    score and arrival are equal to the last bit (a solve compares only the
+    path that the forward simulation rebuilds from it).  Returns the
+    kernel's ``(claimed, threads)``."""
     times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
-    flat = net.flat()
-    return (
-        _SearchState(net, times, q.destination, q.t_arr, (), None),
-        _SearchState(net, flat.bounds(times), q.destination, q.t_arr, (), None, flat),
-    )
-
-
-def _assert_candidates_agree(net, q, kernel_runs):
-    """The kernel's best candidate, with its computed score and arrival, is
-    the Python engine's to the last bit; a solve compares only the path that
-    the forward simulation rebuilds from it."""
-    python, native = _states(net, q)
-    ran = len(kernel_runs)
-    assert _search(native, q.source, q.t_dep, 1) == _fast_search(python, q.source, q.t_dep)
-    assert native.explored == python.explored
-    assert kernel_runs[ran:] == [kernel.DONE]
+    args = (times, q.destination, q.t_arr, q.source, q.t_dep, cap)
+    *got, claimed, threads = net.flat().search(*args, workers, depth, probe)
+    assert tuple(got) == _fast_search(net, *args)
+    return claimed, threads
 
 
 def test_kernel_loads_where_gcc_exists():
@@ -132,15 +127,15 @@ class TestEquivalence:
             assert res.status == STATUS_LIMIT
             # the source label, then one label past what the cap leaves
             assert res.explored == max(cap, 1) + 1
+            _assert_searches_agree(net, huge, cap=cap)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_claimed_subtrees_reduce_to_sequential_search(
         self, grid16, kernel_runs, depth
     ):
         """Split at ``depth`` from the first label, on one thread and on two,
-        the kernel's reduced candidate is solve()'s path, the threads' counts
-        sum to its ``explored``, and each subtree is searched by exactly one
-        thread."""
+        the kernel's reduced candidate and summed count are the Python
+        engine's, and each subtree is searched by exactly one thread."""
         rng = random.Random(88)
         net16, queries = grid16
         instances = [random_instance(rng) for _ in range(40)]
@@ -150,16 +145,9 @@ class TestEquivalence:
             res = solve(net, q)
             if res.explored == 0:  # ruled out by the bounds before searching
                 continue
-            want = res.path and (res.path.score, res.path.arrival, res.path.nodes)
             subtrees = _subtrees(net, q, depth)
             for workers in (1, 2):
-                _, native = _states(net, q)
-                status, counted, best, claimed, threads = native.flat.search(
-                    native.bounds, native.flat_thresholds, q.destination, q.t_arr,
-                    q.source, q.t_dep, None, workers, depth, 0,
-                )
-                assert (status, best) == (kernel.DONE, want)
-                assert 1 + counted == res.explored
+                claimed, threads = _assert_searches_agree(net, q, workers, depth, 0)
                 assert claimed == subtrees
                 # the helper starts at the first label counted
                 assert threads == (workers if res.explored > 1 else 1)
@@ -169,26 +157,17 @@ class TestEquivalence:
 
     def test_prefix_tasks(self, kernel_runs):
         """The subtrees two edges from the source, searched in the kernel by
-        one thread that claims them all, under the thresholds an earlier
-        search of the same state learned, give the Python engine's candidate
+        one thread that claims them all, give the Python engine's candidate
         and count."""
         rng = random.Random(88)
         subtrees_seen = 0
         for _ in range(40):
             net, q = random_instance(rng)
-            python, native = _states(net, q)
-            want = _fast_search(python, q.source, q.t_dep)
-            assert _search(native, q.source, q.t_dep, 1) == want
-            assert native.explored == python.explored
-            status, count, got, claimed, threads = native.flat.search(
-                native.bounds, native.flat_thresholds, q.destination, q.t_arr,
-                q.source, q.t_dep, None, 1, 2, 0,
-            )
-            assert (status, count, got, threads) == (kernel.DONE, python.explored, want, 1)
+            claimed, threads = _assert_searches_agree(net, q, 1, 2, 0)
+            assert threads == 1
             assert claimed == _subtrees(net, q, 2)
             subtrees_seen += claimed
         assert subtrees_seen >= 30
-        assert kernel_runs and kernel.DEFER not in kernel_runs
 
     def test_tie_breaking_networks(self, kernel_runs):
         nets = [
@@ -261,7 +240,7 @@ class TestEquivalence:
             q = Query.from_budget(0, n - 1, t_dep, rng.uniform(0.5, 6.0))
             _assert_engines_agree(net, q, kernel_runs)
             _assert_engines_agree(net, q, kernel_runs, pruning=False)
-            _assert_candidates_agree(net, q, kernel_runs)
+            _assert_searches_agree(net, q)
         assert falls > 0
 
     def test_a_computed_fall_does_not_become_a_threshold(self, kernel_runs):
@@ -301,7 +280,7 @@ class TestEquivalence:
             net = build_network(n, edges)
             q = Query.from_budget(0, n - 1, rng.uniform(0.0, 30.0), rng.uniform(2.0, 15.0))
             _assert_engines_agree(net, q, kernel_runs)
-            _assert_candidates_agree(net, q, kernel_runs)
+            _assert_searches_agree(net, q)
 
     def test_nan_departure_is_handed_to_python(self, kernel_runs):
         """An overflowing segment can make an arrival NaN, and the next edge's
@@ -324,6 +303,27 @@ class TestEquivalence:
         assert [(status, threads) for status, *_, threads in dispatched] == [
             (kernel.DEFER, 2)
         ]
+
+    def test_bounds_of_another_length_are_refused(self, grid16, kernel_runs,
+                                                  monkeypatch):
+        """The kernel reads one bound per node; packing them refuses any
+        other count before the kernel is called."""
+        net, queries = grid16
+        q, flat = queries[0], net.flat()
+        monkeypatch.setattr(flat, "_lib", None)  # a call would raise otherwise
+        for n in (0, net.node_count - 1, net.node_count + 1):
+            with pytest.raises(struct.error):
+                flat.search([math.inf] * n, q.destination, q.t_arr, q.source,
+                            q.t_dep, None, 1, 1, 0)
+        assert kernel_runs == []
+
+    def test_edgeless_network_is_searched(self, kernel_runs):
+        """A network without edges gives the kernel an empty threshold
+        buffer to allocate, which must not read as a failed allocation."""
+        net = build_network(2, [])
+        res = solve(net, Query.from_budget(0, 1, 0.0, 5.0), pruning=False)
+        assert (res.status, res.explored) == (STATUS_INFEASIBLE, 1)
+        assert kernel_runs == [kernel.DONE]
 
     def test_workers_search_with_the_kernel(self, grid16, dispatched, monkeypatch):
         """The threads search in the kernel: the Python engine is refused."""
@@ -555,6 +555,15 @@ class TestBuild:
             for pid in children.read_text().split():
                 comm = Path(f"/proc/{pid}/comm").read_text().strip()
                 assert comm not in ("gcc", "cc1", "as", "collect2", "ld"), comm
+
+    def test_source_compiles_without_warnings(self):
+        """``COMPILE`` is left as it is, since it names the cached library."""
+        done = subprocess.run(
+            [kernel.COMPILE[0], "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             "-pthread", str(kernel.SOURCE)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_failed_build_leaves_no_file(self, tmp_path):
         with pytest.raises(subprocess.CalledProcessError):

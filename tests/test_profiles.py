@@ -50,9 +50,10 @@ class TestLatestDeparture:
         f = ArrivalProfile([(0.0, 5.0), (3.0, 5.0)])
         assert f.latest_departure(5.0) == 3.0
 
-    def test_none_when_even_midnight_departure_is_late(self):
+    def test_departure_before_midnight_is_negative(self):
         f = ArrivalProfile([(10.0, 20.0)])
-        assert f.latest_departure(5.0) is None
+        assert f.latest_departure(5.0) == -5.0
+        assert f.arrival(-5.0) == 5.0
 
     def test_extrapolated_inverse_beyond_last_breakpoint(self):
         f = ArrivalProfile([(0.0, 2.0), (4.0, 8.0)])

@@ -22,11 +22,10 @@ from wayscore.solver import (
     STATUS_LIMIT,
     STATUS_OK,
     _fast_search,
-    _SearchState,
     _verified_path,
     solve,
 )
-from wayscore.traversal import Query, earliest_arrival, latest_departures
+from wayscore.traversal import Query, build_query, earliest_arrival, latest_departures
 
 
 # The probe budget and split depth as shipped; the ``dispatched`` fixture
@@ -44,9 +43,10 @@ def _edge(u, v, tt, score):
 
 
 def _state(net, q):
-    """The search state solve() builds for ``q``, with no expansion cap."""
+    """The Python engine's arguments for ``q`` as solve() passes them, with
+    no expansion cap."""
     bounds = latest_departures(net, q.destination, q.t_arr, q.t_dep)
-    return _SearchState(net, bounds.times, q.destination, q.t_arr, (), None)
+    return net, bounds.times, q.destination, q.t_arr, q.source, q.t_dep, None
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +118,10 @@ class TestProcessLabel:
 
     def test_recursion_returns_best_descendant(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
-        state = _state(toy_network, q)
         # the grandchild A->C->B beats the destination child A->B
-        best = _fast_search(state, 0, 0.0)
-        assert best == (7.0, 5.0, (0, 2, 1))
-        assert state.explored == 3
+        assert _fast_search(*_state(toy_network, q)) == (
+            kernel.DONE, 3, (7.0, 5.0, (0, 2, 1))
+        )
 
     def test_label_at_destination_returns_itself(self, toy_network):
         # A->C reaches the destination C; its out-edges C->A and C->B are
@@ -277,6 +276,34 @@ class TestAgainstOracle:
                     assert got.path.score == want.path.score
                     assert got.path.nodes == want.path.nodes
 
+    def test_negative_departure(self, dispatched):
+        """A deadline before time 0: the bounds once stopped at departure 0,
+        and every mode with them answered ``infeasible``."""
+        net = build_network(3, [_edge(0, 1, 1.0, 2.0), _edge(1, 2, 1.0, 2.0),
+                                _edge(0, 2, 1.5, 1.0)])
+        q = Query.from_budget(0, 2, -5.0, 2.0)
+        want = best_path_by_enumeration(net, q)
+        assert want.status == STATUS_OK and want.path.nodes == (0, 1, 2)
+        for kwargs in ({}, {"mode": "parallel", "threads": 2}, {"pruning": False}):
+            res = solve(net, q, **kwargs)
+            assert res.status == STATUS_OK
+            assert (res.path.nodes, res.path.arrival) == ((0, 1, 2), -3.0)
+        assert _threads(dispatched, 0) == 2
+
+    def test_exactness_at_negative_departures(self):
+        """Departures 20 to 60 minutes before time 0, where every profile
+        keeps its first breakpoint's travel time."""
+        rng = random.Random(31)
+        for _ in range(100):
+            net, q = random_instance(rng)
+            q = build_query(net, q.source, q.destination, q.t_dep - 60.0,
+                            overhead_percent=40.0)
+            got = solve(net, q)
+            want = best_path_by_enumeration(net, q)
+            assert got.status == want.status == STATUS_OK
+            assert got.path.score == want.path.score
+            assert got.path.nodes == want.path.nodes
+
     def test_paths_are_loopless_and_within_budget(self):
         rng = random.Random(999)
         for _ in range(80):
@@ -382,8 +409,8 @@ class TestParallel:
     @pytest.mark.parametrize("mode", ["sequential", "parallel"])
     def test_thread_count_below_one_rejected(self, toy_network, mode):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
-        for threads in (0, -3):
-            with pytest.raises(ValueError, match="threads must be >= 1"):
+        for threads, rule in ((0, ">= 1"), (-3, ">= 1"), (2.5, "an int"), (True, "an int")):
+            with pytest.raises(ValueError, match=f"threads must be {rule}"):
                 solve(toy_network, q, mode=mode, threads=threads)
 
 
@@ -428,8 +455,8 @@ def _split_search(net, q, times, depth, cap):
     flat = net.flat()
     if times is None:
         times = latest_departures(net, q.destination, q.t_arr, q.t_dep).times
-    return flat.search(flat.bounds(times), flat.thresholds(), q.destination,
-                       q.t_arr, q.source, q.t_dep, cap, 2, depth, 0)
+    return flat.search(times, q.destination, q.t_arr, q.source, q.t_dep, cap,
+                       2, depth, 0)
 
 
 def _deferring_network():
@@ -715,6 +742,25 @@ class TestConstraints:
                 assert got.path.score == want.path.score
                 assert got.path.nodes == want.path.nodes
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -1.0])
+    def test_budget_must_be_finite_and_non_negative(self, budget):
+        """A NaN budget never bound: ``x > nan`` is False."""
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            Constraint(cost=lambda edge, t: 1.0, budget=budget)
+
+    def test_nan_cost_is_refused(self, toy_network):
+        """A NaN cost made the running total NaN, which no budget binds."""
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        hops = Constraint(cost=lambda edge, t: math.nan, budget=1.0)
+        with pytest.raises(ValueError, match="must be numbers >= 0"):
+            solve(toy_network, q, constraints=[hops])
+
+    def test_negative_cost_is_refused(self, toy_network):
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        credit = Constraint(cost=lambda edge, t: -1.0, budget=1.0)
+        with pytest.raises(ValueError, match="must be numbers >= 0"):
+            solve(toy_network, q, constraints=[credit])
+
     def test_parallel_respects_constraints(self, toy_network, dispatched):
         # The Python engine holds the interpreter lock, so a constrained
         # parallel solve runs the sequential search.
@@ -773,6 +819,15 @@ class TestExplorationCap:
                                 max_expansions=cap)
                     _assert_same(par, seq)
         assert any(threads > 1 for *_, threads in dispatched)
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    @pytest.mark.parametrize("cap", [1.5, math.nan, 4.0, True])
+    def test_cap_that_is_not_an_int_rejected(self, toy_network, mode, cap):
+        """A float cap ended in a ``ctypes`` error and a NaN one limited every
+        search; a bool is not a count either."""
+        q = _query(toy_network, 0, 1, 0.0, 8.0)
+        with pytest.raises(ValueError, match="max_expansions must be an int or None"):
+            solve(toy_network, q, mode=mode, max_expansions=cap)
 
     def test_generous_cap_is_invisible(self, toy_network):
         q = _query(toy_network, 0, 1, 0.0, 8.0)
