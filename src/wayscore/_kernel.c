@@ -12,6 +12,10 @@
  * and ScoreProfile.value, written with the same operations in the same
  * order, so every double the kernel computes equals the one Python computes
  * (build with -ffp-contract=off, so that no multiply-add is fused).
+ * ws_load parses a network file, memory-mapped, into per-edge columns, and
+ * ws_fifo, which it runs on every arrival profile, is check_fifo as a
+ * yes/no predicate; wayscore.network.load_network builds the network from
+ * the columns, and reads any file ws_load defers in Python.
  * wayscore/kernel.py builds and calls it.
  *
  * Preconditions, checked by the caller: node ids and edge indices in range,
@@ -23,11 +27,15 @@
  * the caller runs the Python code instead.
  */
 
+#include <fcntl.h>
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 /* A network flattened by kernel.flatten().  The breakpoints of edge e are
  * xs/ys/floors[bp_start[e] .. bp_start[e + 1]), its score boundaries and
@@ -560,5 +568,477 @@ out:
     free(best);
     free(via);
     free(heap);
+    return status;
+}
+
+/* Whether check_fifo returns None for these breakpoints without raising:
+ * at least one; every number finite; each arrival at or after its
+ * departure; departures strictly increasing and arrivals non-decreasing; no
+ * travel time, gap to the previous breakpoint, or product of the two gaps
+ * that overflows to infinity. */
+int ws_fifo(int64_t k, const double *xs, const double *ys)
+{
+    if (k < 1)
+        return 0;
+    for (int64_t i = 0; i < k; i++) {
+        const double x = xs[i], y = ys[i];
+        double dx = 0.0, dy = 0.0;
+        if (!isfinite(x) || !isfinite(y) || y < x)
+            return 0;
+        if (i > 0) {
+            if (x <= xs[i - 1] || y < ys[i - 1])
+                return 0;
+            dx = x - xs[i - 1];
+            dy = y - ys[i - 1];
+        }
+        if (y - x == INFINITY || dx == INFINITY || dy == INFINITY
+            || dx * dy == INFINITY)
+            return 0;
+    }
+    return 1;
+}
+
+/* One edge of a network file as ws_load parsed it: its ids, how many
+ * breakpoints, score boundaries and score values it holds in the pools, its
+ * score default (0 when absent) and its length_m. */
+typedef struct {
+    int64_t tail, head;
+    int64_t points, boundaries, values;
+    int64_t length_kind; /* WS_NO_LENGTH, WS_INT_LENGTH or WS_REAL_LENGTH */
+    double score_default, length;
+} ws_edge;
+
+enum { WS_NO_LENGTH = 0, WS_INT_LENGTH = 1, WS_REAL_LENGTH = 2 };
+
+/* A parsed network file: every edge's record, and the pools that hold the
+ * edges' breakpoints (points of them) and their score boundaries then
+ * values (scores of them), in edge order.  ws_free releases the pools. */
+typedef struct {
+    int64_t node_count, edges, points, scores;
+    ws_edge *edge;
+    double *xs, *ys, *scores_pool;
+} ws_file;
+
+/* A pool that grows by doubling. */
+typedef struct {
+    char *data;
+    size_t len, cap; /* in bytes */
+} ws_pool;
+
+static int append(ws_pool *pool, const void *item, size_t size)
+{
+    if (pool->len + size > pool->cap) {
+        size_t cap = pool->cap ? 2 * pool->cap : 4096;
+        while (cap < pool->len + size)
+            cap *= 2;
+        char *grown = realloc(pool->data, cap);
+        if (!grown)
+            return -1;
+        pool->data = grown;
+        pool->cap = cap;
+    }
+    memcpy(pool->data + pool->len, item, size);
+    pool->len += size;
+    return 0;
+}
+
+typedef struct {
+    const char *p, *end;
+    ws_pool edges, xs, ys, scores;
+} ws_parser;
+
+static void skip_space(ws_parser *ps)
+{
+    const char *p = ps->p, *end = ps->end;
+    while (p < end && (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t'))
+        p++;
+    ps->p = p;
+}
+
+/* Skip whitespace; then consume c if it comes next. */
+static int next_is(ws_parser *ps, char c)
+{
+    skip_space(ps);
+    if (ps->p < ps->end && *ps->p == c) {
+        ps->p++;
+        return 1;
+    }
+    return 0;
+}
+
+/* After a member or an element: 1 on a comma, 0 on close, -1 otherwise. */
+static int more(ws_parser *ps, char close)
+{
+    if (next_is(ps, ','))
+        return 1;
+    return next_is(ps, close) ? 0 : -1;
+}
+
+/* A member's key, among the names, and the colon after it.  Returns the
+ * name's index, or -1 for any other key: one written with an escape too,
+ * since no name holds a backslash. */
+static int key(ws_parser *ps, const char *const *names, int count)
+{
+    if (!next_is(ps, '"'))
+        return -1;
+    const char *start = ps->p, *close = memchr(start, '"', (size_t)(ps->end - start));
+    if (!close)
+        return -1;
+    const size_t len = (size_t)(close - start);
+    ps->p = close + 1;
+    if (!next_is(ps, ':'))
+        return -1;
+    for (int i = 0; i < count; i++) {
+        if (strlen(names[i]) == len && memcmp(names[i], start, len) == 0)
+            return i;
+    }
+    return -1;
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* A JSON number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?, as
+ * Python's json module reads it.  Sets its extent, and whether it is an
+ * integer, which the parser gives as an int rather than a float. */
+static int number(ws_parser *ps, const char **start, size_t *len, int *integer)
+{
+    skip_space(ps);
+    const char *p = ps->p, *end = ps->end;
+    *start = p;
+    *integer = 1;
+    if (p < end && *p == '-')
+        p++;
+    if (p == end || !is_digit(*p))
+        return -1;
+    if (*p++ != '0') {
+        while (p < end && is_digit(*p))
+            p++;
+    }
+    if (p < end && *p == '.') {
+        p++;
+        if (p == end || !is_digit(*p))
+            return -1;
+        while (p < end && is_digit(*p))
+            p++;
+        *integer = 0;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        if (p == end || !is_digit(*p))
+            return -1;
+        while (p < end && is_digit(*p))
+            p++;
+        *integer = 0;
+    }
+    *len = (size_t)(p - *start);
+    ps->p = p;
+    return 0;
+}
+
+/* An integer token's value; -1 when it overflows int64. */
+static int int_value(const char *s, size_t len, int64_t *out)
+{
+    const int negative = *s == '-';
+    int64_t v = 0;
+    for (size_t i = negative; i < len; i++) {
+        const int d = s[i] - '0';
+        if (v > (INT64_MAX - d) / 10)
+            return -1;
+        v = 10 * v + d;
+    }
+    *out = negative ? -v : v;
+    return 0;
+}
+
+/* The double float(token) gives.  A mantissa below 2**53 with at most 22
+ * fractional digits and no exponent is exact, as is the power of ten, so
+ * one correctly rounded division gives it (Clinger's fast path); strtod
+ * converts any other token, and -1 says it did not consume the token whole
+ * (in a locale with a decimal comma, say). */
+static int float_value(const char *s, size_t len, double *out)
+{
+    static const double powers[] = {
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+        1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    };
+    const int negative = *s == '-';
+    uint64_t mantissa = 0;
+    int fraction = -1; /* digits after the point, -1 before it */
+    for (size_t i = negative; i < len; i++) {
+        if (s[i] == '.') {
+            fraction = 0;
+            continue;
+        }
+        if (s[i] == 'e' || s[i] == 'E')
+            goto slow;
+        mantissa = 10 * mantissa + (uint64_t)(s[i] - '0');
+        if (mantissa >= (UINT64_C(1) << 53))
+            goto slow;
+        if (fraction >= 0 && ++fraction > 22)
+            goto slow;
+    }
+    *out = (double)mantissa / powers[fraction > 0 ? fraction : 0];
+    if (negative)
+        *out = -*out;
+    return 0;
+slow:;
+    char token[64];
+    char *stop;
+    if (len >= sizeof token)
+        return -1;
+    memcpy(token, s, len);
+    token[len] = '\0';
+    *out = strtod(token, &stop);
+    return stop == token + len ? 0 : -1;
+}
+
+/* The next number: its value, and whether it is an integer token, which
+ * Python's parser gives as an int.  An integer past 2**53 in magnitude,
+ * which a double may not hold exactly, is refused. */
+static int number_value(ws_parser *ps, double *out, int *integer)
+{
+    const char *s;
+    size_t len;
+    int64_t v;
+    if (number(ps, &s, &len, integer))
+        return -1;
+    if (!*integer)
+        return float_value(s, len, out);
+    if (int_value(s, len, &v) || v > (INT64_C(1) << 53) || v < -(INT64_C(1) << 53))
+        return -1;
+    *out = (double)v;
+    return 0;
+}
+
+/* A number that must be a float token. */
+static int float_token(ws_parser *ps, double *out)
+{
+    int integer;
+    return number_value(ps, out, &integer) || integer ? -1 : 0;
+}
+
+/* A number that must be an integer token. */
+static int int_token(ws_parser *ps, int64_t *out)
+{
+    int integer;
+    double v;
+    if (number_value(ps, &v, &integer) || !integer)
+        return -1;
+    *out = (int64_t)v;
+    return 0;
+}
+
+/* A list of numbers, appended to the score pool; counts them. */
+static int reals(ws_parser *ps, int64_t *count)
+{
+    if (!next_is(ps, '['))
+        return -1;
+    if (next_is(ps, ']'))
+        return 0;
+    int go;
+    do {
+        double v;
+        int integer;
+        if (number_value(ps, &v, &integer) || append(&ps->scores, &v, sizeof v))
+            return -1;
+        ++*count;
+    } while ((go = more(ps, ']')) == 1);
+    return go;
+}
+
+/* [[x, y], ...] of float tokens. */
+static int parse_arrival(ws_parser *ps, ws_edge *e)
+{
+    if (!next_is(ps, '['))
+        return -1;
+    if (next_is(ps, ']'))
+        return 0;
+    int go;
+    do {
+        double x, y;
+        if (!next_is(ps, '[') || float_token(ps, &x) || !next_is(ps, ',')
+            || float_token(ps, &y) || !next_is(ps, ']')
+            || append(&ps->xs, &x, sizeof x) || append(&ps->ys, &y, sizeof y))
+            return -1;
+        e->points++;
+    } while ((go = more(ps, ']')) == 1);
+    return go;
+}
+
+/* {"boundaries": [...], "values": [...], "default": s}, each optional.
+ * The values follow the boundaries in the pool, so a file that lists them
+ * first is left to Python. */
+static int parse_score(ws_parser *ps, ws_edge *e)
+{
+    static const char *const names[] = {"boundaries", "values", "default"};
+    unsigned seen = 0;
+    if (!next_is(ps, '{'))
+        return -1;
+    if (next_is(ps, '}'))
+        return 0;
+    int go;
+    do {
+        const int k = key(ps, names, 3);
+        if (k < 0 || seen & (1u << k))
+            return -1;
+        seen |= 1u << k;
+        if (k == 0 && ((seen & 2) || reals(ps, &e->boundaries)))
+            return -1;
+        if (k == 1 && reals(ps, &e->values))
+            return -1;
+        int integer;
+        if (k == 2 && number_value(ps, &e->score_default, &integer))
+            return -1;
+    } while ((go = more(ps, '}')) == 1);
+    return go;
+}
+
+static int parse_edge(ws_parser *ps)
+{
+    static const char *const names[] = {"from", "to", "arrival", "score", "length_m"};
+    ws_edge e = {0};
+    unsigned seen = 0;
+    if (!next_is(ps, '{'))
+        return -1;
+    int go;
+    do {
+        const int k = key(ps, names, 5);
+        if (k < 0 || seen & (1u << k))
+            return -1;
+        seen |= 1u << k;
+        int failed, integer;
+        switch (k) {
+        case 0:
+            failed = int_token(ps, &e.tail);
+            break;
+        case 1:
+            failed = int_token(ps, &e.head);
+            break;
+        case 2:
+            failed = parse_arrival(ps, &e);
+            break;
+        case 3:
+            failed = parse_score(ps, &e);
+            break;
+        default:
+            failed = number_value(ps, &e.length, &integer);
+            e.length_kind = integer ? WS_INT_LENGTH : WS_REAL_LENGTH;
+        }
+        if (failed)
+            return -1;
+    } while ((go = more(ps, '}')) == 1);
+    if (go || (seen & 7) != 7)
+        return -1;
+    return append(&ps->edges, &e, sizeof e);
+}
+
+static int parse_edges(ws_parser *ps)
+{
+    if (!next_is(ps, '['))
+        return -1;
+    if (next_is(ps, ']'))
+        return 0;
+    int go;
+    do {
+        if (parse_edge(ps))
+            return -1;
+    } while ((go = more(ps, ']')) == 1);
+    return go;
+}
+
+static int parse_document(ws_parser *ps, int64_t *node_count)
+{
+    static const char *const names[] = {"node_count", "edges"};
+    unsigned seen = 0;
+    if (!next_is(ps, '{'))
+        return -1;
+    int go;
+    do {
+        const int k = key(ps, names, 2);
+        if (k < 0 || seen & (1u << k))
+            return -1;
+        seen |= 1u << k;
+        if (k == 0 && int_token(ps, node_count))
+            return -1;
+        if (k == 1 && parse_edges(ps))
+            return -1;
+    } while ((go = more(ps, '}')) == 1);
+    skip_space(ps);
+    return go || seen != 3 || ps->p != ps->end ? -1 : 0;
+}
+
+void ws_free(ws_file *file)
+{
+    free(file->edge);
+    free(file->xs);
+    free(file->ys);
+    free(file->scores_pool);
+    *file = (ws_file){0};
+}
+
+/* Parse the network file at path, memory-mapped, into *file, and check
+ * every arrival profile by ws_fifo.  Returns WS_DONE when the file parsed
+ * and every profile passes; the caller then owns the pools and releases
+ * them with ws_free.  Anything else returns WS_DEFER, with *file empty, and
+ * the caller reads the file in Python, which names what is wrong:
+ * a path that does not open as a regular file, a failed allocation, a
+ * profile that fails the check, and any input outside what save_network
+ * writes for a network without labels (the labels themselves, other or
+ * repeated keys, string values, escapes, bytes outside ASCII, NaN and
+ * Infinity, true, false and null, an integer among the breakpoints or past
+ * 2**53 in magnitude) or that is not JSON.  Each number equals the float, or
+ * the int, that Python's json module reads from its token.  The file must
+ * not shrink while it loads. */
+int ws_load(const char *path, ws_file *file)
+{
+    ws_parser ps = {0};
+    struct stat st;
+    int status = WS_DEFER;
+
+    *file = (ws_file){0};
+    /* O_NONBLOCK: opening a FIFO does not wait for a writer */
+    const int fd = open(path, O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0)
+        return WS_DEFER;
+    if (fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size == 0) {
+        close(fd);
+        return WS_DEFER;
+    }
+    const size_t size = (size_t)st.st_size;
+    void *map = mmap(NULL, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    close(fd);
+    if (map == MAP_FAILED)
+        return WS_DEFER;
+    ps.p = map;
+    ps.end = ps.p + size;
+    if (parse_document(&ps, &file->node_count) == 0) {
+        const ws_edge *e = (const ws_edge *)ps.edges.data;
+        const double *xs = (const double *)ps.xs.data, *ys = (const double *)ps.ys.data;
+        file->edges = (int64_t)(ps.edges.len / sizeof *e);
+        file->points = (int64_t)(ps.xs.len / sizeof *xs);
+        file->scores = (int64_t)(ps.scores.len / sizeof *xs);
+        status = WS_DONE;
+        for (int64_t i = 0; i < file->edges && status == WS_DONE; i++) {
+            const int64_t k = e[i].points;
+            if (!ws_fifo(k, xs, ys)) {
+                status = WS_DEFER;
+            } else { /* k > 0: xs and ys are not NULL */
+                xs += k;
+                ys += k;
+            }
+        }
+    }
+    munmap(map, size);
+    file->edge = (ws_edge *)ps.edges.data;
+    file->xs = (double *)ps.xs.data;
+    file->ys = (double *)ps.ys.data;
+    file->scores_pool = (double *)ps.scores.data;
+    if (status != WS_DONE)
+        ws_free(file);
     return status;
 }

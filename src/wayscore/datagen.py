@@ -380,7 +380,7 @@ QUERY_CSV_FIELDS = (
 
 
 def write_queries_csv(records: Sequence[QueryRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(QUERY_CSV_FIELDS)
         for r in records:
@@ -412,20 +412,23 @@ _QUERY_CSV_PARSERS = (
 def read_queries_csv(path: str) -> list[QueryRecord]:
     """Read a query CSV; raises ConfigError naming the line of a bad field."""
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = set(QUERY_CSV_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            values = []
-            for name, parse in zip(QUERY_CSV_FIELDS, _QUERY_CSV_PARSERS):
-                text = row[name]  # None when the row is short
-                try:
-                    values.append(parse(text))
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num}: bad {name} {text!r}"
-                    ) from None
-            records.append(QueryRecord(*values))
+        try:
+            missing = set(QUERY_CSV_FIELDS) - set(reader.fieldnames or ())
+            if missing:
+                raise ConfigError(f"{path}: missing columns {sorted(missing)}")
+            for row in reader:
+                values = []
+                for name, parse in zip(QUERY_CSV_FIELDS, _QUERY_CSV_PARSERS):
+                    text = row[name]  # None when the row is short
+                    try:
+                        values.append(parse(text))
+                    except (TypeError, ValueError):
+                        raise ConfigError(
+                            f"{path}: line {reader.line_num}: bad {name} {text!r}"
+                        ) from None
+                records.append(QueryRecord(*values))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from exc
     return records

@@ -26,6 +26,13 @@ concurrent or interrupted build leaves no partial library behind.
 :func:`library` returns None when there is no compiler, no writable cache
 directory, or the library does not load; the Python engine then runs.
 
+The kernel also parses network files (:func:`parse_network`, through
+:func:`wayscore.network.load_network`).  ``ws_load`` reads a memory-mapped
+file into per-edge columns and checks every arrival profile by
+:func:`wayscore.profiles.check_fifo`'s rules; it defers, and the Python
+loader reads the file, on anything outside what ``save_network`` writes for
+a network without labels, and on a profile that fails the check.
+
 A network is flattened once (:func:`flatten`, through
 :meth:`wayscore.network.RoadNetwork.flat`) into ``array`` buffers: a CSR
 out-adjacency, each edge's head, breakpoints and score intervals, and
@@ -57,9 +64,10 @@ try:
 except RuntimeError:  # no home directory: no cache, so no kernel
     CACHE_DIR = None
 
-# ws_search's and ws_earliest's return codes.  DEFER: the kernel met an
-# input it does not model (a NaN departure, on which the Python code raises)
-# or ran out of memory; the caller runs the Python code instead.
+# ws_search's, ws_earliest's and ws_load's return codes.  DEFER: the kernel
+# met an input it does not model (a NaN departure, on which the Python code
+# raises, or a file it does not parse) or ran out of memory; the caller runs
+# the Python code instead.
 DONE, LIMIT, DEFER = 0, 1, 2
 
 _INT64_MAX = 2**63 - 1
@@ -88,6 +96,25 @@ class _Network(ctypes.Structure):
         ("sv", ctypes.c_void_p),
         ("sdef", ctypes.c_void_p),
     ]
+
+
+class _File(ctypes.Structure):
+    _fields_ = [
+        ("node_count", ctypes.c_int64),
+        ("edges", ctypes.c_int64),
+        ("points", ctypes.c_int64),
+        ("scores", ctypes.c_int64),
+        ("edge", ctypes.c_void_p),
+        ("xs", ctypes.c_void_p),
+        ("ys", ctypes.c_void_p),
+        ("scores_pool", ctypes.c_void_p),
+    ]
+
+
+# A ws_edge: tail, head, the counts of breakpoints, score boundaries and
+# score values, the kind of length_m, the score default and length_m.
+_EDGE = struct.Struct("=6q2d")
+_NO_LENGTH, _INT_LENGTH = 0, 1
 
 
 class _Result(ctypes.Structure):
@@ -153,6 +180,10 @@ def bind(path) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),  # arrival
     ]
     lib.ws_earliest.restype = ctypes.c_int
+    lib.ws_load.argtypes = [ctypes.c_char_p, ctypes.POINTER(_File)]
+    lib.ws_load.restype = ctypes.c_int
+    lib.ws_free.argtypes = [ctypes.POINTER(_File)]
+    lib.ws_free.restype = None
     return lib
 
 
@@ -350,3 +381,69 @@ def flatten(net) -> Optional[FlatNetwork]:
     if lib.ws_floors(m, *pointers, floors.buffer_info()[0]) != 0:
         return None
     return FlatNetwork(lib, n, arrays)
+
+
+def _view(address: int, size: int):
+    """``size`` bytes at ``address`` as a buffer, without a copy."""
+    return (ctypes.c_char * size).from_address(address) if size else b""
+
+
+def parse_network(path) -> Optional[tuple[int, list[tuple]]]:
+    """The network file at ``path`` parsed by the kernel's ``ws_load``, or
+    None when the kernel does not take it.
+
+    The value is ``(node_count, rows)``, one row per edge:
+    ``(tail, head, xs, ys, boundaries, values, default, length_m)``, the
+    breakpoints and score numbers as tuples of floats, ``length_m`` None
+    where the file has none, else an int or a float as in the file.  Rows
+    whose departures are the same doubles, bit for bit, share the first
+    row's ``xs`` tuple; for checked departures that is the sharing of
+    ``wayscore.network._shared``, the sign of a zero included.  Every
+    row's breakpoints pass :func:`wayscore.profiles.check_fifo`'s rules; no
+    other check has run.  None means no kernel, a path that is not a string
+    or bytes without a NUL, or what ``ws_load`` defers: a file that is not
+    a regular file, is not JSON, holds anything that ``save_network`` does
+    not write for a network without labels, or has a profile that fails the
+    check.  The file is read through a memory map, so it must not shrink
+    while it loads: a read past its new end raises SIGBUS.
+    """
+    lib = library()
+    if lib is None or not isinstance(path, (str, bytes, os.PathLike)):
+        return None
+    name = os.fsencode(path)
+    if b"\0" in name:
+        return None
+    parsed = _File()
+    if lib.ws_load(name, parsed) != DONE:
+        return None
+    try:
+        edges = _view(parsed.edge, _EDGE.size * parsed.edges)
+        xs = _view(parsed.xs, 8 * parsed.points)
+        ys = _view(parsed.ys, 8 * parsed.points)
+        scores = _view(parsed.scores_pool, 8 * parsed.scores)
+        unpackers = {}  # struct.Struct(f"={k}d").unpack_from per count k
+        departures = {}  # the first xs tuple of each row's bytes
+        rows = []
+        at = sc = 0
+        for tail, head, k, nb, nv, kind, default, length in _EDGE.iter_unpack(edges):
+            unpack = unpackers.get(k)
+            if unpack is None:
+                unpack = unpackers[k] = struct.Struct(f"={k}d").unpack_from
+            row_xs = departures.get(xs[at : at + 8 * k])
+            if row_xs is None:
+                row_xs = departures[xs[at : at + 8 * k]] = unpack(xs, at)
+            row_ys = unpack(ys, at)
+            at += 8 * k
+            bounds = values = ()
+            if nb or nv:
+                bounds = struct.unpack_from(f"={nb}d", scores, sc)
+                values = struct.unpack_from(f"={nv}d", scores, sc + 8 * nb)
+                sc += 8 * (nb + nv)
+            if kind == _NO_LENGTH:
+                length = None
+            elif kind == _INT_LENGTH:
+                length = int(length)
+            rows.append((tail, head, row_xs, row_ys, bounds, values, default, length))
+        return parsed.node_count, rows
+    finally:
+        lib.ws_free(parsed)

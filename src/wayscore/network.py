@@ -27,10 +27,16 @@ static edge.  Node ids are JSON integers, ``node_count`` is at most
 labels name nodes in range.
 
 :func:`load_network` parses and indexes a file with the cyclic collector
-paused.  The parse builds each edge's arrival profile as it finishes the
-edge's object, so no load holds every edge's breakpoint lists at once, and
-each profile is validated once, when it is built; :func:`build_network`,
-which takes ``Edge`` objects from any caller, checks their profiles again.
+paused.  Where the compiled kernel is available, it parses a file as
+``save_network`` writes it for a network without labels, and checks every
+arrival profile, in C (:func:`wayscore.kernel.parse_network`); Python then
+builds the network from its columns.  Any other file, or one the kernel
+finds fault with, is read in Python, which gives every error message.  That
+parse builds each edge's arrival profile as it finishes the edge's object,
+so no load holds every edge's breakpoint lists at once, and each profile is
+validated once, when it is built; :func:`build_network`, which takes
+``Edge`` objects from any caller, checks their profiles again.  Files are
+read as UTF-8, as RFC 8259 requires of JSON.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .kernel import FlatNetwork, flatten, native_methods
+from .kernel import FlatNetwork, flatten, native_methods, parse_network
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 
 
@@ -65,8 +71,9 @@ def gc_paused():
     several times a short solve.  The users are :func:`load_network` and
     the solver's searches.  The collector's switch is process-wide: a
     parallel solve pauses it once for all its threads, and while a network
-    loads (about 0.3 s for the 50x50 benchmark grid) no other thread is
-    collected either.  The switch is restored on exit, on an error too.
+    loads (about 0.1 s for the 50x50 benchmark grid with the compiled
+    kernel, 0.2-0.3 s without) no other thread is collected either.  The
+    switch is restored on exit, on an error too.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -280,7 +287,7 @@ def to_document(net: RoadNetwork) -> dict:
 
 
 def save_network(net: RoadNetwork, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_document(net), fh, indent=1)
         fh.write("\n")
 
@@ -365,32 +372,81 @@ def _unbuild_outside_edges(doc, built: list) -> None:
             obj["arrival"] = [[x, y] for x, y in obj["arrival"].pairs()]
 
 
+def _check_length(length, where: str) -> None:
+    if length is not None and not (
+        type(length) in (int, float) and 0.0 <= length <= sys.float_info.max
+    ):
+        raise FormatError(
+            f"{where}: length_m must be a finite number >= 0, got {length!r}"
+        )
+
+
+def _from_rows(node_count: int, rows: list) -> RoadNetwork:
+    """The network of :func:`wayscore.kernel.parse_network`'s rows, whose
+    arrival profiles passed the kernel's check.  The loader's other checks
+    raise as they do on the Python path, though not always in its order:
+    :func:`load_network` then reads the file in Python, which names the
+    first fault."""
+    edges = []
+    for tail, head, xs, ys, boundaries, values, default, length in rows:
+        _check_length(length, "edges")
+        arrival = ArrivalProfile._from_checked(xs, ys)
+        score = ScoreProfile(boundaries, values, default)
+        edges.append(Edge(tail, head, arrival, score, length))
+    return _index(node_count, edges, None)
+
+
 @gc_paused()
 def load_network(path: str) -> RoadNetwork:
     """Load and fully validate a network file.
 
     The whole load, the JSON parse included, runs with the collector paused
     (:func:`gc_paused`): a full pass would walk every parsed number and
-    profile built so far, and none of them forms a cycle.  The parse builds
-    each edge's arrival profile as it finishes the edge's object
-    (:func:`_arrival_hook`), so the load never holds every edge's
-    breakpoint lists together; on the 50x50 benchmark grid that about
-    halves the load's peak memory.  A profile the parse did not build is
-    built, or rejected, by the edge loop, so every file loads, or fails
-    with the same error, as if the parse built none.  Each arrival profile
-    is validated once, by the ``ArrivalProfile`` constructor.  The edges
-    are then indexed with :func:`build_network`'s other checks, in its
-    order, but without its second FIFO pass.  Profiles with equal
-    breakpoint departures share one ``xs`` tuple: on a generated grid every
-    edge has the same ones.
+    profile built so far, and none of them forms a cycle.
+
+    The compiled kernel parses the file first, when it is available
+    (:func:`wayscore.kernel.parse_network`), and checks each arrival
+    profile by :func:`check_fifo`'s rules.  The network is built from its
+    columns: each ``ArrivalProfile`` without a second check, each
+    ``ScoreProfile``, ``length_m`` and the index with the checks below.  On
+    the 50x50 benchmark grid that takes about a third of the time of the
+    load in Python.  A file the kernel does not parse, a failed check, and
+    any exception while building send the file to the Python loader
+    instead, from the start, so each file loads, or fails with the same
+    error, on either path.
+
+    The Python loader's parse builds each edge's arrival profile as it
+    finishes the edge's object (:func:`_arrival_hook`), so the load never
+    holds every edge's breakpoint lists together.  A profile the parse did
+    not build is built, or rejected, by the edge loop, so every file loads,
+    or fails with the same error, as if the parse built none.  Each arrival
+    profile is validated once, by the ``ArrivalProfile`` constructor.  The
+    edges are then indexed with :func:`build_network`'s other checks, in its
+    order, but without its second FIFO pass.
+
+    On both paths, profiles with equal breakpoint departures share one
+    ``xs`` tuple: on a generated grid every edge has the same ones.
     """
+    try:
+        parsed = parse_network(path)
+        if parsed is not None:
+            return _from_rows(*parsed)
+    except Exception:
+        pass  # _read names what is wrong, or loads what _from_rows could not
+    return _read(path)
+
+
+def _read(path: str) -> RoadNetwork:
+    """:func:`load_network` in Python: the reference, and every message."""
     departures: dict = {}  # _shared's canonical tuples, for this load only
     built: list = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_hook=_arrival_hook(departures, built))
+        # ValueError: a JSON error, bytes that are not UTF-8, as RFC 8259
+        # requires of JSON, or an integer longer than int() converts;
         # RecursionError: arrays or objects nested deeper than the parser goes
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     _unbuild_outside_edges(doc, built)
     if not isinstance(doc, dict):
@@ -435,12 +491,7 @@ def load_network(path: str) -> RoadNetwork:
         except (TypeError, ValueError, OverflowError, AttributeError) as exc:
             raise FormatError(f"{where}: malformed score object") from exc
         length = raw.get("length_m")
-        if length is not None and not (
-            type(length) in (int, float) and 0.0 <= length <= sys.float_info.max
-        ):
-            raise FormatError(
-                f"{where}: length_m must be a finite number >= 0, got {length!r}"
-            )
+        _check_length(length, where)
         edges.append(Edge(tail, head, arrival, score, length))
     labels = None
     if "labels" in doc:

@@ -119,6 +119,14 @@ class ArrivalProfile:
         self._floors: Optional[tuple[float, ...]] = None
 
     @classmethod
+    def _from_checked(cls, xs: tuple, ys: tuple) -> "ArrivalProfile":
+        """The profile of two tuples of floats that already pass
+        :func:`check_fifo`; nothing is checked again."""
+        profile = cls.__new__(cls)
+        profile.xs, profile.ys, profile._floors = xs, ys, None
+        return profile
+
+    @classmethod
     def constant(cls, travel_time: float, anchor: float = 0.0) -> "ArrivalProfile":
         """Static edge with the given travel time in minutes."""
         return cls([(anchor, anchor + travel_time)])

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from wayscore import kernel, solver
+from wayscore import kernel, network, solver
 from wayscore.datagen import GenConfig, generate_network, generate_query_sets
 from wayscore.network import Edge, RoadNetwork, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
@@ -132,6 +132,22 @@ def kernel_runs(monkeypatch):
     """The status of every compiled-kernel search from here on, so that a
     test can see that the kernel ran and never handed a search back."""
     return _record_statuses(monkeypatch, "search")
+
+
+@pytest.fixture
+def kernel_loads(monkeypatch):
+    """Whether the compiled kernel parsed each network file loaded from here
+    on, so that a test can see that its files reached the parser."""
+    parsed = []
+    parse = network.parse_network
+
+    def recorded(path):
+        found = parse(path)
+        parsed.append(found is not None)
+        return found
+
+    monkeypatch.setattr(network, "parse_network", recorded)
+    return parsed
 
 
 @pytest.fixture

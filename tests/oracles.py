@@ -7,6 +7,9 @@
   departure via path enumeration plus bisection on the departure time.
 * :func:`witness_path` -- the node sequence behind a latest-departure
   label's recorded witness edges.
+* :func:`loaded_both_ways` -- a network file loaded with the compiled
+  kernel's parser where it takes the file, checked against the Python
+  loader.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from wayscore.network import Edge, RoadNetwork
+import pytest
+
+from wayscore import kernel
+from wayscore.network import Edge, RoadNetwork, load_network
 from wayscore.profiles import TIME_EPS
 from wayscore.traversal import DepartureBounds, QueryError
 
@@ -185,3 +191,49 @@ def witness_path(bounds: DepartureBounds, net: RoadNetwork, node: int) -> list[i
             raise QueryError(f"node {node} has no witness path")
         path.append(net.edges[idx].head)
     return path
+
+
+# ---------------------------------------------------------------------------
+# The Python loader as the reference for the kernel's parser
+# ---------------------------------------------------------------------------
+
+
+def _attempt_load(path):
+    try:
+        return load_network(path), None
+    except Exception as exc:  # compared with the other loader's below
+        return None, exc
+
+
+def _exactly(net: RoadNetwork) -> tuple:
+    """What two loads of one file must share: every edge's repr, which
+    spells each float exactly, the sign of a zero and each ``length_m``'s
+    type included; which edges share one ``xs`` tuple; and the labels."""
+    first: dict = {}
+    shared = [first.setdefault(id(e.arrival.xs), i) for i, e in enumerate(net.edges)]
+    return net.node_count, [repr(e) for e in net.edges], shared, repr(net.labels)
+
+
+def _failure(exc: BaseException) -> tuple:
+    cause = exc.__cause__
+    return type(exc), str(exc), type(cause), str(cause)
+
+
+def loaded_both_ways(path) -> RoadNetwork:
+    """``load_network(path)``, checked against the loader with the compiled
+    kernel forced away, which reads every file in Python.
+
+    The two must give exactly equal networks (:func:`_exactly`), or raise
+    the same exception type with the same message and cause.  Returns the
+    first load's network, or raises its exception.
+    """
+    net, error = _attempt_load(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "library", lambda: None)
+        reference, reference_error = _attempt_load(path)
+    if error is not None or reference_error is not None:
+        assert None not in (error, reference_error), (error, reference_error)
+        assert _failure(error) == _failure(reference_error)
+        raise error
+    assert _exactly(net) == _exactly(reference)
+    return net

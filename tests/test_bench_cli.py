@@ -154,6 +154,19 @@ class TestQueryCommand:
         assert out["node_ids"] == [0, 1, 2]
         assert out["arrivals"] == [-4.0, -3.0]
 
+    def test_network_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        """It ended in a UnicodeDecodeError traceback."""
+        path = tmp_path / "net.json"
+        path.write_bytes(b'{"node_count": 2, "edges": [], "labels": {"0": "\xff"}}')
+        rc = main(["query", "--graph", str(path), "--from", "0", "--to", "1",
+                   "--depart", "0", "--budget", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and f"{path}: not valid JSON" in lines[0]
+        assert "can't decode byte 0xff" in lines[0]
+
     def test_missing_graph_is_data_error(self, capsys):
         rc = main(["query", "--graph", "/nonexistent.json", "--from", "0",
                    "--to", "1", "--depart", "0", "--budget", "1"])
@@ -205,6 +218,9 @@ class TestQueryCommand:
         pytest.param("[" * 100_000, "not valid JSON", id="doc24-not valid JSON"),
         ({"node_count": 0, "edges": [{"from": 0, "to": 1, "arrival": [[1.0, 0.0]]}]},
          "node_count must be"),
+        # an integer longer than int() converts
+        pytest.param('{"node_count": 2, "edges": [], "x": ' + "9" * 5000 + "}",
+                     "not valid JSON", id="doc26-not valid JSON"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
@@ -352,6 +368,22 @@ class TestBenchCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+    def test_query_file_that_is_not_utf8_is_data_error(self, grid_files, tmp_path,
+                                                       capsys):
+        """A byte that is not UTF-8 in a row ended in a UnicodeDecodeError
+        traceback: only each field's conversion was guarded."""
+        graph_path, queries_path, _, _ = grid_files
+        with open(queries_path, "rb") as fh:
+            header, first, *_ = fh.read().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(header + first.replace(b",", b"\xff,", 1))
+        rc = main(["bench", "--graph", graph_path, "--queries", str(bad)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and f"{bad}: not valid UTF-8" in lines[0]
 
     def test_write_bench_csv_stable_header(self):
         buf = io.StringIO()

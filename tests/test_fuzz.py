@@ -13,10 +13,11 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import loaded_both_ways
 
 from wayscore import kernel
 from wayscore.cli import main
-from wayscore.network import NetworkError, RoadNetwork, load_network
+from wayscore.network import NetworkError, RoadNetwork
 from wayscore.traversal import QueryError, build_query
 
 # Any JSON scalar, including NaN, infinities and integers too large for a float.
@@ -139,13 +140,16 @@ def doc_path(tmp_path_factory):
 
 
 def test_every_document_loads_or_is_a_data_error(doc_path, kernel_runs,
-                                                 earliest_runs):
+                                                 earliest_runs, kernel_loads):
     """The documents that load and pose a searchable query are searched by
     the compiled kernel wherever it is available, and every document that
     loads has a query derived by it, so its safety is fuzzed too: the run
-    must reach it, and it must hand nothing back."""
+    must reach it, and it must hand nothing back.  Every document is also
+    loaded with the kernel's parser, which must agree with the Python
+    loader, and must parse some of them."""
     _check_document(doc_path)
     if kernel.library() is not None:
+        assert any(kernel_loads), "the kernel parsed no document"
         assert kernel_runs, "no document reached the kernel"
         assert kernel.DEFER not in kernel_runs
         assert earliest_runs, "no query was derived in the kernel"
@@ -169,7 +173,7 @@ def _check_document(doc_path, doc, text, threads):
     with open(doc_path, "w") as fh:
         fh.write(json.dumps(doc) if text is None else text)
     try:
-        net = load_network(doc_path)
+        net = loaded_both_ways(doc_path)
     except NetworkError:
         net = None
     if net is not None:

@@ -576,10 +576,11 @@ class TestBuild:
 @pytest.mark.slow
 def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
     """The oracle suite, the fuzz documents, the kernel tests (of
-    ``ws_search`` and ``ws_earliest``) and the parallel, worker, probe and
-    cap tests, whose kernel threads share a claim counter and stop flag,
-    with the kernel built under ASan and UBSan; any report aborts the
-    process.  The inner run does not
+    ``ws_search`` and ``ws_earliest``), the loader tests, whose files and
+    their prefixes and flipped bytes ``ws_load`` parses, and the parallel,
+    worker, probe and cap tests, whose kernel threads share a claim counter
+    and stop flag, with the kernel built under ASan and UBSan; any report
+    aborts the process.  The inner run does not
     capture output, so that a report reaches stderr.  It leaves out the
     page-fault count of the Python engine's frames, which measures the
     allocator that ASan replaces, not the kernel."""
@@ -603,6 +604,7 @@ def test_kernel_under_address_and_undefined_behaviour_sanitizers(tmp_path):
         "sys.exit(pytest.main(['-q', '-s', '-p', 'no:cacheprovider', '-m', 'not slow',\n"
         "    '-k', 'not TestBuild and not maps_memory_per_profile_call',\n"
         "    sys.argv[2] + '/test_kernel.py', sys.argv[2] + '/test_fuzz.py',\n"
+        "    sys.argv[2] + '/test_network.py',\n"
         "    sys.argv[2] + '/test_acceptance.py::test_criterion_2_oracle_equivalence',\n"
         "    sys.argv[2] + '/test_acceptance.py::test_criterion_4_parallel_determinism',\n"
         "    sys.argv[2] + '/test_solver.py::TestParallel',\n"
