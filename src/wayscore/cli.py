@@ -19,6 +19,7 @@ import sys
 from typing import Optional
 
 from .network import NetworkError, load_network, save_network
+from .reference import ORACLE_NODE_LIMIT
 from .solver import STATUS_OK, solve
 from .traversal import Query, QueryError, build_query
 
@@ -67,6 +68,22 @@ def _threads_type(text: str) -> list[int]:
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"thread counts must be >= 1: {text!r}")
     return values
+
+
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type: an int of at least ``low`` and at most ``high``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
+
+    return parse
 
 
 def _thread_count(text: str) -> int:
@@ -142,9 +159,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="cross-check solver vs. enumeration oracle")
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=12)
-    p.add_argument("--out-degree", type=int, default=3)
-    p.add_argument("--max-breakpoints", type=int, default=4)
+    # random_network draws at least 4 nodes, and the oracle takes at most
+    # ORACLE_NODE_LIMIT.
+    p.add_argument("--max-nodes", type=_int_in(4, ORACLE_NODE_LIMIT), default=12)
+    p.add_argument("--out-degree", type=_int_in(1), default=3)
+    p.add_argument("--max-breakpoints", type=_int_in(1), default=4)
     p.add_argument("--threads", type=_thread_count, default=1)
     return parser
 
@@ -167,7 +186,7 @@ def _cmd_gen_network(args) -> int:
     save_network(result.network, args.out)
     net = result.network
     print(
-        f"wrote {args.out}: {net.node_count} nodes, {len(net.edges)} edges, "
+        f"wrote {args.out}: {net.node_count} nodes, {len(net.heads)} edges, "
         f"{len(result.scored_edges)} scored"
     )
     return 0

@@ -43,6 +43,12 @@ class ConfigError(ValueError):
     """Invalid generation parameters."""
 
 
+def _check_seed(seed: int) -> None:
+    """numpy's ``SeedSequence`` takes non-negative integers only."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 class SamplingExhausted(RuntimeError):
     """A query bucket could not be filled within the attempt cap."""
 
@@ -77,20 +83,24 @@ class GenConfig:
     def validate(self) -> None:
         if self.base is None and (self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2):
             raise ConfigError("grid must have at least two nodes")
-        if self.edge_length_m <= 0:
-            raise ConfigError("edge length must be positive")
+        if not 0 < self.edge_length_m < math.inf:  # NaN too
+            raise ConfigError(
+                f"edge length must be finite and positive, got {self.edge_length_m}"
+            )
         lo, hi = self.speed_range
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi < math.inf):
             raise ConfigError(f"bad speed range {self.speed_range}")
         plo, phi = self.peak_range
-        if not (0 <= plo <= phi):
+        if not (0 <= plo <= phi < math.inf):
             raise ConfigError(f"bad peak range {self.peak_range}")
-        if self.breakpoint_interval <= 0:
-            raise ConfigError("breakpoint interval must be positive")
+        if not 0 < self.breakpoint_interval < math.inf:
+            raise ConfigError("breakpoint interval must be finite and positive")
         if not 0 < self.score_density <= 1:
             raise ConfigError(f"score density must be in (0, 1], got {self.score_density}")
-        if self.score_range[0] < 0 or self.score_range[0] > self.score_range[1]:
+        # Scores are drawn as 64-bit integers.
+        if not 0 <= self.score_range[0] <= self.score_range[1] < 2**63:
             raise ConfigError(f"bad score range {self.score_range}")
+        _check_seed(self.seed)
         windows = sorted(self.rush_windows, key=lambda w: w.start)
         for w in windows:
             if w.end <= w.start:
@@ -301,6 +311,7 @@ def generate_query_sets(
         raise ConfigError(f"overhead must be finite and positive, got {overhead}")
     if count_per_set < 0:
         raise ConfigError("count_per_set must be >= 0")
+    _check_seed(seed)
     if attempt_cap is None:
         attempt_cap = max(10_000, 500 * count_per_set * len(buckets))
     rng = np.random.default_rng(np.random.SeedSequence(seed))

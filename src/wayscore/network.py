@@ -2,8 +2,9 @@
 
 Nodes are dense integers ``0..node_count-1``; an optional side map carries
 human-readable labels.  Each directed edge owns one arrival profile and one
-score profile.  Networks are immutable after construction; any number of
-threads may read one concurrently.
+score profile.  A network stores them once, in per-edge columns, and builds
+:class:`Edge` records on demand.  Networks are immutable after
+construction; any number of threads may read one concurrently.
 
 File format (JSON document)::
 
@@ -41,6 +42,7 @@ read as UTF-8, as RFC 8259 requires of JSON.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -63,17 +65,13 @@ MAX_NODES = 2**24
 def gc_paused():
     """Suspend cyclic GC while building structures that form no cycles.
 
-    A search allocates labels at a high rate, and a network file's load
-    hundreds of thousands of parsed floats and profiles; none of them forms
-    a reference cycle, so collector passes in between are pure overhead.
-    Worse, a full pass walks every object in the process (the whole
-    network among them), and one triggered while a network loads can cost
-    several times a short solve.  The users are :func:`load_network` and
-    the solver's searches.  The collector's switch is process-wide: a
-    parallel solve pauses it once for all its threads, and while a network
-    loads (about 0.1 s for the 50x50 benchmark grid with the compiled
-    kernel, 0.2-0.3 s without) no other thread is collected either.  The
-    switch is restored on exit, on an error too.
+    A network file's load allocates hundreds of thousands of parsed floats
+    and profiles, none of which forms a cycle, and a full collector pass
+    while it runs walks every object in the process.  The one user is
+    :func:`load_network`.  The switch is process-wide: no other thread is
+    collected during a load (about 0.05 s for the 50x50 benchmark grid with
+    the compiled kernel, 0.15-0.2 s without), and the switch is restored on
+    exit, on an error too, over any change another thread made meanwhile.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -109,32 +107,34 @@ class Edge:
 class RoadNetwork:
     """Directed graph with per-edge time profiles and both adjacency indexes.
 
-    Besides ``edges``, the network keeps one list per edge field, indexed by
-    edge: ``heads``, ``tails``, ``arrivals`` (the arrival profiles) and
-    ``scores`` (the score profiles).  The traversals walk ``out_edges`` or
-    ``in_edges`` and read these columns, so a hot loop pays no attribute
-    lookup on an ``Edge``; each profile method is still looked up at the
-    call, so a replaced method or a subclass override sees every call.
+    The network is its per-edge columns, indexed by edge: ``tails``,
+    ``heads``, ``arrivals``, ``scores`` (the profiles) and ``lengths`` (each
+    ``length_m``).  The traversals walk ``out_edges`` or ``in_edges`` and
+    read these columns; each profile method is looked up at the call, so a
+    replaced method or a subclass override sees every call.
     """
 
     node_count: int
-    edges: list[Edge]
+    tails: list[int] = field(repr=False)
+    heads: list[int] = field(repr=False)
+    arrivals: list[ArrivalProfile] = field(repr=False)
+    scores: list[ScoreProfile] = field(repr=False)
+    lengths: list[Optional[float]] = field(repr=False)
     out_edges: list[list[int]] = field(repr=False)
     in_edges: list[list[int]] = field(repr=False)
     labels: Optional[dict[int, str]] = None
 
     def __post_init__(self):
-        if self.labels:
-            self._name_to_id = {name: nid for nid, name in self.labels.items()}
-        else:
-            self._name_to_id = {}
-        edges = self.edges
-        self.heads: list[int] = [e.head for e in edges]
-        self.tails: list[int] = [e.tail for e in edges]
-        self.arrivals: list[ArrivalProfile] = [e.arrival for e in edges]
-        self.scores: list[ScoreProfile] = [e.score for e in edges]
+        self._name_to_id = {name: nid for nid, name in (self.labels or {}).items()}
         # (flatten's value,) once built: that value may be None.
         self._flat: Optional[tuple[Optional[FlatNetwork]]] = None
+
+    @functools.cached_property
+    def edges(self) -> list[Edge]:
+        """The edges as :class:`Edge` records, built from the columns on the
+        first read and kept (two first reads at once may build equal lists)."""
+        columns = self.tails, self.heads, self.arrivals, self.scores, self.lengths
+        return list(map(Edge, *columns))
 
     def flat(self) -> Optional[FlatNetwork]:
         """The network in the compiled kernel's layout, or None when the
@@ -178,14 +178,6 @@ class RoadNetwork:
                 return idx
         return None
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RoadNetwork)
-            and self.node_count == other.node_count
-            and self.edges == other.edges
-            and self.labels == other.labels
-        )
-
 
 def build_network(
     node_count: int,
@@ -203,21 +195,22 @@ def build_network(
 
     def fifo_checked():
         for idx, e in enumerate(edges):
-            yield e
+            yield e.tail, e.head, e.arrival, e.score, e.length_m
             # Resumed once _index has checked and indexed the edge, so each
             # edge's FIFO check still runs after its other checks and before
             # the next edge's.
             violation = check_fifo(e.arrival.pairs())
             if violation is not None:
                 raise EdgeError(
-                    f"{_where(idx, e)}: FIFO violation, {violation.message()}"
+                    f"{_where(idx, (e.tail, e.head))}: FIFO violation, "
+                    f"{violation.message()}"
                 )
 
     return _index(node_count, fifo_checked(), labels)
 
 
-def _where(idx: int, e: Edge) -> str:
-    return f"edge {idx} ({e.tail}->{e.head})"
+def _where(idx: int, row: tuple) -> str:
+    return f"edge {idx} ({row[0]}->{row[1]})"
 
 
 def _check_node_count(node_count: int) -> None:
@@ -227,31 +220,38 @@ def _check_node_count(node_count: int) -> None:
 
 def _index(
     node_count: int,
-    edges: Iterable[Edge],
+    rows: Iterable[tuple],
     labels: Optional[dict[int, str]],
 ) -> RoadNetwork:
-    """Check ``node_count`` and each edge's endpoints, and index the edges.
-
-    Does not look at the profiles: :func:`load_network` builds every
+    """The network of ``rows``, ``(tail, head, arrival, score, length_m)``
+    per edge, with ``node_count`` and each edge's endpoints checked.  The
+    profiles are not looked at: :func:`load_network` builds every
     ``ArrivalProfile`` itself, and its constructor has run ``check_fifo``.
     """
     _check_node_count(node_count)
-    kept: list[Edge] = []
+    tails, heads, arrivals, scores, lengths = [], [], [], [], []
     out_edges: list[list[int]] = [[] for _ in range(node_count)]
     in_edges: list[list[int]] = [[] for _ in range(node_count)]
     seen: set[tuple[int, int]] = set()
-    for idx, e in enumerate(edges):
-        if not (0 <= e.tail < node_count and 0 <= e.head < node_count):
-            raise EdgeError(f"{_where(idx, e)}: endpoint outside [0, {node_count})")
-        if e.tail == e.head:
-            raise EdgeError(f"{_where(idx, e)}: self-loops are not allowed")
-        if (e.tail, e.head) in seen:
-            raise EdgeError(f"{_where(idx, e)}: duplicate edge for this node pair")
-        seen.add((e.tail, e.head))
-        out_edges[e.tail].append(idx)
-        in_edges[e.head].append(idx)
-        kept.append(e)
-    return RoadNetwork(node_count, kept, out_edges, in_edges, labels)
+    for idx, row in enumerate(rows):
+        tail, head, arrival, score, length = row
+        if not (0 <= tail < node_count and 0 <= head < node_count):
+            raise EdgeError(f"{_where(idx, row)}: endpoint outside [0, {node_count})")
+        if tail == head:
+            raise EdgeError(f"{_where(idx, row)}: self-loops are not allowed")
+        if (tail, head) in seen:
+            raise EdgeError(f"{_where(idx, row)}: duplicate edge for this node pair")
+        seen.add((tail, head))
+        out_edges[tail].append(idx)
+        in_edges[head].append(idx)
+        tails.append(tail)
+        heads.append(head)
+        arrivals.append(arrival)
+        scores.append(score)
+        lengths.append(length)
+    return RoadNetwork(
+        node_count, tails, heads, arrivals, scores, lengths, out_edges, in_edges, labels
+    )
 
 
 def _fmt_minutes(value: float) -> float:
@@ -387,13 +387,14 @@ def _from_rows(node_count: int, rows: list) -> RoadNetwork:
     raise as they do on the Python path, though not always in its order:
     :func:`load_network` then reads the file in Python, which names the
     first fault."""
-    edges = []
-    for tail, head, xs, ys, boundaries, values, default, length in rows:
-        _check_length(length, "edges")
-        arrival = ArrivalProfile._from_checked(xs, ys)
-        score = ScoreProfile(boundaries, values, default)
-        edges.append(Edge(tail, head, arrival, score, length))
-    return _index(node_count, edges, None)
+
+    def built():
+        for tail, head, xs, ys, boundaries, values, default, length in rows:
+            _check_length(length, "edges")
+            arrival = ArrivalProfile._from_checked(xs, ys)
+            yield tail, head, arrival, ScoreProfile(boundaries, values, default), length
+
+    return _index(node_count, built(), None)
 
 
 @gc_paused()
@@ -456,7 +457,7 @@ def _read(path: str) -> RoadNetwork:
     if not _is_int(node_count) or not isinstance(raw_edges, list):
         raise FormatError(f"{path}: bad types for node_count/edges")
     _check_node_count(node_count)
-    edges = []
+    rows = []
     for idx, raw in enumerate(raw_edges):
         where = f"{path}: edges[{idx}]"
         if not isinstance(raw, dict):
@@ -492,7 +493,7 @@ def _read(path: str) -> RoadNetwork:
             raise FormatError(f"{where}: malformed score object") from exc
         length = raw.get("length_m")
         _check_length(length, where)
-        edges.append(Edge(tail, head, arrival, score, length))
+        rows.append((tail, head, arrival, score, length))
     labels = None
     if "labels" in doc:
         try:
@@ -504,4 +505,4 @@ def _read(path: str) -> RoadNetwork:
             raise FormatError(
                 f"{path}: label for node {outside[0]} outside [0, {node_count})"
             )
-    return _index(node_count, edges, labels)
+    return _index(node_count, rows, labels)

@@ -27,13 +27,14 @@ given, when a profile method the search evaluates has been replaced, when
 the kernel is not available, or when the kernel defers a search it does
 not model.
 
-The Python search, the bounds and the Python budget derivation (where the
-kernel's copy does not run) walk ``out_edges`` or ``in_edges`` and read the
-network's per-edge columns (``heads``, ``tails``, ``arrivals``,
-``scores``), which the network builds with itself.  They look each profile
-method up at the call, so a replaced method or a subclass's override sees
-every call.  The kernel's flat arrays are built on a network's first
-solve; later solves do no per-network preparation.
+The Python search, the bounds, the Python budget derivation (where the
+kernel's copy does not run) and the path check walk ``out_edges`` or
+``in_edges`` and read the network's per-edge columns (``heads``,
+``tails``, ``arrivals``, ``scores``); only constraints' costs take
+``Edge`` records.  They look each profile method up at the call, so a
+replaced method or a subclass's override sees every call.  The kernel's
+flat arrays are built on a network's first solve; later solves do no
+per-network preparation.
 
 Ties between equal-score paths are broken by earlier destination arrival,
 then by lexicographically smaller node sequence.  The tie-break makes the
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import kernel
-from .network import Edge, RoadNetwork, gc_paused
+from .network import Edge, RoadNetwork
 from .profiles import TIME_EPS
 from .traversal import Query, QueryError, latest_departures
 
@@ -291,10 +292,9 @@ def path_from_nodes(
         idx = net.edge_between(u, v)
         if idx is None:
             raise ConsistencyError(f"no edge {u}->{v} in network")
-        e = net.edges[idx]
         departures.append(t)
-        score += e.score.value(t)
-        t = e.arrival.arrival(t)
+        score += net.scores[idx].value(t)
+        t = net.arrivals[idx].arrival(t)
         arrivals.append(t)
     return PathResult(
         tuple(nodes), tuple(departures), tuple(arrivals), score, t - t_dep, t_dep
@@ -404,13 +404,12 @@ def solve(
     flat = None if constraints else net.flat()
     # More threads than cores cannot help a CPU-bound search.
     workers = min(threads, os.cpu_count() or threads) if mode == "parallel" else 1
-    with gc_paused():
-        if flat is not None:
-            status, explored, best, _, _ = flat.search(
-                *search, workers, _SPLIT_DEPTH, _PROBE_LABELS
-            )
-        if flat is None or status == kernel.DEFER:
-            status, explored, best = _fast_search(net, *search, constraints)
+    if flat is not None:
+        status, explored, best, _, _ = flat.search(
+            *search, workers, _SPLIT_DEPTH, _PROBE_LABELS
+        )
+    if flat is None or status == kernel.DEFER:
+        status, explored, best = _fast_search(net, *search, constraints)
     explored += 1  # the source label
     if status == kernel.LIMIT:
         return SolveResult(STATUS_LIMIT, None, explored)

@@ -65,6 +65,22 @@ class TestGenNetworkCommand:
             main(["gen-network", "--density", "1.5", "--out", str(tmp_path / "x")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--edge-length", "nan"], "edge length must be finite"),
+        (["--edge-length", "inf"], "edge length must be finite"),
+        (["--speed-max", "inf"], "bad speed range"),
+        (["--score-max", "100000000000000000000"], "bad score range"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ])
+    def test_bad_number_is_data_error(self, tmp_path, capsys, flags, message):
+        """Each ended in a ValueError or OverflowError traceback from numpy."""
+        out = tmp_path / "g.json"
+        rc = main(["gen-network", "--grid", "3x3", *flags, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
     def test_same_flags_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -404,6 +420,20 @@ class TestValidateCommand:
         assert "0/0 agree" in captured.out
         assert "vacuous" in captured.err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-nodes", "20"], "must be in [4, 14], got 20"),
+        (["--max-nodes", "3"], "must be in [4, 14], got 3"),
+        (["--out-degree", "0"], "must be >= 1, got 0"),
+        (["--max-breakpoints", "0"], "must be >= 1, got 0"),
+    ])
+    def test_instance_shape_out_of_range_is_usage_error(self, capsys, flags, message):
+        """Each ended in a ValueError traceback, from the oracle's node limit
+        or from ``randrange``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--instances", "2", *flags])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
     def test_injected_fault_found(self, capsys, monkeypatch):
         from wayscore import solver as solver_mod
         from wayscore.traversal import latest_departures as real_bounds
@@ -443,6 +473,14 @@ class TestGenQueriesCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert "overhead must be finite" in captured.err and "nan" in captured.err
+
+    def test_negative_seed_is_data_error(self, grid_files, tmp_path, capsys):
+        """It ended in a ValueError traceback from numpy's ``SeedSequence``."""
+        graph_path, _, _, _ = grid_files
+        rc = main(["gen-queries", "--graph", graph_path, "--seed", "-1",
+                   "--overhead-pct", "30", "--out", str(tmp_path / "q.csv")])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_exhausted_sampling_is_data_error(self, grid_files, tmp_path, capsys):
         graph_path, _, _, _ = grid_files

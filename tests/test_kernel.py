@@ -7,9 +7,11 @@ back to Python.  ``earliest_arrival`` is compared the same way, on its
 ``(t, path)``.
 """
 
+import ctypes
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -564,6 +566,49 @@ class TestBuild:
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_ctypes_layouts_mirror_the_c_structs(self, tmp_path):
+        """``kernel.py`` restates ``ws_network``, ``ws_file``, ``ws_result``
+        and ``ws_edge`` for ``ctypes`` and ``struct``; a drift would make the
+        kernel read or write the wrong bytes.  A probe compiled with
+        ``_kernel.c`` prints each struct's size and field offsets."""
+        mirrors = {
+            "ws_network": kernel._Network,
+            "ws_file": kernel._File,
+            "ws_result": kernel._Result,
+        }
+        fields = {name: [f for f, _ in cls._fields_] for name, cls in mirrors.items()}
+        fields["ws_edge"] = ["tail", "head", "points", "boundaries", "values",
+                             "length_kind", "score_default", "length"]
+        want = {
+            name: [ctypes.sizeof(cls)] + [getattr(cls, f).offset for f in fields[name]]
+            for name, cls in mirrors.items()
+        }
+        codes = "".join(  # "=6q2d" -> "qqqqqqdd"
+            code * int(count or 1)
+            for count, code in re.findall(r"(\d*)([a-z])", kernel._EDGE.format)
+        )
+        want["ws_edge"] = [kernel._EDGE.size] + [
+            struct.calcsize("=" + codes[:i]) for i in range(len(codes))
+        ]
+        lines = [f'#include "{kernel.SOURCE}"', "#include <stddef.h>",
+                 "#include <stdio.h>", "int main(void) {"]
+        for name, names in fields.items():
+            lines.append(f'printf("{name} %zu", sizeof({name}));')
+            lines += [f'printf(" %zu", offsetof({name}, {f}));' for f in names]
+            lines.append('printf("\\n");')
+        probe = tmp_path / "probe.c"
+        probe.write_text("\n".join(lines + ["return 0;", "}"]) + "\n")
+        built = subprocess.run(
+            [kernel.COMPILE[0], "-pthread", "-o", str(tmp_path / "probe"), str(probe)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert built.returncode == 0, built.stderr
+        out = subprocess.run([str(tmp_path / "probe")], check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        got = {name: list(map(int, rest))
+               for name, *rest in map(str.split, out.splitlines())}
+        assert got == want
 
     def test_failed_build_leaves_no_file(self, tmp_path):
         with pytest.raises(subprocess.CalledProcessError):

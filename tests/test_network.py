@@ -25,6 +25,8 @@ from wayscore.network import (
     save_network,
 )
 from wayscore.profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
+from wayscore.solver import STATUS_OK, solve
+from wayscore.traversal import build_query
 
 
 def _edge(u, v, tt=1.0, score=0.0):
@@ -93,6 +95,7 @@ class TestBuild:
         assert net.tails == [0, 0, 2, 2]
         assert all(a is edge.arrival for a, edge in zip(net.arrivals, e, strict=True))
         assert all(s is edge.score for s, edge in zip(net.scores, e, strict=True))
+        assert net.lengths == [None] * 4
         if kernel.library() is None:
             pytest.skip("no compiled kernel: test_kernel.py says why")
         built = []
@@ -114,6 +117,22 @@ class TestBuild:
                 assert net.flat() is None
             assert net.flat() is flat
         assert len(built) == 1
+
+    def test_edges_are_built_once_from_the_columns(self):
+        given = [
+            Edge(0, 1, ArrivalProfile([(0.0, 2.0), (5.0, 6.0)]),
+                 ScoreProfile((1.0, 3.0), (4.0,), 2.0), 12),
+            Edge(1, 2, ArrivalProfile.constant(1.5), ScoreProfile.constant(0.0), 7.25),
+            Edge(2, 0, ArrivalProfile.constant(3.0), ScoreProfile.constant(1.0)),
+        ]
+        net = build_network(3, given)
+        assert "edges" not in vars(net)  # nothing is built until it is read
+        edges = net.edges
+        assert edges == given
+        for got, e in zip(edges, given, strict=True):
+            assert got.arrival is e.arrival and got.score is e.score
+            assert type(got.length_m) is type(e.length_m)
+        assert net.edges is edges
 
     def test_resolve_node(self, toy_network):
         assert toy_network.resolve_node("A") == 0
@@ -519,6 +538,37 @@ class TestKernelParser:
             "departure=1.0, arrival=1.5"
         )
         assert [(0.0, 2.0), (1.0, 1.5)] in calls  # by the Python loader
+
+    def test_a_load_and_an_unconstrained_solve_build_no_edge(
+        self, grid_file, kernel_loads, monkeypatch
+    ):
+        _kernel_or_skip()
+
+        def refused(*args):
+            raise AssertionError("an Edge was built")
+
+        monkeypatch.setattr(network, "Edge", refused)
+        net = load_network(grid_file)
+        assert kernel_loads == [True]
+        query = build_query(net, 0, 63, 480.0, overhead_percent=30.0)
+        assert solve(net, query).status == STATUS_OK
+        assert "edges" not in vars(net)
+
+    @pytest.mark.parametrize("path", ["kernel", "python"])
+    def test_lengths_keep_their_type(self, tmp_path, kernel_loads, monkeypatch, path):
+        if path == "kernel":
+            _kernel_or_skip()
+        else:
+            monkeypatch.setattr(kernel, "library", lambda: None)
+        edges = [
+            _one_edge(length_m=12),
+            _one_edge(**{"from": 1, "to": 2, "length_m": 7.25}),
+            _one_edge(**{"from": 2, "to": 0}),
+        ]
+        net = load_network(_written(tmp_path, {"node_count": 3, "edges": edges}))
+        assert kernel_loads == [path == "kernel"]
+        assert [type(x) for x in net.lengths] == [int, float, type(None)]
+        assert [e.length_m for e in net.edges] == net.lengths == [12, 7.25, None]
 
     def test_numbers_read_as_python_reads_them(self, tmp_path):
         _kernel_or_skip()

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from wayscore import kernel, solver
 from wayscore.datagen import GenConfig, generate_network, generate_query_sets
-from wayscore.network import Edge, build_network
+from wayscore.network import Edge, RoadNetwork, build_network
 from wayscore.profiles import ArrivalProfile, ScoreProfile
 from wayscore.reference import (
     best_path_by_enumeration,
@@ -661,6 +662,36 @@ class TestNetworkReuse:
                     assert res.status == fresh.status
                     assert res.path.to_json() == fresh.path.to_json()
                     assert res.explored == fresh.explored
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_solve_leaves_the_collector_switch_alone(toy_network, monkeypatch, engine):
+    """A solve never sets the process-wide collector switch, so a thread
+    that turns the collector off while a search runs finds it off after:
+    a pause around the search re-enabled it on its way out."""
+    if engine == "kernel":
+        if toy_network.flat() is None:
+            pytest.skip("no compiled kernel: test_kernel.py says why")
+        owner, name = kernel.FlatNetwork, "search"
+    else:
+        monkeypatch.setattr(RoadNetwork, "flat", lambda self: None)
+        owner, name = solver, "_fast_search"
+    search = getattr(owner, name)
+
+    def disabling(*args):
+        found = search(*args)
+        gc.disable()  # as another thread may do while the search runs
+        return found
+
+    monkeypatch.setattr(owner, name, disabling)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        res = solve(toy_network, _query(toy_network, 0, 1, 0.0, 8.0))
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert res.path.nodes == (0, 2, 1)
 
 
 class _Slowed(ArrivalProfile):
