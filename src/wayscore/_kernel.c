@@ -12,11 +12,15 @@
  * and ScoreProfile.value, written with the same operations in the same
  * order, so every double the kernel computes equals the one Python computes
  * (build with -ffp-contract=off, so that no multiply-add is fused).
- * ws_load parses a network file, memory-mapped, into per-edge columns, and
- * ws_fifo, which it runs on every arrival profile, is check_fifo as a
- * yes/no predicate; wayscore.network.load_network builds the network from
- * the columns, and reads any file ws_load defers in Python.
- * wayscore/kernel.py builds and calls it.
+ * ws_load is the whole load of a network file, memory-mapped: it parses it,
+ * makes the Python loader's checks as yes/no predicates (ws_fifo is
+ * check_fifo, run on every arrival profile; edge_ok and has_duplicate the
+ * rest), and builds the network's arrays in the kernel's layout, with each
+ * distinct row of departures stored once, together with the columns that
+ * wayscore.network.load_network builds the network's lists from.  The
+ * network keeps the arrays for its searches, so its first solve packs
+ * nothing; a file ws_load defers is read in Python.  wayscore/kernel.py
+ * builds and calls it.
  *
  * Preconditions, checked by the caller: node ids and edge indices in range,
  * every offset array non-decreasing and one longer than what it indexes,
@@ -28,6 +32,7 @@
  */
 
 #include <fcntl.h>
+#include <float.h>
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
@@ -37,9 +42,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-/* A network flattened by kernel.flatten().  The breakpoints of edge e are
- * xs/ys/floors[bp_start[e] .. bp_start[e + 1]), its score boundaries and
- * values sb/sv[sc_start[e] .. sc_start[e + 1]). */
+/* A network in the kernel's layout, built by ws_load or kernel.flatten().
+ * Edge e has k = bp_start[e + 1] - bp_start[e] breakpoints: its arrivals and
+ * floors are ys/floors[bp_start[e] .. bp_start[e + 1]), its departures
+ * xs[xs_start[e] .. xs_start[e] + k), which edges with the same departures
+ * may share.  Its score boundaries and values are sb/sv[sc_start[e] ..
+ * sc_start[e + 1]). */
 typedef struct {
     int64_t nodes;
     int64_t edges;
@@ -47,6 +55,7 @@ typedef struct {
     const int32_t *out_edge;  /* edge indices, in the order of out_edges */
     const int32_t *head;      /* per edge */
     const int64_t *bp_start;  /* edges + 1 */
+    const int64_t *xs_start;  /* per edge */
     const double *xs;
     const double *ys;
     const double *floors;     /* floor_after's suffix floors, per breakpoint */
@@ -113,11 +122,13 @@ static int64_t bisect_right(const double *a, int64_t n, double x)
 }
 
 /* ArrivalProfile.arrival; returns -1 where Python indexes past the last
- * breakpoint, which only a NaN departure reaches. */
-static int arrival(const ws_network *net, int64_t e, double d, double *out)
+ * breakpoint, which only a NaN departure reaches.  Inlined into the search
+ * loops: called, it took the catalogue's long queries about 11 % longer. */
+static inline __attribute__((always_inline)) int arrival(const ws_network *net, int64_t e,
+                                                         double d, double *out)
 {
     const int64_t lo = net->bp_start[e], k = net->bp_start[e + 1] - lo;
-    const double *xs = net->xs + lo, *ys = net->ys + lo;
+    const double *xs = net->xs + net->xs_start[e], *ys = net->ys + lo;
     if (d <= xs[0]) {
         *out = d + (ys[0] - xs[0]);
         return 0;
@@ -142,7 +153,7 @@ static int arrival(const ws_network *net, int64_t e, double d, double *out)
 static double floor_after(const ws_network *net, int64_t e, double t)
 {
     const int64_t lo = net->bp_start[e], k = net->bp_start[e + 1] - lo;
-    const double *xs = net->xs + lo;
+    const double *xs = net->xs + net->xs_start[e];
     const int64_t later = t > xs[0] ? bisect_right(xs, k, t) : 0;
     return later < k ? net->floors[lo + later] : INFINITY;
 }
@@ -181,14 +192,14 @@ static int better(double score_a, double arrival_a, const int32_t *a,
 
 /* floor_after's suffix floors for every edge, by the same expressions.
  * Returns -1 if an edge has no breakpoint. */
-int ws_floors(int64_t edges, const int64_t *bp_start, const double *xs,
-              const double *ys, double *floors)
+int ws_floors(int64_t edges, const int64_t *bp_start, const int64_t *xs_start,
+              const double *xs, const double *ys, double *floors)
 {
     for (int64_t e = 0; e < edges; e++) {
         const int64_t lo = bp_start[e], k = bp_start[e + 1] - lo;
         if (k < 1)
             return -1;
-        const double *x = xs + lo, *y = ys + lo;
+        const double *x = xs + xs_start[e], *y = ys + lo;
         double least = x[k - 1] + (y[k - 1] - x[k - 1]); /* the last branch */
         floors[lo + k - 1] = least;
         for (int64_t j = k - 2; j >= 0; j--) {
@@ -598,45 +609,74 @@ int ws_fifo(int64_t k, const double *xs, const double *ys)
     return 1;
 }
 
-/* One edge of a network file as ws_load parsed it: its ids, how many
+/* The parser's helpers run once or more per number of a file, so they are
+ * inlined into the loops that call them. */
+#define WS_INLINE static inline __attribute__((always_inline))
+
+/* One edge of a network file as the parser reads it: its ids, how many
  * breakpoints, score boundaries and score values it holds in the pools, its
- * score default (0 when absent) and its length_m. */
+ * score default (0 when absent) and its length_m; and, once the rows are
+ * shared, where its departures start in the load's xs. */
 typedef struct {
     int64_t tail, head;
     int64_t points, boundaries, values;
     int64_t length_kind; /* WS_NO_LENGTH, WS_INT_LENGTH or WS_REAL_LENGTH */
     double score_default, length;
+    int64_t xs_start;
 } ws_edge;
 
 enum { WS_NO_LENGTH = 0, WS_INT_LENGTH = 1, WS_REAL_LENGTH = 2 };
 
-/* A parsed network file: every edge's record, and the pools that hold the
- * edges' breakpoints (points of them) and their score boundaries then
- * values (scores of them), in edge order.  ws_free releases the pools. */
+/* A loaded network: ws_load's arrays, all in one block that ws_free unmaps.
+ * net holds the kernel's; its xs holds row_points values, ys and floors
+ * points, sb and sv scores.  The rest only Python reads: each edge's tail,
+ * the in CSR (in_start, nodes + 1 offsets into in_edge, which lists each
+ * node's edges in edge order), and each length_m with its kind. */
 typedef struct {
-    int64_t node_count, edges, points, scores;
-    ws_edge *edge;
-    double *xs, *ys, *scores_pool;
+    ws_network net;
+    int64_t points, row_points, scores;
+    const int32_t *tail;
+    const int64_t *in_start;
+    const int32_t *in_edge;
+    const double *length;
+    const uint8_t *length_kind;
+    void *block;
+    int64_t block_size;
 } ws_file;
 
-/* A pool that grows by doubling. */
+/* Anonymous memory mapped apart from malloc's heap, so that what a load
+ * frees goes back to the system whole and leaves malloc's thresholds as they
+ * were.  Pages that are never touched take no memory. */
+static void *map_block(size_t size)
+{
+    void *p = mmap(NULL, size ? size : 1, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    return p == MAP_FAILED ? NULL : p;
+}
+
+static void unmap_block(void *p, size_t size)
+{
+    if (p)
+        munmap(p, size ? size : 1);
+}
+
+/* A pool with room for cap bytes, reserved at once. */
 typedef struct {
     char *data;
     size_t len, cap; /* in bytes */
 } ws_pool;
 
-static int append(ws_pool *pool, const void *item, size_t size)
+static int reserve(ws_pool *pool, size_t cap)
 {
-    if (pool->len + size > pool->cap) {
-        size_t cap = pool->cap ? 2 * pool->cap : 4096;
-        while (cap < pool->len + size)
-            cap *= 2;
-        char *grown = realloc(pool->data, cap);
-        if (!grown)
-            return -1;
-        pool->data = grown;
-        pool->cap = cap;
-    }
+    pool->data = map_block(cap);
+    pool->cap = pool->data ? cap : 0;
+    return pool->data ? 0 : -1;
+}
+
+WS_INLINE int append(ws_pool *pool, const void *item, size_t size)
+{
+    if (size > pool->cap - pool->len)
+        return -1;
     memcpy(pool->data + pool->len, item, size);
     pool->len += size;
     return 0;
@@ -647,7 +687,7 @@ typedef struct {
     ws_pool edges, xs, ys, scores;
 } ws_parser;
 
-static void skip_space(ws_parser *ps)
+WS_INLINE void skip_space(ws_parser *ps)
 {
     const char *p = ps->p, *end = ps->end;
     while (p < end && (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t'))
@@ -656,7 +696,7 @@ static void skip_space(ws_parser *ps)
 }
 
 /* Skip whitespace; then consume c if it comes next. */
-static int next_is(ws_parser *ps, char c)
+WS_INLINE int next_is(ws_parser *ps, char c)
 {
     skip_space(ps);
     if (ps->p < ps->end && *ps->p == c) {
@@ -667,7 +707,7 @@ static int next_is(ws_parser *ps, char c)
 }
 
 /* After a member or an element: 1 on a comma, 0 on close, -1 otherwise. */
-static int more(ws_parser *ps, char close)
+WS_INLINE int more(ws_parser *ps, char close)
 {
     if (next_is(ps, ','))
         return 1;
@@ -695,7 +735,7 @@ static int key(ws_parser *ps, const char *const *names, int count)
     return -1;
 }
 
-static int is_digit(char c)
+WS_INLINE int is_digit(char c)
 {
     return c >= '0' && c <= '9';
 }
@@ -703,7 +743,7 @@ static int is_digit(char c)
 /* A JSON number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?, as
  * Python's json module reads it.  Sets its extent, and whether it is an
  * integer, which the parser gives as an int rather than a float. */
-static int number(ws_parser *ps, const char **start, size_t *len, int *integer)
+WS_INLINE int number(ws_parser *ps, const char **start, size_t *len, int *integer)
 {
     skip_space(ps);
     const char *p = ps->p, *end = ps->end;
@@ -760,7 +800,7 @@ static int int_value(const char *s, size_t len, int64_t *out)
  * one correctly rounded division gives it (Clinger's fast path); strtod
  * converts any other token, and -1 says it did not consume the token whole
  * (in a locale with a decimal comma, say). */
-static int float_value(const char *s, size_t len, double *out)
+WS_INLINE int float_value(const char *s, size_t len, double *out)
 {
     static const double powers[] = {
         1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
@@ -800,7 +840,7 @@ slow:;
 /* The next number: its value, and whether it is an integer token, which
  * Python's parser gives as an int.  An integer past 2**53 in magnitude,
  * which a double may not hold exactly, is refused. */
-static int number_value(ws_parser *ps, double *out, int *integer)
+WS_INLINE int number_value(ws_parser *ps, double *out, int *integer)
 {
     const char *s;
     size_t len;
@@ -816,7 +856,7 @@ static int number_value(ws_parser *ps, double *out, int *integer)
 }
 
 /* A number that must be a float token. */
-static int float_token(ws_parser *ps, double *out)
+WS_INLINE int float_token(ws_parser *ps, double *out)
 {
     int integer;
     return number_value(ps, out, &integer) || integer ? -1 : 0;
@@ -972,33 +1012,258 @@ static int parse_document(ws_parser *ps, int64_t *node_count)
     return go || seen != 3 || ps->p != ps->end ? -1 : 0;
 }
 
+/* The checks the Python loader makes of an edge besides check_fifo's, as a
+ * yes/no predicate: endpoints in [0, nodes) and apart; a length_m, when
+ * there is one, finite and >= 0; and a score ScoreProfile takes: finite
+ * numbers, boundaries strictly increasing, one value fewer than boundaries
+ * (none for none), no value or default below 0.  b holds the edge's
+ * boundaries, then its values. */
+static int edge_ok(const ws_edge *e, int64_t nodes, const double *b)
+{
+    const int64_t nb = e->boundaries, nv = e->values;
+    if (e->tail < 0 || e->tail >= nodes || e->head < 0 || e->head >= nodes
+        || e->tail == e->head)
+        return 0;
+    if (e->length_kind != WS_NO_LENGTH && !(e->length >= 0.0 && e->length <= DBL_MAX))
+        return 0;
+    if (nv != (nb > 0 ? nb - 1 : 0) || !isfinite(e->score_default)
+        || e->score_default < 0.0)
+        return 0;
+    for (int64_t i = 0; i < nb; i++) {
+        if (!isfinite(b[i]) || (i > 0 && !(b[i] > b[i - 1])))
+            return 0;
+    }
+    for (int64_t i = nb; i < nb + nv; i++) {
+        if (!isfinite(b[i]) || b[i] < 0.0)
+            return 0;
+    }
+    return 1;
+}
+
+static uint64_t row_hash(const double *x, int64_t k)
+{
+    uint64_t h = (uint64_t)k;
+    for (int64_t i = 0; i < k; i++) {
+        uint64_t bits;
+        memcpy(&bits, &x[i], sizeof bits);
+        h = (h ^ bits) * UINT64_C(0x9E3779B97F4A7C15);
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+/* Keep one copy of each row of departures, in place: xs holds every edge's
+ * row in edge order, and ends up holding each distinct row once, in the
+ * order of their first edges, with each edge's xs_start set.  Rows are the
+ * same when their bits are; for checked (finite, strictly increasing)
+ * departures that is the values and the sign of the one zero.  Returns how
+ * many values the distinct rows hold, or -1 when no table can be mapped. */
+static int64_t share_rows(ws_edge *edge, int64_t edges, double *xs)
+{
+    size_t slots = 2;
+    while (slots < 2 * (size_t)edges)
+        slots *= 2;
+    /* per slot: 1 + the first edge of a row, 0 where free */
+    int64_t *first = map_block(slots * sizeof *first);
+    if (!first)
+        return -1;
+    int64_t kept = 0, at = 0; /* at: where edge e's row was parsed */
+    for (int64_t e = 0; e < edges; e++) {
+        const int64_t k = edge[e].points;
+        size_t slot = row_hash(xs + at, k) & (slots - 1);
+        for (;; slot = (slot + 1) & (slots - 1)) {
+            const int64_t f = first[slot] - 1;
+            if (f < 0) {
+                first[slot] = e + 1;
+                memmove(xs + kept, xs + at, (size_t)k * sizeof *xs); /* kept <= at */
+                edge[e].xs_start = kept;
+                kept += k;
+                break;
+            }
+            if (edge[f].points == k
+                && memcmp(xs + edge[f].xs_start, xs + at, (size_t)k * sizeof *xs) == 0) {
+                edge[e].xs_start = edge[f].xs_start;
+                break;
+            }
+        }
+        at += k;
+    }
+    unmap_block(first, slots * sizeof *first);
+    return kept;
+}
+
+/* Each edge's index grouped by node[e], in edge order within a node (a
+ * stable counting sort): start gets nodes + 1 offsets into order. */
+static void group(int64_t nodes, int64_t edges, const int32_t *node, int64_t *start,
+                  int32_t *order)
+{
+    memset(start, 0, (size_t)(nodes + 1) * sizeof *start);
+    for (int64_t e = 0; e < edges; e++)
+        start[node[e] + 1]++;
+    for (int64_t v = 0; v < nodes; v++)
+        start[v + 1] += start[v];
+    for (int64_t e = 0; e < edges; e++)
+        order[start[node[e]]++] = (int32_t)e; /* start[v] moves to start[v + 1] */
+    for (int64_t v = nodes; v > 0; v--)
+        start[v] = start[v - 1];
+    start[0] = 0;
+}
+
+/* Whether two of a node's out-edges lead to the same head; mark is scratch
+ * room for one entry per node. */
+static int has_duplicate(int64_t nodes, const int64_t *out_start, const int32_t *out_edge,
+                         const int32_t *head, int64_t *mark)
+{
+    for (int64_t v = 0; v < nodes; v++)
+        mark[v] = -1;
+    for (int64_t u = 0; u < nodes; u++) {
+        for (int64_t pos = out_start[u]; pos < out_start[u + 1]; pos++) {
+            const int32_t h = head[out_edge[pos]];
+            if (mark[h] == u)
+                return 1;
+            mark[h] = u;
+        }
+    }
+    return 0;
+}
+
+/* Where the next array of bytes starts in a block of *size bytes, which it
+ * grows by; every array starts 8-aligned. */
+static size_t take(size_t *size, size_t bytes)
+{
+    const size_t start = *size;
+    *size += (bytes + 7) & ~(size_t)7;
+    return start;
+}
+
+/* Check what the parser read and build *file from it.  Every array is
+ * allocated once, at its size, in one block. */
+static int build(ws_parser *ps, int64_t n, int64_t max_nodes, ws_file *file)
+{
+    ws_edge *edge = (ws_edge *)ps->edges.data;
+    const int64_t m = (int64_t)(ps->edges.len / sizeof *edge);
+    const int64_t points = (int64_t)(ps->ys.len / sizeof(double));
+    double *parsed_xs = (double *)ps->xs.data;
+    const double *parsed_ys = (const double *)ps->ys.data;
+    const double *pool = (const double *)ps->scores.data;
+    int64_t at = 0, sc = 0, scores = 0;
+
+    if (n < 1 || n > max_nodes || m >= INT32_MAX)
+        return WS_DEFER;
+    for (int64_t e = 0; e < m; e++) {
+        if (!ws_fifo(edge[e].points, parsed_xs + at, parsed_ys + at)
+            || !edge_ok(&edge[e], n, pool + sc))
+            return WS_DEFER;
+        at += edge[e].points;
+        sc += edge[e].boundaries + edge[e].values;
+        scores += edge[e].boundaries;
+    }
+    const int64_t rows = share_rows(edge, m, parsed_xs);
+    if (rows < 0)
+        return WS_DEFER;
+
+    const size_t nodes1 = (size_t)n + 1, edges = (size_t)m, edges1 = edges + 1;
+    size_t size = 0;
+    const size_t o_out_start = take(&size, nodes1 * 8), o_in_start = take(&size, nodes1 * 8),
+                 o_bp_start = take(&size, edges1 * 8), o_xs_start = take(&size, edges * 8),
+                 o_sc_start = take(&size, edges1 * 8), o_xs = take(&size, (size_t)rows * 8),
+                 o_ys = take(&size, (size_t)points * 8), o_floors = take(&size, (size_t)points * 8),
+                 o_sb = take(&size, (size_t)scores * 8), o_sv = take(&size, (size_t)scores * 8),
+                 o_sdef = take(&size, edges * 8), o_length = take(&size, edges * 8),
+                 o_out_edge = take(&size, edges * 4), o_in_edge = take(&size, edges * 4),
+                 o_head = take(&size, edges * 4), o_tail = take(&size, edges * 4),
+                 o_kind = take(&size, edges);
+    char *block = map_block(size);
+    if (!block)
+        return WS_DEFER;
+    int64_t *out_start = (int64_t *)(block + o_out_start);
+    int64_t *in_start = (int64_t *)(block + o_in_start);
+    int64_t *bp_start = (int64_t *)(block + o_bp_start);
+    int64_t *xs_start = (int64_t *)(block + o_xs_start);
+    int64_t *sc_start = (int64_t *)(block + o_sc_start);
+    double *xs = (double *)(block + o_xs), *ys = (double *)(block + o_ys);
+    double *floors = (double *)(block + o_floors);
+    double *sb = (double *)(block + o_sb), *sv = (double *)(block + o_sv);
+    double *sdef = (double *)(block + o_sdef), *length = (double *)(block + o_length);
+    int32_t *out_edge = (int32_t *)(block + o_out_edge);
+    int32_t *in_edge = (int32_t *)(block + o_in_edge);
+    int32_t *head = (int32_t *)(block + o_head), *tail = (int32_t *)(block + o_tail);
+    uint8_t *kind = (uint8_t *)(block + o_kind);
+
+    sc = 0;
+    bp_start[0] = sc_start[0] = 0;
+    for (int64_t e = 0; e < m; e++) {
+        const ws_edge *d = &edge[e];
+        const int64_t nb = d->boundaries, lo = sc_start[e];
+        tail[e] = (int32_t)d->tail;
+        head[e] = (int32_t)d->head;
+        bp_start[e + 1] = bp_start[e] + d->points;
+        xs_start[e] = d->xs_start;
+        sc_start[e + 1] = lo + nb;
+        if (nb > 0) {
+            memcpy(sb + lo, pool + sc, (size_t)nb * sizeof *sb);
+            memcpy(sv + lo, pool + sc + nb, (size_t)(nb - 1) * sizeof *sv);
+            sv[lo + nb - 1] = 0.0; /* pads to one value per boundary; never read */
+        }
+        sc += nb + d->values;
+        sdef[e] = d->score_default;
+        length[e] = d->length;
+        kind[e] = (uint8_t)d->length_kind;
+    }
+    memcpy(xs, parsed_xs, (size_t)rows * sizeof *xs);
+    memcpy(ys, parsed_ys, (size_t)points * sizeof *ys);
+    ws_floors(m, bp_start, xs_start, xs, ys, floors);
+    group(n, m, tail, out_start, out_edge);
+    /* in_start is scratch until the in CSR is built */
+    if (has_duplicate(n, out_start, out_edge, head, in_start)) {
+        unmap_block(block, size);
+        return WS_DEFER;
+    }
+    group(n, m, head, in_start, in_edge);
+    *file = (ws_file){
+        .net = {n, m, out_start, out_edge, head, bp_start, xs_start, xs, ys, floors,
+                sc_start, sb, sv, sdef},
+        .points = points, .row_points = rows, .scores = scores,
+        .tail = tail, .in_start = in_start, .in_edge = in_edge,
+        .length = length, .length_kind = kind,
+        .block = block, .block_size = (int64_t)size,
+    };
+    return WS_DONE;
+}
+
 void ws_free(ws_file *file)
 {
-    free(file->edge);
-    free(file->xs);
-    free(file->ys);
-    free(file->scores_pool);
+    unmap_block(file->block, (size_t)file->block_size);
     *file = (ws_file){0};
 }
 
-/* Parse the network file at path, memory-mapped, into *file, and check
- * every arrival profile by ws_fifo.  Returns WS_DONE when the file parsed
- * and every profile passes; the caller then owns the pools and releases
- * them with ws_free.  Anything else returns WS_DEFER, with *file empty, and
- * the caller reads the file in Python, which names what is wrong:
- * a path that does not open as a regular file, a failed allocation, a
- * profile that fails the check, and any input outside what save_network
- * writes for a network without labels (the labels themselves, other or
- * repeated keys, string values, escapes, bytes outside ASCII, NaN and
- * Infinity, true, false and null, an integer among the breakpoints or past
- * 2**53 in magnitude) or that is not JSON.  Each number equals the float, or
- * the int, that Python's json module reads from its token.  The file must
- * not shrink while it loads. */
-int ws_load(const char *path, ws_file *file)
+/* Load the network file at path, memory-mapped, into *file: parse it, run
+ * the Python loader's checks on it as yes/no predicates (node_count in
+ * [1, max_nodes], ws_fifo on every arrival profile, edge_ok on every edge,
+ * no two edges between one pair of nodes), and build the kernel's arrays and
+ * the columns Python builds its network from.  Returns WS_DONE with *file
+ * set; the caller then owns its block and releases it with ws_free.
+ * Anything else returns WS_DEFER, with *file empty, and the caller reads the
+ * file in Python, which names what is wrong: a path that does not open as a
+ * regular file, a failed mapping, a check that fails, and any input outside
+ * what save_network writes for a network without labels (the labels
+ * themselves, other or repeated keys, string values, escapes, bytes outside
+ * ASCII, NaN and Infinity, true, false and null, an integer among the
+ * breakpoints or past 2**53 in magnitude) or that is not JSON.  Each number
+ * equals the float, or the int, that Python's json module reads from its
+ * token.  The file must not shrink while it loads.
+ *
+ * The parser's pools are mapped apart from malloc's heap, each with room for
+ * as many items as the file's size allows, going by the fewest bytes each
+ * item takes: 9 a breakpoint ("[0e0,0e0]"), 2 a score number ("0,") and 30
+ * an edge ({"from":0,"to":1,"arrival":[]}).  They are unmapped before the
+ * call returns. */
+int ws_load(const char *path, int64_t max_nodes, ws_file *file)
 {
     ws_parser ps = {0};
     struct stat st;
-    int status = WS_DEFER;
+    int64_t node_count = 0;
+    int parsed = -1, status = WS_DEFER;
 
     *file = (ws_file){0};
     /* O_NONBLOCK: opening a FIFO does not wait for a writer */
@@ -1016,29 +1281,17 @@ int ws_load(const char *path, ws_file *file)
         return WS_DEFER;
     ps.p = map;
     ps.end = ps.p + size;
-    if (parse_document(&ps, &file->node_count) == 0) {
-        const ws_edge *e = (const ws_edge *)ps.edges.data;
-        const double *xs = (const double *)ps.xs.data, *ys = (const double *)ps.ys.data;
-        file->edges = (int64_t)(ps.edges.len / sizeof *e);
-        file->points = (int64_t)(ps.xs.len / sizeof *xs);
-        file->scores = (int64_t)(ps.scores.len / sizeof *xs);
-        status = WS_DONE;
-        for (int64_t i = 0; i < file->edges && status == WS_DONE; i++) {
-            const int64_t k = e[i].points;
-            if (!ws_fifo(k, xs, ys)) {
-                status = WS_DEFER;
-            } else { /* k > 0: xs and ys are not NULL */
-                xs += k;
-                ys += k;
-            }
-        }
-    }
+    if (reserve(&ps.edges, (size / 30 + 1) * sizeof(ws_edge)) == 0
+        && reserve(&ps.xs, (size / 9 + 1) * sizeof(double)) == 0
+        && reserve(&ps.ys, (size / 9 + 1) * sizeof(double)) == 0
+        && reserve(&ps.scores, (size / 2 + 1) * sizeof(double)) == 0)
+        parsed = parse_document(&ps, &node_count);
     munmap(map, size);
-    file->edge = (ws_edge *)ps.edges.data;
-    file->xs = (double *)ps.xs.data;
-    file->ys = (double *)ps.ys.data;
-    file->scores_pool = (double *)ps.scores.data;
-    if (status != WS_DONE)
-        ws_free(file);
+    if (parsed == 0)
+        status = build(&ps, node_count, max_nodes, file);
+    unmap_block(ps.edges.data, ps.edges.cap);
+    unmap_block(ps.xs.data, ps.xs.cap);
+    unmap_block(ps.ys.data, ps.ys.cap);
+    unmap_block(ps.scores.data, ps.scores.cap);
     return status;
 }

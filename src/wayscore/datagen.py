@@ -121,7 +121,14 @@ class GenResult:
 
 
 def _quantize(value: float) -> float:
-    return round(value / TT_QUANTUM) * TT_QUANTUM
+    """A travel time rounded to whole quanta; ConfigError when it, or its
+    count of quanta, is not finite (an edge length near the double range)."""
+    quanta = float(value) / TT_QUANTUM
+    if not math.isfinite(quanta):
+        raise ConfigError(
+            f"a derived travel time of {float(value)!r} minutes is too large to quantize"
+        )
+    return round(quanta) * TT_QUANTUM
 
 
 def _grid_topology(rows: int, cols: int, length: float) -> list[tuple[int, int, float]]:
@@ -219,7 +226,7 @@ def generate_network(config: GenConfig) -> GenResult:
     baselines: list[float] = []
     peaks: list[tuple[float, ...]] = []
     for i, (u, v, length) in enumerate(arcs):
-        baseline = _quantize(length / speeds[i])
+        baseline = _quantize(length / float(speeds[i]))
         edge_peaks = tuple(float(p) for p in peak_draws[i])
         pairs = _rush_profile(
             baseline, windows, edge_peaks, config.breakpoint_interval,

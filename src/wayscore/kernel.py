@@ -26,18 +26,22 @@ concurrent or interrupted build leaves no partial library behind.
 :func:`library` returns None when there is no compiler, no writable cache
 directory, or the library does not load; the Python engine then runs.
 
-The kernel also parses network files (:func:`parse_network`, through
-:func:`wayscore.network.load_network`).  ``ws_load`` reads a memory-mapped
-file into per-edge columns and checks every arrival profile by
-:func:`wayscore.profiles.check_fifo`'s rules; it defers, and the Python
-loader reads the file, on anything outside what ``save_network`` writes for
-a network without labels, and on a profile that fails the check.
+The kernel also loads network files (:func:`parse_network`, through
+:func:`wayscore.network.load_network`).  ``ws_load`` parses a memory-mapped
+file, makes every check of the Python loader as a yes/no predicate, and
+builds the network's arrays in the kernel's layout, in one block of memory
+that the returned :class:`FlatNetwork` owns, with each distinct row of
+breakpoint departures stored once.  It defers, and the Python loader reads
+the file, on anything outside what ``save_network`` writes for a network
+without labels, and on any check that fails.
 
-A network is flattened once (:func:`flatten`, through
-:meth:`wayscore.network.RoadNetwork.flat`) into ``array`` buffers: a CSR
-out-adjacency, each edge's head, breakpoints and score intervals, and
-``floor_after``'s suffix floors, which the kernel computes by the same
-expressions as :meth:`wayscore.profiles.ArrivalProfile.floor_after`.
+A network built in Python (``build_network``, the Python loader) is
+flattened on its first solve instead (:func:`flatten`, through
+:meth:`wayscore.network.RoadNetwork.flat`) into ``array`` buffers of the
+same layout: a CSR out-adjacency, each edge's head, breakpoints and score
+intervals, and ``floor_after``'s suffix floors, which the kernel computes
+by the same expressions as
+:meth:`wayscore.profiles.ArrivalProfile.floor_after`.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import struct
 import subprocess
 import tempfile
 import threading
+import weakref
 from array import array
 from itertools import accumulate, chain
 from operator import attrgetter
@@ -88,6 +93,7 @@ class _Network(ctypes.Structure):
         ("out_edge", ctypes.c_void_p),
         ("head", ctypes.c_void_p),
         ("bp_start", ctypes.c_void_p),
+        ("xs_start", ctypes.c_void_p),
         ("xs", ctypes.c_void_p),
         ("ys", ctypes.c_void_p),
         ("floors", ctypes.c_void_p),
@@ -100,21 +106,22 @@ class _Network(ctypes.Structure):
 
 class _File(ctypes.Structure):
     _fields_ = [
-        ("node_count", ctypes.c_int64),
-        ("edges", ctypes.c_int64),
+        ("net", _Network),
         ("points", ctypes.c_int64),
+        ("row_points", ctypes.c_int64),
         ("scores", ctypes.c_int64),
-        ("edge", ctypes.c_void_p),
-        ("xs", ctypes.c_void_p),
-        ("ys", ctypes.c_void_p),
-        ("scores_pool", ctypes.c_void_p),
+        ("tail", ctypes.c_void_p),
+        ("in_start", ctypes.c_void_p),
+        ("in_edge", ctypes.c_void_p),
+        ("length", ctypes.c_void_p),
+        ("length_kind", ctypes.c_void_p),
+        ("block", ctypes.c_void_p),
+        ("block_size", ctypes.c_int64),
     ]
 
 
-# A ws_edge: tail, head, the counts of breakpoints, score boundaries and
-# score values, the kind of length_m, the score default and length_m.
-_EDGE = struct.Struct("=6q2d")
-_NO_LENGTH, _INT_LENGTH = 0, 1
+# A ws_file's length_kind values.
+NO_LENGTH, INT_LENGTH, REAL_LENGTH = 0, 1, 2
 
 
 class _Result(ctypes.Structure):
@@ -152,7 +159,7 @@ def compile_kernel(target: Path, command: Sequence[str] = COMPILE) -> None:
 def bind(path) -> ctypes.CDLL:
     """Load a compiled kernel and declare its functions."""
     lib = ctypes.CDLL(str(path))
-    lib.ws_floors.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 4
+    lib.ws_floors.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
     lib.ws_floors.restype = ctypes.c_int
     lib.ws_search.argtypes = [
         ctypes.POINTER(_Network),
@@ -180,7 +187,7 @@ def bind(path) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),  # arrival
     ]
     lib.ws_earliest.restype = ctypes.c_int
-    lib.ws_load.argtypes = [ctypes.c_char_p, ctypes.POINTER(_File)]
+    lib.ws_load.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(_File)]
     lib.ws_load.restype = ctypes.c_int
     lib.ws_free.argtypes = [ctypes.POINTER(_File)]
     lib.ws_free.restype = None
@@ -225,17 +232,13 @@ def native_methods() -> bool:
 class FlatNetwork:
     """One network's arrays in the kernel's layout, and the call into it."""
 
-    def __init__(self, lib: ctypes.CDLL, nodes: int, arrays: dict):
+    def __init__(self, lib: ctypes.CDLL, net: _Network, owner):
         self._lib = lib
-        self._arrays = arrays  # the buffers the struct points into
-        self.nodes = nodes
-        self.edges = len(arrays["head"])
-        self._pack_bounds = struct.Struct(f"{nodes}d").pack
-        self._net = _Network(
-            nodes,
-            self.edges,
-            *(arrays[name].buffer_info()[0] for name, _ in _Network._fields_[2:]),
-        )
+        self._owner = owner  # what holds the memory that net points into
+        self._net = net
+        self.nodes = net.nodes
+        self.edges = net.edges
+        self._pack_bounds = struct.Struct(f"{self.nodes}d").pack
 
     def search(
         self,
@@ -337,7 +340,9 @@ def flatten(net) -> Optional[FlatNetwork]:
     whose methods may differ.  The index arrays are checked here, since the
     kernel trusts them.  Whether the profile methods are the ones the kernel
     reproduces is for the caller to check (:func:`native_methods`), on every
-    use: :meth:`wayscore.network.RoadNetwork.flat` does.
+    use: :meth:`wayscore.network.RoadNetwork.flat` does.  Each edge's
+    departures are packed where its arrivals are, so ``xs_start`` is
+    ``bp_start`` without its last entry.
     """
     lib = library()
     if lib is None:
@@ -354,11 +359,13 @@ def flatten(net) -> Optional[FlatNetwork]:
     xs = list(map(attrgetter("xs"), arrivals))
     ys = list(map(attrgetter("ys"), arrivals))
     boundaries = list(map(attrgetter("boundaries"), scores))
+    bp_start = array("q", accumulate(map(len, xs), initial=0))
     arrays = {
         "out_start": array("q", accumulate(map(len, net.out_edges), initial=0)),
         "out_edge": array("i", list(chain.from_iterable(net.out_edges))),
         "head": array("i", net.heads),
-        "bp_start": array("q", accumulate(map(len, xs), initial=0)),
+        "bp_start": bp_start,
+        "xs_start": bp_start[:-1],
         "xs": _doubles(xs),
         "ys": _doubles(ys),
         "floors": None,
@@ -377,35 +384,44 @@ def flatten(net) -> Optional[FlatNetwork]:
     ):
         return None
     floors = arrays["floors"] = array("d", (0.0,)) * len(arrays["xs"])
-    pointers = [arrays[k].buffer_info()[0] for k in ("bp_start", "xs", "ys")]
+    pointers = [arrays[k].buffer_info()[0] for k in ("bp_start", "xs_start", "xs", "ys")]
     if lib.ws_floors(m, *pointers, floors.buffer_info()[0]) != 0:
         return None
-    return FlatNetwork(lib, n, arrays)
+    fields = (arrays[name].buffer_info()[0] for name, _ in _Network._fields_[2:])
+    return FlatNetwork(lib, _Network(n, m, *fields), arrays)
 
 
-def _view(address: int, size: int):
-    """``size`` bytes at ``address`` as a buffer, without a copy."""
-    return (ctypes.c_char * size).from_address(address) if size else b""
-
-
-def parse_network(path) -> Optional[tuple[int, list[tuple]]]:
-    """The network file at ``path`` parsed by the kernel's ``ws_load``, or
+def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork]]:
+    """The network file at ``path`` loaded by the kernel's ``ws_load``, or
     None when the kernel does not take it.
 
-    The value is ``(node_count, rows)``, one row per edge:
-    ``(tail, head, xs, ys, boundaries, values, default, length_m)``, the
-    breakpoints and score numbers as tuples of floats, ``length_m`` None
-    where the file has none, else an int or a float as in the file.  Rows
-    whose departures are the same doubles, bit for bit, share the first
-    row's ``xs`` tuple; for checked departures that is the sharing of
-    ``wayscore.network._shared``, the sign of a zero included.  Every
-    row's breakpoints pass :func:`wayscore.profiles.check_fifo`'s rules; no
-    other check has run.  None means no kernel, a path that is not a string
-    or bytes without a NUL, or what ``ws_load`` defers: a file that is not
-    a regular file, is not JSON, holds anything that ``save_network`` does
-    not write for a network without labels, or has a profile that fails the
-    check.  The file is read through a memory map, so it must not shrink
-    while it loads: a read past its new end raises SIGBUS.
+    The value is ``(node_count, columns, flat)``.  ``flat`` searches the
+    network, and owns the one block of memory ``ws_load`` built: the
+    kernel's arrays and the columns, which ``columns`` holds as typed
+    ``memoryview`` s, each keeping the block alive.  By name:
+
+    * per edge: ``tail`` and ``head`` (``i``); ``xs_start`` (``q``), where
+      its departures start in ``xs``; ``sdef``, its score default, and
+      ``length``, its ``length_m`` (``d``); ``length_kind`` (``B``), one of
+      ``NO_LENGTH``, ``INT_LENGTH`` (an int in the file) and ``REAL_LENGTH``
+    * offsets, one more than what they index (``q``): ``bp_start`` and
+      ``sc_start`` per edge, into ``ys`` and into ``sb``/``sv``;
+      ``out_start`` and ``in_start`` per node, into ``out_edge`` and
+      ``in_edge`` (``i``), which list each node's edges in edge order
+    * ``xs`` (each distinct row of departures once: rows of the same bits,
+      the sign of a zero included), ``ys`` and score ``sb``/``sv``
+      (``d``); ``sv`` holds one padding value after each edge's values.
+
+    Everything the Python loader checks has passed: ``node_count`` in
+    ``[1, max_nodes]``, each profile by :func:`wayscore.profiles.check_fifo`'s
+    rules, each score as ``ScoreProfile`` checks it, each ``length_m``,
+    endpoints in range and apart, and no two edges between one pair of
+    nodes.  None means no kernel, a path that is not a string or bytes
+    without a NUL, or what ``ws_load`` defers: a file that is not a regular
+    file, is not JSON, holds anything that ``save_network`` does not write
+    for a network without labels, or fails a check.  The file is read
+    through a memory map, so it must not shrink while it loads: a read past
+    its new end raises SIGBUS.
     """
     lib = library()
     if lib is None or not isinstance(path, (str, bytes, os.PathLike)):
@@ -413,37 +429,33 @@ def parse_network(path) -> Optional[tuple[int, list[tuple]]]:
     name = os.fsencode(path)
     if b"\0" in name:
         return None
-    parsed = _File()
-    if lib.ws_load(name, parsed) != DONE:
+    loaded = _File()
+    if lib.ws_load(name, max_nodes, loaded) != DONE:
         return None
-    try:
-        edges = _view(parsed.edge, _EDGE.size * parsed.edges)
-        xs = _view(parsed.xs, 8 * parsed.points)
-        ys = _view(parsed.ys, 8 * parsed.points)
-        scores = _view(parsed.scores_pool, 8 * parsed.scores)
-        unpackers = {}  # struct.Struct(f"={k}d").unpack_from per count k
-        departures = {}  # the first xs tuple of each row's bytes
-        rows = []
-        at = sc = 0
-        for tail, head, k, nb, nv, kind, default, length in _EDGE.iter_unpack(edges):
-            unpack = unpackers.get(k)
-            if unpack is None:
-                unpack = unpackers[k] = struct.Struct(f"={k}d").unpack_from
-            row_xs = departures.get(xs[at : at + 8 * k])
-            if row_xs is None:
-                row_xs = departures[xs[at : at + 8 * k]] = unpack(xs, at)
-            row_ys = unpack(ys, at)
-            at += 8 * k
-            bounds = values = ()
-            if nb or nv:
-                bounds = struct.unpack_from(f"={nb}d", scores, sc)
-                values = struct.unpack_from(f"={nv}d", scores, sc + 8 * nb)
-                sc += 8 * (nb + nv)
-            if kind == _NO_LENGTH:
-                length = None
-            elif kind == _INT_LENGTH:
-                length = int(length)
-            rows.append((tail, head, row_xs, row_ys, bounds, values, default, length))
-        return parsed.node_count, rows
-    finally:
-        lib.ws_free(parsed)
+    block = (ctypes.c_ubyte * loaded.block_size).from_address(loaded.block)
+    weakref.finalize(block, lib.ws_free, loaded)
+    whole = memoryview(block).cast("B")
+    net = loaded.net
+    n, m = net.nodes, net.edges
+    columns = {}
+    for name, where, code, count in (
+        ("tail", loaded.tail, "i", m),
+        ("head", net.head, "i", m),
+        ("xs_start", net.xs_start, "q", m),
+        ("sdef", net.sdef, "d", m),
+        ("length", loaded.length, "d", m),
+        ("length_kind", loaded.length_kind, "B", m),
+        ("bp_start", net.bp_start, "q", m + 1),
+        ("sc_start", net.sc_start, "q", m + 1),
+        ("out_start", net.out_start, "q", n + 1),
+        ("in_start", loaded.in_start, "q", n + 1),
+        ("out_edge", net.out_edge, "i", m),
+        ("in_edge", loaded.in_edge, "i", m),
+        ("xs", net.xs, "d", loaded.row_points),
+        ("ys", net.ys, "d", loaded.points),
+        ("sb", net.sb, "d", loaded.scores),
+        ("sv", net.sv, "d", loaded.scores),
+    ):
+        at = where - loaded.block
+        columns[name] = whole[at : at + struct.calcsize(code) * count].cast(code)
+    return n, columns, FlatNetwork(lib, net, block)

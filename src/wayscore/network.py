@@ -27,12 +27,14 @@ static edge.  Node ids are JSON integers, ``node_count`` is at most
 ``MAX_NODES``, every number is finite, a length is a number >= 0, and
 labels name nodes in range.
 
-:func:`load_network` parses and indexes a file with the cyclic collector
-paused.  Where the compiled kernel is available, it parses a file as
-``save_network`` writes it for a network without labels, and checks every
-arrival profile, in C (:func:`wayscore.kernel.parse_network`); Python then
-builds the network from its columns.  Any other file, or one the kernel
-finds fault with, is read in Python, which gives every error message.  That
+:func:`load_network` loads a file with the cyclic collector paused.  Where
+the compiled kernel is available, it loads a file as ``save_network``
+writes it for a network without labels in C
+(:func:`wayscore.kernel.parse_network`): the parse, every check, the index
+and the arrays the kernel searches, which the network keeps; Python then
+builds the network's lists from those arrays.  Any other file, or one the
+kernel finds fault with, is read in Python, which gives every error
+message.  That
 parse builds each edge's arrival profile as it finishes the edge's object,
 so no load holds every edge's breakpoint lists at once, and each profile is
 validated once, when it is built; :func:`build_network`, which takes
@@ -46,12 +48,21 @@ import functools
 import gc
 import json
 import math
+import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .kernel import FlatNetwork, flatten, native_methods, parse_network
+from .kernel import (
+    INT_LENGTH,
+    NO_LENGTH,
+    REAL_LENGTH,
+    FlatNetwork,
+    flatten,
+    native_methods,
+    parse_network,
+)
 from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 
 
@@ -69,7 +80,7 @@ def gc_paused():
     and profiles, none of which forms a cycle, and a full collector pass
     while it runs walks every object in the process.  The one user is
     :func:`load_network`.  The switch is process-wide: no other thread is
-    collected during a load (about 0.05 s for the 50x50 benchmark grid with
+    collected during a load (about 0.03 s for the 50x50 benchmark grid with
     the compiled kernel, 0.15-0.2 s without), and the switch is restored on
     exit, on an error too, over any change another thread made meanwhile.
     """
@@ -142,7 +153,8 @@ class RoadNetwork:
 
         It cannot while a profile method the kernel reproduces has been
         replaced (:func:`wayscore.kernel.native_methods`), so that the
-        replacement sees every call.  Otherwise it is
+        replacement sees every call.  Otherwise it is the arrays the kernel's
+        load built, for a network it loaded, or else
         :func:`wayscore.kernel.flatten`'s value, built on first use and kept:
         once replaced methods are restored, it is the same object as before.
         Two threads that build at once build equal values, so no lock is
@@ -381,20 +393,64 @@ def _check_length(length, where: str) -> None:
         )
 
 
-def _from_rows(node_count: int, rows: list) -> RoadNetwork:
-    """The network of :func:`wayscore.kernel.parse_network`'s rows, whose
-    arrival profiles passed the kernel's check.  The loader's other checks
-    raise as they do on the Python path, though not always in its order:
-    :func:`load_network` then reads the file in Python, which names the
-    first fault."""
+def _from_kernel(node_count: int, columns: dict, flat: FlatNetwork) -> RoadNetwork:
+    """The network of :func:`wayscore.kernel.parse_network`'s columns, every
+    check already passed; it adopts ``flat``, which holds the same arrays.
 
-    def built():
-        for tail, head, xs, ys, boundaries, values, default, length in rows:
-            _check_length(length, "edges")
-            arrival = ArrivalProfile._from_checked(xs, ys)
-            yield tail, head, arrival, ScoreProfile(boundaries, values, default), length
+    Each distinct row of departures becomes one ``xs`` tuple that its edges
+    share, and each distinct constant score one ``ScoreProfile``: both are
+    immutable, and the rows and defaults are told apart by their bits, so a
+    zero keeps its sign.
+    """
+    bp_start = columns["bp_start"].tolist()
+    counts = [hi - lo for lo, hi in zip(bp_start, bp_start[1:])]
+    unpackers = {k: struct.Struct(f"={k}d").unpack_from for k in set(counts)}
+    xs_start = columns["xs_start"].tolist()
+    xs, ys = columns["xs"], columns["ys"]
+    rows = {s: unpackers[k](xs, 8 * s) for s, k in dict(zip(xs_start, counts)).items()}
+    arrivals = list(
+        map(
+            ArrivalProfile._from_checked,
+            map(rows.__getitem__, xs_start),
+            [unpackers[k](ys, 8 * lo) for lo, k in zip(bp_start, counts)],
+        )
+    )
+    defaults = columns["sdef"]
+    bits = defaults.cast("B").cast("Q")
+    constants = {
+        b: ScoreProfile._from_checked((), (), default)
+        for b, default in dict(zip(bits, defaults)).items()
+    }
+    scores = list(map(constants.__getitem__, bits))
+    sc_start, sb, sv = columns["sc_start"].tolist(), columns["sb"], columns["sv"]
+    for e, (lo, hi) in enumerate(zip(sc_start, sc_start[1:])):
+        if lo < hi:  # the values end with one padding value
+            bounds, values = tuple(sb[lo:hi].tolist()), tuple(sv[lo : hi - 1].tolist())
+            scores[e] = ScoreProfile._from_checked(bounds, values, defaults[e])
+    lengths = columns["length"].tolist()
+    kinds = columns["length_kind"]
+    if kinds.tobytes().count(REAL_LENGTH) != len(lengths):
+        lengths = [
+            None if kind == NO_LENGTH else int(v) if kind == INT_LENGTH else v
+            for kind, v in zip(kinds, lengths)
+        ]
 
-    return _index(node_count, built(), None)
+    def grouped(start: str, order: str) -> list[list[int]]:
+        offsets, edges = columns[start].tolist(), columns[order]
+        return [edges[lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])]
+
+    net = RoadNetwork(
+        node_count,
+        columns["tail"].tolist(),
+        columns["head"].tolist(),
+        arrivals,
+        scores,
+        lengths,
+        grouped("out_start", "out_edge"),
+        grouped("in_start", "in_edge"),
+    )
+    net._flat = (flat,)
+    return net
 
 
 @gc_paused()
@@ -405,16 +461,15 @@ def load_network(path: str) -> RoadNetwork:
     (:func:`gc_paused`): a full pass would walk every parsed number and
     profile built so far, and none of them forms a cycle.
 
-    The compiled kernel parses the file first, when it is available
-    (:func:`wayscore.kernel.parse_network`), and checks each arrival
-    profile by :func:`check_fifo`'s rules.  The network is built from its
-    columns: each ``ArrivalProfile`` without a second check, each
-    ``ScoreProfile``, ``length_m`` and the index with the checks below.  On
-    the 50x50 benchmark grid that takes about a third of the time of the
-    load in Python.  A file the kernel does not parse, a failed check, and
-    any exception while building send the file to the Python loader
-    instead, from the start, so each file loads, or fails with the same
-    error, on either path.
+    The compiled kernel loads the file first, when it is available
+    (:func:`wayscore.kernel.parse_network`): it parses it, makes every check
+    below as a yes/no predicate, and builds the arrays it searches and the
+    columns the network's lists are built from (:func:`_from_kernel`), with
+    no check made again and no index pass.  The network keeps the arrays as
+    its :meth:`RoadNetwork.flat` form, so its first solve packs nothing.  A
+    file the kernel does not take, or that fails a check, goes to the
+    Python loader instead, from the start, which names the first fault, so
+    each file loads, or fails with the same error, on either path.
 
     The Python loader's parse builds each edge's arrival profile as it
     finishes the edge's object (:func:`_arrival_hook`), so the load never
@@ -428,12 +483,9 @@ def load_network(path: str) -> RoadNetwork:
     On both paths, profiles with equal breakpoint departures share one
     ``xs`` tuple: on a generated grid every edge has the same ones.
     """
-    try:
-        parsed = parse_network(path)
-        if parsed is not None:
-            return _from_rows(*parsed)
-    except Exception:
-        pass  # _read names what is wrong, or loads what _from_rows could not
+    parsed = parse_network(path, MAX_NODES)
+    if parsed is not None:
+        return _from_kernel(*parsed)
     return _read(path)
 
 

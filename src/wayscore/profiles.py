@@ -290,6 +290,14 @@ class ScoreProfile:
         self.default = float(default)
 
     @classmethod
+    def _from_checked(cls, boundaries: tuple, values: tuple, default: float) -> "ScoreProfile":
+        """The profile of tuples of floats and a float default that the
+        constructor would take as they are; nothing is checked again."""
+        profile = cls.__new__(cls)
+        profile.boundaries, profile.values, profile.default = boundaries, values, default
+        return profile
+
+    @classmethod
     def constant(cls, score: float) -> "ScoreProfile":
         return cls((), (), score)
 

@@ -141,8 +141,8 @@ def kernel_loads(monkeypatch):
     parsed = []
     parse = network.parse_network
 
-    def recorded(path):
-        found = parse(path)
+    def recorded(path, max_nodes):
+        found = parse(path, max_nodes)
         parsed.append(found is not None)
         return found
 

@@ -71,9 +71,11 @@ class TestGenNetworkCommand:
         (["--speed-max", "inf"], "bad speed range"),
         (["--score-max", "100000000000000000000"], "bad score range"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (["--edge-length", "1e308"], "is too large to quantize"),
     ])
     def test_bad_number_is_data_error(self, tmp_path, capsys, flags, message):
-        """Each ended in a ValueError or OverflowError traceback from numpy."""
+        """Each ended in a ValueError or OverflowError traceback, from numpy
+        or from quantizing a travel time."""
         out = tmp_path / "g.json"
         rc = main(["gen-network", "--grid", "3x3", *flags, "--out", str(out)])
         assert rc == 2
@@ -87,6 +89,20 @@ class TestGenNetworkCommand:
             assert main(["gen-network", "--grid", "4x4", "--seed", "3",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_base_length_past_the_quantum_range_is_data_error(self, tmp_path, capsys):
+        """A base network's length_m may be any finite number, but a travel
+        time derived from 1e308 m has no finite count of quanta."""
+        base, out = tmp_path / "base.json", tmp_path / "re.json"
+        assert main(["gen-network", "--grid", "3x3", "--out", str(base)]) == 0
+        doc = json.loads(base.read_text())
+        doc["edges"][3]["length_m"] = 1e308
+        base.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["gen-network", "--base", str(base), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is too large to quantize" in captured.err
+        assert not out.exists()
 
     def test_base_topology_reuse(self, tmp_path, capsys):
         base = str(tmp_path / "base.json")

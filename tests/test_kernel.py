@@ -11,7 +11,6 @@ import ctypes
 import math
 import os
 import random
-import re
 import shutil
 import struct
 import subprocess
@@ -568,9 +567,9 @@ class TestBuild:
         assert done.returncode == 0, done.stderr
 
     def test_ctypes_layouts_mirror_the_c_structs(self, tmp_path):
-        """``kernel.py`` restates ``ws_network``, ``ws_file``, ``ws_result``
-        and ``ws_edge`` for ``ctypes`` and ``struct``; a drift would make the
-        kernel read or write the wrong bytes.  A probe compiled with
+        """``kernel.py`` restates ``ws_network``, ``ws_file`` (which holds a
+        ``ws_network``) and ``ws_result`` for ``ctypes``; a drift would make
+        the kernel read or write the wrong bytes.  A probe compiled with
         ``_kernel.c`` prints each struct's size and field offsets."""
         mirrors = {
             "ws_network": kernel._Network,
@@ -578,19 +577,10 @@ class TestBuild:
             "ws_result": kernel._Result,
         }
         fields = {name: [f for f, _ in cls._fields_] for name, cls in mirrors.items()}
-        fields["ws_edge"] = ["tail", "head", "points", "boundaries", "values",
-                             "length_kind", "score_default", "length"]
         want = {
             name: [ctypes.sizeof(cls)] + [getattr(cls, f).offset for f in fields[name]]
             for name, cls in mirrors.items()
         }
-        codes = "".join(  # "=6q2d" -> "qqqqqqdd"
-            code * int(count or 1)
-            for count, code in re.findall(r"(\d*)([a-z])", kernel._EDGE.format)
-        )
-        want["ws_edge"] = [kernel._EDGE.size] + [
-            struct.calcsize("=" + codes[:i]) for i in range(len(codes))
-        ]
         lines = [f'#include "{kernel.SOURCE}"', "#include <stddef.h>",
                  "#include <stdio.h>", "int main(void) {"]
         for name, names in fields.items():

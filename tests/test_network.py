@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import random
+import struct
 import tracemalloc
 from array import array
 
@@ -25,6 +27,7 @@ from wayscore.network import (
     save_network,
 )
 from wayscore.profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
+from wayscore.reference import random_instance
 from wayscore.solver import STATUS_OK, solve
 from wayscore.traversal import build_query
 
@@ -574,7 +577,7 @@ class TestKernelParser:
         _kernel_or_skip()
         path = tmp_path / "small.json"
         path.write_text(_SMALL)
-        assert kernel.parse_network(str(path)) is not None
+        assert kernel.parse_network(str(path), MAX_NODES) is not None
         net = loaded_both_ways(str(path))
         assert [type(e.length_m) for e in net.edges] == [int, float, float]
         assert math.copysign(1.0, net.edges[0].arrival.xs[0]) == -1.0
@@ -647,6 +650,20 @@ class TestKernelParser:
         '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]],}]}',
         '{"node_count": 2, "edges": []} {}',
         '{"node_count": 2, "edges": []}\n\t \r\n',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 2, "arrival": [[0.0, 1.0]]}]}',
+        '{"node_count": 2, "edges": [{"from": -1, "to": 1, "arrival": [[0.0, 1.0]]}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]]}, '
+        '{"from": 0, "to": 1, "arrival": [[0.0, 2.0]]}]}',
+        '{"node_count": 16777217, "edges": []}',
+        '{"node_count": -1, "edges": []}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"length_m": 1e400}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"score": {"boundaries": [2.0, 1.0], "values": [1.0]}}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"score": {"boundaries": [0.0, 1.0], "values": [-1.0]}}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"score": {"values": [1.0]}}]}',
     ])
     def test_inputs_outside_the_fast_path_load_alike(self, tmp_path, text):
         path = tmp_path / "net.json"
@@ -659,8 +676,8 @@ class TestKernelParser:
     def test_a_path_that_is_not_a_regular_file_is_read_in_python(self, tmp_path):
         with pytest.raises(IsADirectoryError):
             loaded_both_ways(str(tmp_path))
-        assert kernel.parse_network(str(tmp_path)) is None
-        assert kernel.parse_network(str(tmp_path / "a\0b")) is None
+        assert kernel.parse_network(str(tmp_path), MAX_NODES) is None
+        assert kernel.parse_network(str(tmp_path / "a\0b"), MAX_NODES) is None
 
     @settings(max_examples=400, deadline=None)
     @given(pairs=st.one_of(
@@ -686,3 +703,189 @@ class TestKernelParser:
             passes = False
         got = fifo(len(pairs), xs.buffer_info()[0], ys.buffer_info()[0])
         assert got == passes
+
+
+def _kernel_arrays(flat) -> dict:
+    """The arrays a ``FlatNetwork`` searches, as bytes by name, with each
+    edge's departures read through its ``xs_start`` and joined in edge order
+    as ``xs``."""
+    net, n, m = flat._net, flat.nodes, flat.edges
+
+    def read(address, code, count):
+        return ctypes.string_at(address, struct.calcsize(code) * count) if count else b""
+
+    bp_start = array("q", read(net.bp_start, "q", m + 1))
+    sc_start = array("q", read(net.sc_start, "q", m + 1))
+    xs_start = array("q", read(net.xs_start, "q", m))
+    rows = zip(xs_start, bp_start, bp_start[1:])
+    return {
+        "out_start": read(net.out_start, "q", n + 1),
+        "out_edge": read(net.out_edge, "i", m),
+        "head": read(net.head, "i", m),
+        "bp_start": bp_start.tobytes(),
+        "xs": b"".join(read(net.xs + 8 * at, "d", hi - lo) for at, lo, hi in rows),
+        "ys": read(net.ys, "d", bp_start[-1]),
+        "floors": read(net.floors, "d", bp_start[-1]),
+        "sc_start": sc_start.tobytes(),
+        "sb": read(net.sb, "d", sc_start[-1]),
+        "sv": read(net.sv, "d", sc_start[-1]),
+        "sdef": read(net.sdef, "d", m),
+    }
+
+
+# Each fault that the kernel's load finds by itself, in a file it otherwise
+# takes whole, and the Python loader's message for it.
+_FAULTS = [
+    ('{"node_count": 0, "edges": []}',
+     NetworkError, f"node_count must be in [1, {MAX_NODES}], got 0"),
+    (f'{{"node_count": {MAX_NODES + 1}, "edges": []}}',
+     NetworkError, f"node_count must be in [1, {MAX_NODES}], got {MAX_NODES + 1}"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]]}, '
+     '{"from": 1, "to": 3, "arrival": [[0.0, 1.0]]}]}',
+     EdgeError, "edge 1 (1->3): endpoint outside [0, 3)"),
+    ('{"node_count": 3, "edges": [{"from": -1, "to": 1, "arrival": [[0.0, 1.0]]}]}',
+     EdgeError, "edge 0 (-1->1): endpoint outside [0, 3)"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]]}, '
+     '{"from": 2, "to": 2, "arrival": [[0.0, 1.0]]}]}',
+     EdgeError, "edge 1 (2->2): self-loops are not allowed"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]]}, '
+     '{"from": 1, "to": 0, "arrival": [[0.0, 1.0]]}, '
+     '{"from": 0, "to": 1, "arrival": [[0.0, 2.0]]}]}',
+     EdgeError, "edge 2 (0->1): duplicate edge for this node pair"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]]}, '
+     '{"from": 1, "to": 2, "arrival": [[0.0, 1.0]], "length_m": -1.0}]}',
+     FormatError, "{path}: edges[1]: length_m must be a finite number >= 0, got -1.0"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"length_m": 1e400}]}',
+     FormatError, "{path}: edges[0]: length_m must be a finite number >= 0, got inf"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"length_m": -3}]}',
+     FormatError, "{path}: edges[0]: length_m must be a finite number >= 0, got -3"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"score": {"boundaries": [0.0, 1.0], "values": []}}]}',
+     EdgeError, "{path}: edges[0]: expected 1 score values for 2 boundaries, got 0"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"score": {"boundaries": [1.0, 1.0], "values": [2.0]}}]}',
+     EdgeError, "{path}: edges[0]: score boundaries must be strictly increasing"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"score": {"boundaries": [0.0, 1e400], "values": [2.0]}}]}',
+     EdgeError, "{path}: edges[0]: score boundaries and values must be finite"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"score": {"boundaries": [0.0, 1.0], "values": [-0.5]}}]}',
+     EdgeError, "{path}: edges[0]: scores must be non-negative"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"score": {"default": -2}}]}',
+     EdgeError, "{path}: edges[0]: scores must be non-negative"),
+]
+
+
+class TestKernelLoad:
+    """The kernel's load checks a file and builds the network's arrays; the
+    network adopts them, and Python builds its lists from them."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self):
+        _kernel_or_skip()
+
+    @staticmethod
+    def _loaded_like_flatten(path, kernel_loads):
+        """The network at ``path``, whose arrays must equal, byte for byte,
+        what ``flatten`` packs for it rebuilt through ``build_network``."""
+        first = len(kernel_loads)
+        net = loaded_both_ways(path)
+        assert kernel_loads[first] is True
+        rebuilt = build_network(net.node_count, net.edges)
+        assert _kernel_arrays(net.flat()) == _kernel_arrays(kernel.flatten(rebuilt))
+        return net
+
+    def test_the_benchmark_grid_holds_flattens_arrays(self, tmp_path, kernel_loads):
+        path = tmp_path / "grid.json"
+        save_network(
+            generate_network(
+                GenConfig(rows=50, cols=50, score_density=0.2, seed=101)
+            ).network,
+            str(path),
+        )
+        net = self._loaded_like_flatten(str(path), kernel_loads)
+        _, columns, _ = kernel.parse_network(str(path), MAX_NODES)
+        assert len(columns["xs"]) == len(net.arrivals[0].xs)  # one row for all
+        assert len({id(s) for s in net.scores}) == len({s.default for s in net.scores})
+
+    def test_oracle_networks_hold_flattens_arrays(self, tmp_path, kernel_loads):
+        rng = random.Random(2024)
+        for i in range(50):
+            path = tmp_path / f"oracle{i}.json"
+            save_network(random_instance(rng)[0], str(path))
+            self._loaded_like_flatten(str(path), kernel_loads)
+
+    def test_rows_are_shared_by_their_bits(self, tmp_path, kernel_loads):
+        """Edges 0 and 2 have the same departures; edge 1's differ only by
+        the sign of a zero, and stay apart."""
+        edges = [
+            _one_edge(arrival=[[0.0, 1.0], [5.0, 6.0]]),
+            _one_edge(**{"from": 1, "to": 2, "arrival": [[-0.0, 1.0], [5.0, 7.0]]}),
+            _one_edge(**{"from": 2, "to": 0, "arrival": [[0.0, 2.0], [5.0, 8.0]],
+                         "score": {"boundaries": [1.0, 2.0, 4.0], "values": [3, 0.5]}}),
+            _one_edge(**{"from": 0, "to": 2, "arrival": [[1.0, 2.0]]}),
+        ]
+        path = _written(tmp_path, {"node_count": 3, "edges": edges})
+        net = self._loaded_like_flatten(path, kernel_loads)
+        _, columns, _ = kernel.parse_network(path, MAX_NODES)
+        assert columns["xs_start"].tolist() == [0, 2, 0, 4]
+        assert columns["xs"].tobytes() == array("d", [0.0, 5.0, -0.0, 5.0, 1.0]).tobytes()
+        first, second, third, _ = net.arrivals
+        assert third.xs is first.xs and second.xs is not first.xs
+        assert math.copysign(1.0, second.xs[0]) == -1.0
+        assert net.scores[2] == ScoreProfile((1.0, 2.0, 4.0), (3.0, 0.5), 0.0)
+
+    def test_constant_scores_are_shared_by_their_bits(self, tmp_path, kernel_loads):
+        edges = [
+            _one_edge(score={"default": 0.0}),
+            _one_edge(**{"from": 1, "to": 2, "score": {"default": -0.0}}),
+            _one_edge(**{"from": 2, "to": 0, "score": {"default": 1}}),
+            _one_edge(**{"from": 0, "to": 2}),
+        ]
+        net = loaded_both_ways(_written(tmp_path, {"node_count": 3, "edges": edges}))
+        assert kernel_loads[0] is True
+        zero, negative_zero, one, absent = net.scores
+        assert absent is zero and negative_zero is not zero
+        assert math.copysign(1.0, negative_zero.default) == -1.0
+        assert type(one.default) is float
+
+    @pytest.mark.parametrize("text, error, message", _FAULTS)
+    def test_a_fault_found_in_the_kernel_gets_the_python_message(
+        self, tmp_path, text, error, message
+    ):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        assert kernel.parse_network(str(path), MAX_NODES) is None
+        with pytest.raises(error) as exc:
+            loaded_both_ways(str(path))
+        assert str(exc.value) == message.format(path=path)
+
+    def test_the_network_adopts_the_loads_arrays(self, grid_file, monkeypatch):
+        """No Python check, no index pass and no flatten run on the kernel
+        path, and the first solve packs nothing."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("called on the kernel path")
+
+        for name in ("_index", "_check_length", "check_fifo", "flatten"):
+            monkeypatch.setattr(network, name, refused)
+        monkeypatch.setattr(ScoreProfile, "__init__", refused)
+        net = load_network(grid_file)
+        flat = net.flat()
+        assert flat is not None and flat.edges == len(net.arrivals)
+        query = build_query(net, 0, 63, 480.0, overhead_percent=30.0)
+        assert solve(net, query).status == STATUS_OK
+        assert net.flat() is flat
+
+    def test_the_arrays_outlive_every_view_but_the_networks(self, grid_file):
+        """The load's block is released with the last thing that holds it:
+        here the network's flat form, after the columns are gone."""
+        net = load_network(grid_file)
+        want = _kernel_arrays(net.flat())
+        gc.collect()
+        assert _kernel_arrays(net.flat()) == want
+        query = build_query(net, 0, 63, 480.0, overhead_percent=30.0)
+        assert solve(net, query).status == STATUS_OK
