@@ -12,23 +12,23 @@
  * and ScoreProfile.value, written with the same operations in the same
  * order, so every double the kernel computes equals the one Python computes
  * (build with -ffp-contract=off, so that no multiply-add is fused).
- * ws_load is the whole load of a network file, memory-mapped: it parses it,
- * makes the Python loader's checks as yes/no predicates (ws_fifo is
- * check_fifo, run on every arrival profile; edge_ok and has_duplicate the
- * rest), and builds the network's arrays in the kernel's layout, with each
- * distinct row of departures stored once, together with the columns that
- * wayscore.network.load_network builds the network's lists from.  The
- * network keeps the arrays for its searches, so its first solve packs
- * nothing; a file ws_load defers is read in Python.  wayscore/kernel.py
- * builds and calls it.
+ * ws_build builds every network the kernel searches, given as the file
+ * parser reads one, in one block that ws_free unmaps: the kernel's arrays,
+ * each distinct row of departures stored once, and the columns
+ * wayscore.network.load_network builds a network's lists from.  ws_load
+ * parses a memory-mapped network file, makes the Python loader's checks as
+ * yes/no predicates (ws_fifo is check_fifo; edges_ok, has_duplicate and
+ * ws_build's the rest) and hands it to ws_build; a file it defers is read in
+ * Python.  wayscore.kernel.flatten packs a network built in Python for it.
  *
- * Preconditions, checked by the caller: node ids and edge indices in range,
- * every offset array non-decreasing and one longer than what it indexes,
- * every arrival profile with at least one breakpoint, score values padded to
- * one per boundary, and bounds with one entry per node.  Within them the
- * kernel reads and writes nothing outside its arrays.  What Python would
- * answer with an IndexError (a NaN departure) it returns as WS_DEFER, and
- * the caller runs the Python code instead.
+ * ws_build's checks give the search's preconditions: node ids and edge
+ * indices in range, every offset array non-decreasing and one longer than
+ * what it indexes, every arrival profile with at least one breakpoint, and
+ * score values padded to one per boundary; the caller passes bounds with one
+ * entry per node.  Within them the kernel reads and writes nothing outside
+ * its arrays.  What Python would answer with an IndexError (a NaN
+ * departure) it returns as WS_DEFER, and the caller runs the Python code
+ * instead.
  */
 
 #include <fcntl.h>
@@ -42,7 +42,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-/* A network in the kernel's layout, built by ws_load or kernel.flatten().
+/* A network in the kernel's layout, built by ws_build.
  * Edge e has k = bp_start[e + 1] - bp_start[e] breakpoints: its arrivals and
  * floors are ys/floors[bp_start[e] .. bp_start[e + 1]), its departures
  * xs[xs_start[e] .. xs_start[e] + k), which edges with the same departures
@@ -615,8 +615,8 @@ int ws_fifo(int64_t k, const double *xs, const double *ys)
 
 /* One edge of a network file as the parser reads it: its ids, how many
  * breakpoints, score boundaries and score values it holds in the pools, its
- * score default (0 when absent) and its length_m; and, once the rows are
- * shared, where its departures start in the load's xs. */
+ * score default (0 when absent) and its length_m; and, once ws_build has
+ * shared the rows, where its departures start in the built xs. */
 typedef struct {
     int64_t tail, head;
     int64_t points, boundaries, values;
@@ -1012,34 +1012,6 @@ static int parse_document(ws_parser *ps, int64_t *node_count)
     return go || seen != 3 || ps->p != ps->end ? -1 : 0;
 }
 
-/* The checks the Python loader makes of an edge besides check_fifo's, as a
- * yes/no predicate: endpoints in [0, nodes) and apart; a length_m, when
- * there is one, finite and >= 0; and a score ScoreProfile takes: finite
- * numbers, boundaries strictly increasing, one value fewer than boundaries
- * (none for none), no value or default below 0.  b holds the edge's
- * boundaries, then its values. */
-static int edge_ok(const ws_edge *e, int64_t nodes, const double *b)
-{
-    const int64_t nb = e->boundaries, nv = e->values;
-    if (e->tail < 0 || e->tail >= nodes || e->head < 0 || e->head >= nodes
-        || e->tail == e->head)
-        return 0;
-    if (e->length_kind != WS_NO_LENGTH && !(e->length >= 0.0 && e->length <= DBL_MAX))
-        return 0;
-    if (nv != (nb > 0 ? nb - 1 : 0) || !isfinite(e->score_default)
-        || e->score_default < 0.0)
-        return 0;
-    for (int64_t i = 0; i < nb; i++) {
-        if (!isfinite(b[i]) || (i > 0 && !(b[i] > b[i - 1])))
-            return 0;
-    }
-    for (int64_t i = nb; i < nb + nv; i++) {
-        if (!isfinite(b[i]) || b[i] < 0.0)
-            return 0;
-    }
-    return 1;
-}
-
 static uint64_t row_hash(const double *x, int64_t k)
 {
     uint64_t h = (uint64_t)k;
@@ -1136,28 +1108,72 @@ static size_t take(size_t *size, size_t bytes)
     return start;
 }
 
-/* Check what the parser read and build *file from it.  Every array is
- * allocated once, at its size, in one block. */
-static int build(ws_parser *ps, int64_t n, int64_t max_nodes, ws_file *file)
+/* The checks the Python loader makes besides ws_build's, as a yes/no
+ * predicate on every edge the parser read: check_fifo's (ws_fifo); endpoints
+ * apart; a length_m, when there is one, finite and >= 0; and a score
+ * ScoreProfile takes: finite numbers, boundaries strictly increasing, no
+ * value or default below 0. */
+static int edges_ok(const ws_parser *ps)
 {
-    ws_edge *edge = (ws_edge *)ps->edges.data;
+    const ws_edge *edge = (const ws_edge *)ps->edges.data;
     const int64_t m = (int64_t)(ps->edges.len / sizeof *edge);
-    const int64_t points = (int64_t)(ps->ys.len / sizeof(double));
-    double *parsed_xs = (double *)ps->xs.data;
-    const double *parsed_ys = (const double *)ps->ys.data;
-    const double *pool = (const double *)ps->scores.data;
+    const double *xs = (const double *)ps->xs.data, *ys = (const double *)ps->ys.data;
+    const double *b = (const double *)ps->scores.data; /* boundaries, then values */
+    for (int64_t i = 0, at = 0; i < m; i++) {
+        const ws_edge *e = &edge[i];
+        const int64_t nb = e->boundaries, nv = e->values;
+        if (!ws_fifo(e->points, xs + at, ys + at) || e->tail == e->head
+            || (e->length_kind != WS_NO_LENGTH && !(e->length >= 0.0 && e->length <= DBL_MAX))
+            || !isfinite(e->score_default) || e->score_default < 0.0)
+            return 0;
+        for (int64_t j = 0; j < nb; j++) {
+            if (!isfinite(b[j]) || (j > 0 && !(b[j] > b[j - 1])))
+                return 0;
+        }
+        for (int64_t j = nb; j < nb + nv; j++) {
+            if (!isfinite(b[j]) || b[j] < 0.0)
+                return 0;
+        }
+        at += e->points;
+        b += nb + nv;
+    }
+    return 1;
+}
+
+/* Build *file from a network as the parser reads one: m records at edge and,
+ * in edge order, each edge's departures and arrivals in parsed_xs and
+ * parsed_ys, and its boundaries, then its values, in pool.  It shares each
+ * distinct row of departures (rewriting xs and each xs_start), computes the
+ * floors and builds the CSR in edge order, in one block mapped once at its
+ * size.  It checks only what the kernel's reads rest on: the counts, ids in
+ * range, a breakpoint per edge, one score value fewer than boundaries (none
+ * for none), the totals, and, if unique_pairs, no repeated pair; a NaN
+ * departure is searched, and the search defers on it.  Returns as ws_load
+ * does.  Protected, so that ws_load calls it directly: a call through the
+ * PLT would grow it and move every function, the search among them. */
+__attribute__((visibility("protected"))) int
+ws_build(int64_t n, int64_t m, ws_edge *edge, int64_t points, double *parsed_xs,
+         const double *parsed_ys, int64_t pool_size, const double *pool,
+         int unique_pairs, ws_file *file)
+{
     int64_t at = 0, sc = 0, scores = 0;
 
-    if (n < 1 || n > max_nodes || m >= INT32_MAX)
+    *file = (ws_file){0};
+    if (n < 1 || n > INT32_MAX || m < 0 || m >= INT32_MAX)
         return WS_DEFER;
     for (int64_t e = 0; e < m; e++) {
-        if (!ws_fifo(edge[e].points, parsed_xs + at, parsed_ys + at)
-            || !edge_ok(&edge[e], n, pool + sc))
+        const ws_edge *d = &edge[e];
+        const int64_t nb = d->boundaries;
+        if (d->tail < 0 || d->tail >= n || d->head < 0 || d->head >= n || d->points < 1
+            || d->points > points - at || nb < 0 || nb > pool_size - sc
+            || d->values != (nb > 0 ? nb - 1 : 0) || d->values > pool_size - sc - nb)
             return WS_DEFER;
-        at += edge[e].points;
-        sc += edge[e].boundaries + edge[e].values;
-        scores += edge[e].boundaries;
+        at += d->points;
+        sc += nb + d->values;
+        scores += nb;
     }
+    if (at != points || sc != pool_size)
+        return WS_DEFER;
     const int64_t rows = share_rows(edge, m, parsed_xs);
     if (rows < 0)
         return WS_DEFER;
@@ -1210,12 +1226,14 @@ static int build(ws_parser *ps, int64_t n, int64_t max_nodes, ws_file *file)
         length[e] = d->length;
         kind[e] = (uint8_t)d->length_kind;
     }
-    memcpy(xs, parsed_xs, (size_t)rows * sizeof *xs);
-    memcpy(ys, parsed_ys, (size_t)points * sizeof *ys);
+    if (points > 0) { /* the pools may be NULL when empty */
+        memcpy(xs, parsed_xs, (size_t)rows * sizeof *xs);
+        memcpy(ys, parsed_ys, (size_t)points * sizeof *ys);
+    }
     ws_floors(m, bp_start, xs_start, xs, ys, floors);
     group(n, m, tail, out_start, out_edge);
     /* in_start is scratch until the in CSR is built */
-    if (has_duplicate(n, out_start, out_edge, head, in_start)) {
+    if (unique_pairs && has_duplicate(n, out_start, out_edge, head, in_start)) {
         unmap_block(block, size);
         return WS_DEFER;
     }
@@ -1239,10 +1257,10 @@ void ws_free(ws_file *file)
 
 /* Load the network file at path, memory-mapped, into *file: parse it, run
  * the Python loader's checks on it as yes/no predicates (node_count in
- * [1, max_nodes], ws_fifo on every arrival profile, edge_ok on every edge,
- * no two edges between one pair of nodes), and build the kernel's arrays and
- * the columns Python builds its network from.  Returns WS_DONE with *file
- * set; the caller then owns its block and releases it with ws_free.
+ * [1, max_nodes], edges_ok, and ws_build's with no repeated pair), and build
+ * the kernel's arrays and the columns Python builds its network from
+ * (ws_build).  Returns WS_DONE with *file set; the caller then owns its
+ * block and releases it with ws_free.
  * Anything else returns WS_DEFER, with *file empty, and the caller reads the
  * file in Python, which names what is wrong: a path that does not open as a
  * regular file, a failed mapping, a check that fails, and any input outside
@@ -1287,8 +1305,12 @@ int ws_load(const char *path, int64_t max_nodes, ws_file *file)
         && reserve(&ps.scores, (size / 2 + 1) * sizeof(double)) == 0)
         parsed = parse_document(&ps, &node_count);
     munmap(map, size);
-    if (parsed == 0)
-        status = build(&ps, node_count, max_nodes, file);
+    if (parsed == 0 && node_count >= 1 && node_count <= max_nodes && edges_ok(&ps))
+        status = ws_build(node_count, (int64_t)(ps.edges.len / sizeof(ws_edge)),
+                          (ws_edge *)ps.edges.data, (int64_t)(ps.ys.len / sizeof(double)),
+                          (double *)ps.xs.data, (const double *)ps.ys.data,
+                          (int64_t)(ps.scores.len / sizeof(double)),
+                          (const double *)ps.scores.data, 1, file);
     unmap_block(ps.edges.data, ps.edges.cap);
     unmap_block(ps.xs.data, ps.xs.cap);
     unmap_block(ps.ys.data, ps.ys.cap);

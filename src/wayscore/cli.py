@@ -160,9 +160,10 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     # random_network draws at least 4 nodes, and the oracle takes at most
-    # ORACLE_NODE_LIMIT.
+    # ORACLE_NODE_LIMIT, with at most ORACLE_NODE_LIMIT - 1 out-edges each.  A
+    # breakpoint count needs no upper bound: 1000 takes under a second.
     p.add_argument("--max-nodes", type=_int_in(4, ORACLE_NODE_LIMIT), default=12)
-    p.add_argument("--out-degree", type=_int_in(1), default=3)
+    p.add_argument("--out-degree", type=_int_in(1, ORACLE_NODE_LIMIT - 1), default=3)
     p.add_argument("--max-breakpoints", type=_int_in(1), default=4)
     p.add_argument("--threads", type=_thread_count, default=1)
     return parser

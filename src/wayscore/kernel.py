@@ -13,8 +13,8 @@ from several threads search side by side.
 
 The kernel also holds ``ws_earliest``, the copy of
 :func:`wayscore.traversal.earliest_arrival` (:meth:`FlatNetwork.earliest`).
-Its preconditions are those of the search (a network :func:`flatten`
-checked) plus a source and destination that differ and lie in
+Its preconditions are those of the search (a network ``ws_build``
+built) plus a source and destination that differ and lie in
 ``[0, nodes)``; ``earliest_arrival`` checks the ids before the call, and
 the kernel checks them again and defers rather than index with one.
 
@@ -26,22 +26,18 @@ concurrent or interrupted build leaves no partial library behind.
 :func:`library` returns None when there is no compiler, no writable cache
 directory, or the library does not load; the Python engine then runs.
 
-The kernel also loads network files (:func:`parse_network`, through
-:func:`wayscore.network.load_network`).  ``ws_load`` parses a memory-mapped
-file, makes every check of the Python loader as a yes/no predicate, and
-builds the network's arrays in the kernel's layout, in one block of memory
-that the returned :class:`FlatNetwork` owns, with each distinct row of
-breakpoint departures stored once.  It defers, and the Python loader reads
-the file, on anything outside what ``save_network`` writes for a network
-without labels, and on any check that fails.
-
-A network built in Python (``build_network``, the Python loader) is
-flattened on its first solve instead (:func:`flatten`, through
-:meth:`wayscore.network.RoadNetwork.flat`) into ``array`` buffers of the
-same layout: a CSR out-adjacency, each edge's head, breakpoints and score
-intervals, and ``floor_after``'s suffix floors, which the kernel computes
-by the same expressions as
-:meth:`wayscore.profiles.ArrivalProfile.floor_after`.
+Every network the kernel searches is in one layout, built by ``ws_build``
+in one block of memory that a :class:`FlatNetwork` owns: a CSR
+out-adjacency in edge order, each edge's head, breakpoints (each distinct
+row of departures stored once) and score intervals, and ``floor_after``'s
+suffix floors, computed by the same expressions as
+:meth:`wayscore.profiles.ArrivalProfile.floor_after`.  ``ws_build`` reads a
+network as the kernel's file parser does, from ``ws_load``
+(:func:`parse_network`), which parses a network file and makes every
+check of the Python loader, or from :func:`flatten`, which packs a
+network built in Python on its first solve.  It checks only what the
+kernel's reads rest on, so a NaN departure put into a profile after its
+check is searched, and the search defers on it.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ import tempfile
 import threading
 import weakref
 from array import array
-from itertools import accumulate, chain
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,10 +65,10 @@ try:
 except RuntimeError:  # no home directory: no cache, so no kernel
     CACHE_DIR = None
 
-# ws_search's, ws_earliest's and ws_load's return codes.  DEFER: the kernel
-# met an input it does not model (a NaN departure, on which the Python code
-# raises, or a file it does not parse) or ran out of memory; the caller runs
-# the Python code instead.
+# ws_search's, ws_earliest's, ws_load's and ws_build's return codes.  DEFER:
+# the kernel met an input it does not model (a NaN departure, on which the
+# Python code raises, or a file it does not parse) or ran out of memory; the
+# caller runs the Python code instead.
 DONE, LIMIT, DEFER = 0, 1, 2
 
 _INT64_MAX = 2**63 - 1
@@ -123,6 +119,11 @@ class _File(ctypes.Structure):
 # A ws_file's length_kind values.
 NO_LENGTH, INT_LENGTH, REAL_LENGTH = 0, 1, 2
 
+# A ws_edge, as flatten packs it: tail, head, the counts of breakpoints,
+# score boundaries and score values, the kind of length_m (NO_LENGTH), the
+# score default, length_m (0) and xs_start (set by ws_build).
+_EDGE = struct.Struct("=6q2dq")
+
 
 class _Result(ctypes.Structure):
     _fields_ = [
@@ -159,8 +160,6 @@ def compile_kernel(target: Path, command: Sequence[str] = COMPILE) -> None:
 def bind(path) -> ctypes.CDLL:
     """Load a compiled kernel and declare its functions."""
     lib = ctypes.CDLL(str(path))
-    lib.ws_floors.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
-    lib.ws_floors.restype = ctypes.c_int
     lib.ws_search.argtypes = [
         ctypes.POINTER(_Network),
         ctypes.c_void_p,  # bounds
@@ -187,6 +186,13 @@ def bind(path) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),  # arrival
     ]
     lib.ws_earliest.restype = ctypes.c_int
+    # nodes, edges, records, breakpoints, xs, ys, score numbers, scores,
+    # unique_pairs, the ws_file to fill
+    lib.ws_build.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p] + [
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(_File),
+    ]
+    lib.ws_build.restype = ctypes.c_int
     lib.ws_load.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(_File)]
     lib.ws_load.restype = ctypes.c_int
     lib.ws_free.argtypes = [ctypes.POINTER(_File)]
@@ -230,14 +236,19 @@ def native_methods() -> bool:
 
 
 class FlatNetwork:
-    """One network's arrays in the kernel's layout, and the call into it."""
+    """One network's arrays in the kernel's layout, and the call into it.
 
-    def __init__(self, lib: ctypes.CDLL, net: _Network, owner):
+    The arrays are the block ``ws_build`` mapped for ``built``; ``ws_free``
+    unmaps it once neither this object nor a view of ``_block`` holds it.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, built: _File):
         self._lib = lib
-        self._owner = owner  # what holds the memory that net points into
-        self._net = net
-        self.nodes = net.nodes
-        self.edges = net.edges
+        self._block = (ctypes.c_ubyte * built.block_size).from_address(built.block)
+        weakref.finalize(self._block, lib.ws_free, built)
+        self._net = built.net
+        self.nodes = built.net.nodes
+        self.edges = built.net.edges
         self._pack_bounds = struct.Struct(f"{self.nodes}d").pack
 
     def search(
@@ -336,59 +347,42 @@ def _doubles(tuples: list) -> array:
 def flatten(net) -> Optional[FlatNetwork]:
     """``net`` in the kernel's layout, or None when the kernel cannot search it.
 
-    It cannot when the library is unavailable or a profile is of a subclass,
-    whose methods may differ.  The index arrays are checked here, since the
-    kernel trusts them.  Whether the profile methods are the ones the kernel
-    reproduces is for the caller to check (:func:`native_methods`), on every
-    use: :meth:`wayscore.network.RoadNetwork.flat` does.  Each edge's
-    departures are packed where its arrivals are, so ``xs_start`` is
-    ``bp_start`` without its last entry.
+    It cannot when the library is unavailable, a profile is of a subclass,
+    whose methods may differ, an edge's departures and arrivals differ in
+    number, or ``ws_build`` refuses the network.  Whether the profile
+    methods are the ones the kernel reproduces is for the caller to check
+    (:func:`native_methods`), on every use:
+    :meth:`wayscore.network.RoadNetwork.flat` does.  It packs what the
+    kernel's parser reads from a file, a ``ws_edge`` record (:data:`_EDGE`)
+    per edge and the departures, arrivals and score numbers in edge order,
+    for ``ws_build``, which allows repeated pairs of nodes here.
     """
-    lib = library()
-    if lib is None:
-        return None
-    n, arrivals, scores = net.node_count, net.arrivals, net.scores
-    m = len(arrivals)
-    if (
-        len(net.out_edges) != n
-        or m >= 2**31
-        or not set(map(type, arrivals)) <= {ArrivalProfile}
-        or not set(map(type, scores)) <= {ScoreProfile}
+    lib, arrivals, scores = library(), net.arrivals, net.scores
+    if lib is None or not (
+        set(map(type, arrivals)) <= {ArrivalProfile}
+        and set(map(type, scores)) <= {ScoreProfile}
     ):
         return None
     xs = list(map(attrgetter("xs"), arrivals))
     ys = list(map(attrgetter("ys"), arrivals))
+    points = list(map(len, xs))
+    if points != list(map(len, ys)):
+        return None
     boundaries = list(map(attrgetter("boundaries"), scores))
-    bp_start = array("q", accumulate(map(len, xs), initial=0))
-    arrays = {
-        "out_start": array("q", accumulate(map(len, net.out_edges), initial=0)),
-        "out_edge": array("i", list(chain.from_iterable(net.out_edges))),
-        "head": array("i", net.heads),
-        "bp_start": bp_start,
-        "xs_start": bp_start[:-1],
-        "xs": _doubles(xs),
-        "ys": _doubles(ys),
-        "floors": None,
-        "sc_start": array("q", accumulate(map(len, boundaries), initial=0)),
-        "sb": _doubles(boundaries),
-        # one value per boundary: the padding after the last is never read
-        "sv": _doubles([s.values + (0.0,) for s in scores if s.boundaries]),
-        "sdef": array("d", map(attrgetter("default"), scores)),
-    }
-    head, out_edge = arrays["head"], arrays["out_edge"]
-    if (
-        len(arrays["xs"]) != len(arrays["ys"])
-        or len(arrays["sb"]) != len(arrays["sv"])
-        or (head and not 0 <= min(head) <= max(head) < n)
-        or (out_edge and not 0 <= min(out_edge) <= max(out_edge) < m)
-    ):
-        return None
-    floors = arrays["floors"] = array("d", (0.0,)) * len(arrays["xs"])
-    pointers = [arrays[k].buffer_info()[0] for k in ("bp_start", "xs_start", "xs", "ys")]
-    if lib.ws_floors(m, *pointers, floors.buffer_info()[0]) != 0:
-        return None
-    fields = (arrays[name].buffer_info()[0] for name, _ in _Network._fields_[2:])
-    return FlatNetwork(lib, _Network(n, m, *fields), arrays)
+    values = list(map(attrgetter("values"), scores))
+    packed = b"".join(map(
+        _EDGE.pack, net.tails, net.heads, points, map(len, boundaries), map(len, values),
+        repeat(NO_LENGTH), map(attrgetter("default"), scores), repeat(0.0), repeat(0),
+    ))
+    records = array("q", packed)  # writable: ws_build sets each xs_start
+    pool = _doubles([seq for pair in zip(boundaries, values) if any(pair) for seq in pair])
+    xs_pool, ys_pool, built = _doubles(xs), _doubles(ys), _File()
+    status = lib.ws_build(
+        net.node_count, len(packed) // _EDGE.size, records.buffer_info()[0],
+        len(ys_pool), xs_pool.buffer_info()[0], ys_pool.buffer_info()[0],
+        len(pool), pool.buffer_info()[0], 0, built,
+    )
+    return FlatNetwork(lib, built) if status == DONE else None
 
 
 def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork]]:
@@ -396,9 +390,10 @@ def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork
     None when the kernel does not take it.
 
     The value is ``(node_count, columns, flat)``.  ``flat`` searches the
-    network, and owns the one block of memory ``ws_load`` built: the
-    kernel's arrays and the columns, which ``columns`` holds as typed
-    ``memoryview`` s, each keeping the block alive.  By name:
+    network, and owns the one block of memory ``ws_build`` built for the
+    file, as for a network :func:`flatten` packs: the kernel's arrays and
+    the columns, which ``columns`` holds as typed ``memoryview`` s, each
+    keeping the block alive.  By name:
 
     * per edge: ``tail`` and ``head`` (``i``); ``xs_start`` (``q``), where
       its departures start in ``xs``; ``sdef``, its score default, and
@@ -432,9 +427,8 @@ def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork
     loaded = _File()
     if lib.ws_load(name, max_nodes, loaded) != DONE:
         return None
-    block = (ctypes.c_ubyte * loaded.block_size).from_address(loaded.block)
-    weakref.finalize(block, lib.ws_free, loaded)
-    whole = memoryview(block).cast("B")
+    flat = FlatNetwork(lib, loaded)
+    whole = memoryview(flat._block).cast("B")
     net = loaded.net
     n, m = net.nodes, net.edges
     columns = {}
@@ -458,4 +452,4 @@ def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork
     ):
         at = where - loaded.block
         columns[name] = whole[at : at + struct.calcsize(code) * count].cast(code)
-    return n, columns, FlatNetwork(lib, net, block)
+    return n, columns, flat

@@ -27,30 +27,27 @@ static edge.  Node ids are JSON integers, ``node_count`` is at most
 ``MAX_NODES``, every number is finite, a length is a number >= 0, and
 labels name nodes in range.
 
-:func:`load_network` loads a file with the cyclic collector paused.  Where
-the compiled kernel is available, it loads a file as ``save_network``
-writes it for a network without labels in C
+Where the compiled kernel is available, :func:`load_network` loads a file
+as ``save_network`` writes it for a network without labels in C
 (:func:`wayscore.kernel.parse_network`): the parse, every check, the index
 and the arrays the kernel searches, which the network keeps; Python then
 builds the network's lists from those arrays.  Any other file, or one the
 kernel finds fault with, is read in Python, which gives every error
-message.  That
-parse builds each edge's arrival profile as it finishes the edge's object,
-so no load holds every edge's breakpoint lists at once, and each profile is
-validated once, when it is built; :func:`build_network`, which takes
-``Edge`` objects from any caller, checks their profiles again.  Files are
-read as UTF-8, as RFC 8259 requires of JSON.
+message.  That parse builds each edge's arrival profile as it finishes the
+edge's object, so no load holds every edge's breakpoint lists at once, and
+each profile is validated once, when it is built; :func:`build_network`,
+which takes ``Edge`` objects from any caller, checks their profiles again.
+Files are read as UTF-8, as RFC 8259 requires of JSON.  No load touches the
+process-wide collector switch.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import json
 import math
 import struct
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -70,27 +67,6 @@ from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 # declared node, about 130 bytes each, so the bound keeps a file's count
 # from taking memory without limit; 2**24 nodes already take about 2 GB.
 MAX_NODES = 2**24
-
-
-@contextmanager
-def gc_paused():
-    """Suspend cyclic GC while building structures that form no cycles.
-
-    A network file's load allocates hundreds of thousands of parsed floats
-    and profiles, none of which forms a cycle, and a full collector pass
-    while it runs walks every object in the process.  The one user is
-    :func:`load_network`.  The switch is process-wide: no other thread is
-    collected during a load (about 0.03 s for the 50x50 benchmark grid with
-    the compiled kernel, 0.15-0.2 s without), and the switch is restored on
-    exit, on an error too, over any change another thread made meanwhile.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class NetworkError(ValueError):
@@ -453,13 +429,8 @@ def _from_kernel(node_count: int, columns: dict, flat: FlatNetwork) -> RoadNetwo
     return net
 
 
-@gc_paused()
 def load_network(path: str) -> RoadNetwork:
     """Load and fully validate a network file.
-
-    The whole load, the JSON parse included, runs with the collector paused
-    (:func:`gc_paused`): a full pass would walk every parsed number and
-    profile built so far, and none of them forms a cycle.
 
     The compiled kernel loads the file first, when it is available
     (:func:`wayscore.kernel.parse_network`): it parses it, makes every check

@@ -278,19 +278,16 @@ def validate_solver(
     max_breakpoints: int = 4,
     mode: str = "sequential",
     threads: int = 1,
-    solve_fn=solve,
 ) -> ValidationReport:
     """Compare the solver against the enumeration oracle on random instances.
 
     Stops at the first disagreement and records the full instance verbatim.
-    ``solve_fn`` exists so harness tests can substitute a broken solver and
-    confirm the comparison catches it.
     """
     rng = random.Random(seed)
     agreed = 0
     for _ in range(instances):
         net, query = random_instance(rng, max_nodes, max_out_degree, max_breakpoints)
-        got = solve_fn(net, query, mode=mode, threads=threads)
+        got = solve(net, query, mode=mode, threads=threads)
         expected = best_path_by_enumeration(net, query)
         mismatch = got.status != expected.status
         if not mismatch and got.path is not None:

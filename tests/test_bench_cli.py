@@ -439,12 +439,15 @@ class TestValidateCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--max-nodes", "20"], "must be in [4, 14], got 20"),
         (["--max-nodes", "3"], "must be in [4, 14], got 3"),
-        (["--out-degree", "0"], "must be >= 1, got 0"),
+        (["--out-degree", "0"], "must be in [1, 13], got 0"),
         (["--max-breakpoints", "0"], "must be >= 1, got 0"),
+        (["--out-degree", "14"], "must be in [1, 13], got 14"),
+        (["--out-degree", "100"], "must be in [1, 13], got 100"),
     ])
     def test_instance_shape_out_of_range_is_usage_error(self, capsys, flags, message):
         """Each ended in a ValueError traceback, from the oracle's node limit
-        or from ``randrange``."""
+        or from ``randrange``, or, for a degree past the largest a node can
+        have, ran for minutes while the oracle walked a near-complete graph."""
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--instances", "2", *flags])
         assert exc.value.code == 1

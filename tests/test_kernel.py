@@ -11,6 +11,7 @@ import ctypes
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -568,8 +569,9 @@ class TestBuild:
 
     def test_ctypes_layouts_mirror_the_c_structs(self, tmp_path):
         """``kernel.py`` restates ``ws_network``, ``ws_file`` (which holds a
-        ``ws_network``) and ``ws_result`` for ``ctypes``; a drift would make
-        the kernel read or write the wrong bytes.  A probe compiled with
+        ``ws_network``) and ``ws_result`` for ``ctypes``, and ``ws_edge`` as
+        the ``struct`` format ``flatten`` packs; a drift would make the
+        kernel read or write the wrong bytes.  A probe compiled with
         ``_kernel.c`` prints each struct's size and field offsets."""
         mirrors = {
             "ws_network": kernel._Network,
@@ -577,10 +579,19 @@ class TestBuild:
             "ws_result": kernel._Result,
         }
         fields = {name: [f for f, _ in cls._fields_] for name, cls in mirrors.items()}
+        fields["ws_edge"] = ["tail", "head", "points", "boundaries", "values",
+                             "length_kind", "score_default", "length", "xs_start"]
         want = {
             name: [ctypes.sizeof(cls)] + [getattr(cls, f).offset for f in fields[name]]
             for name, cls in mirrors.items()
         }
+        codes = "".join(  # "=6q2dq" -> "qqqqqqddq"
+            code * int(count or 1)
+            for count, code in re.findall(r"(\d*)([a-z])", kernel._EDGE.format)
+        )
+        want["ws_edge"] = [kernel._EDGE.size] + [
+            struct.calcsize("=" + codes[:i]) for i in range(len(codes))
+        ]
         lines = [f'#include "{kernel.SOURCE}"', "#include <stddef.h>",
                  "#include <stdio.h>", "int main(void) {"]
         for name, names in fields.items():

@@ -29,7 +29,7 @@ from wayscore.network import (
 from wayscore.profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 from wayscore.reference import random_instance
 from wayscore.solver import STATUS_OK, solve
-from wayscore.traversal import build_query
+from wayscore.traversal import Query, build_query
 
 
 def _edge(u, v, tt=1.0, score=0.0):
@@ -221,23 +221,33 @@ class TestLoad:
         net = load_network(grid_file)
         assert calls == [e.arrival.pairs() for e in net.edges]
 
-    def test_no_collection_starts_during_a_load(self, grid_file):
-        """The parse, the profiles and the index run with the collector
-        paused.  Re-enabled, it owes one young-generation pass for what the
-        load allocated, which may start as the call returns."""
-        starts = []
+    @pytest.mark.parametrize("path", ["kernel", "python"])
+    def test_load_leaves_the_collector_switch_alone(self, grid_file, monkeypatch, path):
+        """A load never sets the process-wide collector switch, so a thread
+        that turns the collector off while a file loads finds it off after:
+        a pause around the load re-enabled it on its way out."""
+        if path == "kernel":
+            _kernel_or_skip()
+            name = "parse_network"
+        else:
+            monkeypatch.setattr(network, "parse_network", lambda path, max_nodes: None)
+            name = "_read"
+        load, loaded = getattr(network, name), []
 
-        def hook(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
+        def disabling(*args):
+            loaded.append(load(*args))
+            gc.disable()  # as another thread may do while the file loads
+            return loaded[-1]
 
-        gc.collect()
-        gc.callbacks.append(hook)
+        monkeypatch.setattr(network, name, disabling)
+        was_enabled = gc.isenabled()
+        gc.enable()
         try:
-            load_network(grid_file)
+            net = load_network(grid_file)
+            assert not gc.isenabled()
         finally:
-            gc.callbacks.remove(hook)
-        assert starts in ([], [0])
+            (gc.enable if was_enabled else gc.disable)()
+        assert loaded[0] is not None and net.node_count == 64
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_is_restored(self, grid_file, tmp_path, enabled):
@@ -889,3 +899,92 @@ class TestKernelLoad:
         assert _kernel_arrays(net.flat()) == want
         query = build_query(net, 0, 63, 480.0, overhead_percent=30.0)
         assert solve(net, query).status == STATUS_OK
+
+
+def _outcome(net, query, engine):
+    """The solve of ``query`` on ``engine``, or the type of what it raised."""
+    with pytest.MonkeyPatch.context() as patch:
+        if engine == "python":
+            patch.setattr(network.RoadNetwork, "flat", lambda self: None)
+        try:
+            res = solve(net, query)
+        except Exception as exc:  # the engines must fail alike
+            return type(exc)
+    return res.status, res.path and res.path.to_json(), res.explored
+
+
+class TestFlatten:
+    """``flatten`` packs a network built in Python as the kernel's parser
+    reads a file, and ``ws_build`` builds its arrays, as for a load."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self):
+        _kernel_or_skip()
+
+    @staticmethod
+    def _line():
+        return build_network(3, [
+            Edge(0, 1, ArrivalProfile([(0.0, 1.0), (10.0, 11.0)]),
+                 ScoreProfile((0.0, 50.0), (2.0,), 1.0)),
+            Edge(1, 2, ArrivalProfile([(0.0, 2.0), (10.0, 12.0)]),
+                 ScoreProfile.constant(1.0)),
+        ])
+
+    def test_a_profile_whose_columns_differ_in_length_is_refused(self):
+        """Edge 0's arrivals gain a breakpoint and edge 1's lose one, as code
+        that mutates a profile could do: the totals still match, so only a
+        per-edge count tells that the packed arrays would not line up."""
+        net, query = self._line(), Query.from_budget(0, 2, 20.0, 30.0)
+        first, second = net.arrivals
+        first.ys, second.ys = (1.0, 11.0, 12.0), (12.0,)
+        assert kernel.flatten(net) is None and net.flat() is None
+        assert _outcome(net, query, "kernel") == _outcome(net, query, "python")
+
+    @pytest.mark.parametrize("fault", [
+        "tail_past_the_end", "head_below_zero", "no_breakpoint", "values_for_no_boundary",
+        "one_value_short",
+    ])
+    def test_what_the_kernel_cannot_index_is_refused(self, fault):
+        """``ws_build`` checks what the kernel's reads rest on."""
+        net = self._line()
+        arrival, score = net.arrivals[0], net.scores[0]
+        if fault == "tail_past_the_end":
+            net.tails[1] = 3
+        elif fault == "head_below_zero":
+            net.heads[0] = -1
+        elif fault == "no_breakpoint":
+            arrival.xs = arrival.ys = ()
+        elif fault == "values_for_no_boundary":
+            score.boundaries = ()
+        else:
+            score.values = ()
+        assert kernel.flatten(net) is None
+
+    def test_each_distinct_row_of_departures_is_stored_once(self):
+        net = generate_network(GenConfig(rows=8, cols=8, seed=9)).network
+        flat = kernel.flatten(net)
+        xs_start = array("q", ctypes.string_at(flat._net.xs_start, 8 * flat.edges))
+        rows = {struct.pack(f"{len(a.xs)}d", *a.xs) for a in net.arrivals}
+        assert len(set(xs_start)) == len(rows) < len(net.arrivals)
+        assert _kernel_arrays(flat)["xs"] == b"".join(
+            struct.pack(f"{len(a.xs)}d", *a.xs) for a in net.arrivals
+        )
+
+    def test_dropping_a_flattened_network_frees_its_block(self, monkeypatch):
+        lib, freed = kernel.library(), []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def ws_free(self, built):
+                freed.append(built.block)
+                lib.ws_free(built)
+
+        monkeypatch.setattr(kernel, "library", Recording)
+        flat = kernel.flatten(self._line())
+        block = ctypes.addressof(flat._block)
+        assert freed == []
+        del flat
+        gc.collect()
+        assert freed == [block]
