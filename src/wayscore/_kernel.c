@@ -1147,14 +1147,13 @@ static int edges_ok(const ws_parser *ps)
  * floors and builds the CSR in edge order, in one block mapped once at its
  * size.  It checks only what the kernel's reads rest on: the counts, ids in
  * range, a breakpoint per edge, one score value fewer than boundaries (none
- * for none), the totals, and, if unique_pairs, no repeated pair; a NaN
- * departure is searched, and the search defers on it.  Returns as ws_load
- * does.  Protected, so that ws_load calls it directly: a call through the
- * PLT would grow it and move every function, the search among them. */
+ * for none), the totals and no repeated pair; a NaN departure is searched,
+ * and the search defers on it.  Returns as ws_load does.  Protected, so
+ * that ws_load calls it directly: a call through the PLT would grow it and
+ * move every function, the search among them. */
 __attribute__((visibility("protected"))) int
 ws_build(int64_t n, int64_t m, ws_edge *edge, int64_t points, double *parsed_xs,
-         const double *parsed_ys, int64_t pool_size, const double *pool,
-         int unique_pairs, ws_file *file)
+         const double *parsed_ys, int64_t pool_size, const double *pool, ws_file *file)
 {
     int64_t at = 0, sc = 0, scores = 0;
 
@@ -1233,7 +1232,7 @@ ws_build(int64_t n, int64_t m, ws_edge *edge, int64_t points, double *parsed_xs,
     ws_floors(m, bp_start, xs_start, xs, ys, floors);
     group(n, m, tail, out_start, out_edge);
     /* in_start is scratch until the in CSR is built */
-    if (unique_pairs && has_duplicate(n, out_start, out_edge, head, in_start)) {
+    if (has_duplicate(n, out_start, out_edge, head, in_start)) {
         unmap_block(block, size);
         return WS_DEFER;
     }
@@ -1257,10 +1256,10 @@ void ws_free(ws_file *file)
 
 /* Load the network file at path, memory-mapped, into *file: parse it, run
  * the Python loader's checks on it as yes/no predicates (node_count in
- * [1, max_nodes], edges_ok, and ws_build's with no repeated pair), and build
- * the kernel's arrays and the columns Python builds its network from
- * (ws_build).  Returns WS_DONE with *file set; the caller then owns its
- * block and releases it with ws_free.
+ * [1, max_nodes], edges_ok and ws_build's), and build the kernel's arrays
+ * and the columns Python builds its network from (ws_build).  Returns
+ * WS_DONE with *file set; the caller then owns its block and releases it
+ * with ws_free.
  * Anything else returns WS_DEFER, with *file empty, and the caller reads the
  * file in Python, which names what is wrong: a path that does not open as a
  * regular file, a failed mapping, a check that fails, and any input outside
@@ -1310,7 +1309,7 @@ int ws_load(const char *path, int64_t max_nodes, ws_file *file)
                           (ws_edge *)ps.edges.data, (int64_t)(ps.ys.len / sizeof(double)),
                           (double *)ps.xs.data, (const double *)ps.ys.data,
                           (int64_t)(ps.scores.len / sizeof(double)),
-                          (const double *)ps.scores.data, 1, file);
+                          (const double *)ps.scores.data, file);
     unmap_block(ps.edges.data, ps.edges.cap);
     unmap_block(ps.xs.data, ps.xs.cap);
     unmap_block(ps.ys.data, ps.ys.cap);

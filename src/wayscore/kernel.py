@@ -187,10 +187,10 @@ def bind(path) -> ctypes.CDLL:
     ]
     lib.ws_earliest.restype = ctypes.c_int
     # nodes, edges, records, breakpoints, xs, ys, score numbers, scores,
-    # unique_pairs, the ws_file to fill
+    # the ws_file to fill
     lib.ws_build.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p] + [
         ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(_File),
+        ctypes.c_void_p, ctypes.POINTER(_File),
     ]
     lib.ws_build.restype = ctypes.c_int
     lib.ws_load.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(_File)]
@@ -355,7 +355,7 @@ def flatten(net) -> Optional[FlatNetwork]:
     :meth:`wayscore.network.RoadNetwork.flat` does.  It packs what the
     kernel's parser reads from a file, a ``ws_edge`` record (:data:`_EDGE`)
     per edge and the departures, arrivals and score numbers in edge order,
-    for ``ws_build``, which allows repeated pairs of nodes here.
+    for ``ws_build``.
     """
     lib, arrivals, scores = library(), net.arrivals, net.scores
     if lib is None or not (
@@ -380,7 +380,7 @@ def flatten(net) -> Optional[FlatNetwork]:
     status = lib.ws_build(
         net.node_count, len(packed) // _EDGE.size, records.buffer_info()[0],
         len(ys_pool), xs_pool.buffer_info()[0], ys_pool.buffer_info()[0],
-        len(pool), pool.buffer_info()[0], 0, built,
+        len(pool), pool.buffer_info()[0], built,
     )
     return FlatNetwork(lib, built) if status == DONE else None
 

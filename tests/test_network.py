@@ -942,10 +942,11 @@ class TestFlatten:
 
     @pytest.mark.parametrize("fault", [
         "tail_past_the_end", "head_below_zero", "no_breakpoint", "values_for_no_boundary",
-        "one_value_short",
+        "one_value_short", "repeated_pair",
     ])
     def test_what_the_kernel_cannot_index_is_refused(self, fault):
-        """``ws_build`` checks what the kernel's reads rest on."""
+        """``ws_build`` checks what the kernel's reads rest on, and, as for a
+        load, that no two edges join the same pair of nodes."""
         net = self._line()
         arrival, score = net.arrivals[0], net.scores[0]
         if fault == "tail_past_the_end":
@@ -956,8 +957,10 @@ class TestFlatten:
             arrival.xs = arrival.ys = ()
         elif fault == "values_for_no_boundary":
             score.boundaries = ()
-        else:
+        elif fault == "one_value_short":
             score.values = ()
+        else:
+            net.tails[1], net.heads[1] = 0, 1
         assert kernel.flatten(net) is None
 
     def test_each_distinct_row_of_departures_is_stored_once(self):
