@@ -682,10 +682,27 @@ WS_INLINE int append(ws_pool *pool, const void *item, size_t size)
     return 0;
 }
 
+/* The parser reads the mapped file forward from p; kept is the first byte
+ * of it still mapped (release). */
 typedef struct {
-    const char *p, *end;
+    const char *p, *end, *kept;
     ws_pool edges, xs, ys, scores;
 } ws_parser;
+
+#define WS_RELEASE_STEP ((uintptr_t)1 << 20)
+
+/* Unmap the file from kept up to the last multiple of WS_RELEASE_STEP at or
+ * before p: a multiple of any page size up to the step, and where a page
+ * size is larger munmap fails and nothing is unmapped until the parse ends.
+ * Called only between two edges, where the parser holds no pointer into the
+ * file but p and never reads behind p again: every read starts at p and goes
+ * forward. */
+WS_INLINE void release(ws_parser *ps)
+{
+    const uintptr_t to = (uintptr_t)ps->p & ~(WS_RELEASE_STEP - 1);
+    if (to > (uintptr_t)ps->kept && munmap((void *)ps->kept, to - (uintptr_t)ps->kept) == 0)
+        ps->kept = (const char *)to;
+}
 
 WS_INLINE void skip_space(ws_parser *ps)
 {
@@ -987,6 +1004,7 @@ static int parse_edges(ws_parser *ps)
     do {
         if (parse_edge(ps))
             return -1;
+        release(ps);
     } while ((go = more(ps, ']')) == 1);
     return go;
 }
@@ -1110,18 +1128,22 @@ static size_t take(size_t *size, size_t bytes)
 
 /* The checks the Python loader makes besides ws_build's, as a yes/no
  * predicate on every edge the parser read: check_fifo's (ws_fifo); endpoints
- * apart; a length_m, when there is one, finite and >= 0; and a score
+ * apart; a length_m, when there is one, finite and >= 0; a score
  * ScoreProfile takes: finite numbers, boundaries strictly increasing, no
- * value or default below 0. */
+ * value or default below 0; and _index's bound on the sum, in edge order, of
+ * each edge's largest score (the default or a value), DBL_MAX / 2, which
+ * keeps every path's score finite. */
 static int edges_ok(const ws_parser *ps)
 {
     const ws_edge *edge = (const ws_edge *)ps->edges.data;
     const int64_t m = (int64_t)(ps->edges.len / sizeof *edge);
     const double *xs = (const double *)ps->xs.data, *ys = (const double *)ps->ys.data;
     const double *b = (const double *)ps->scores.data; /* boundaries, then values */
+    double total = 0.0;
     for (int64_t i = 0, at = 0; i < m; i++) {
         const ws_edge *e = &edge[i];
         const int64_t nb = e->boundaries, nv = e->values;
+        double top = e->score_default;
         if (!ws_fifo(e->points, xs + at, ys + at) || e->tail == e->head
             || (e->length_kind != WS_NO_LENGTH && !(e->length >= 0.0 && e->length <= DBL_MAX))
             || !isfinite(e->score_default) || e->score_default < 0.0)
@@ -1133,7 +1155,12 @@ static int edges_ok(const ws_parser *ps)
         for (int64_t j = nb; j < nb + nv; j++) {
             if (!isfinite(b[j]) || b[j] < 0.0)
                 return 0;
+            if (b[j] > top)
+                top = b[j];
         }
+        total += top;
+        if (!(total <= DBL_MAX / 2))
+            return 0;
         at += e->points;
         b += nb + nv;
     }
@@ -1270,6 +1297,12 @@ void ws_free(ws_file *file)
  * equals the float, or the int, that Python's json module reads from its
  * token.  The file must not shrink while it loads.
  *
+ * The mapping is a window that slides forward: the parser unmaps what it
+ * has moved past each time it crosses a multiple of WS_RELEASE_STEP in
+ * memory (release), and the rest once the parse ends.  It releases between
+ * edges, so a load holds at most about a step of the file at a time, plus
+ * the edge being read, whatever the file's size.
+ *
  * The parser's pools are mapped apart from malloc's heap, each with room for
  * as many items as the file's size allows, going by the fewest bytes each
  * item takes: 9 a breakpoint ("[0e0,0e0]"), 2 a score number ("0,") and 30
@@ -1296,14 +1329,14 @@ int ws_load(const char *path, int64_t max_nodes, ws_file *file)
     close(fd);
     if (map == MAP_FAILED)
         return WS_DEFER;
-    ps.p = map;
+    ps.p = ps.kept = map;
     ps.end = ps.p + size;
     if (reserve(&ps.edges, (size / 30 + 1) * sizeof(ws_edge)) == 0
         && reserve(&ps.xs, (size / 9 + 1) * sizeof(double)) == 0
         && reserve(&ps.ys, (size / 9 + 1) * sizeof(double)) == 0
         && reserve(&ps.scores, (size / 2 + 1) * sizeof(double)) == 0)
         parsed = parse_document(&ps, &node_count);
-    munmap(map, size);
+    munmap((void *)ps.kept, size - (size_t)(ps.kept - (const char *)map));
     if (parsed == 0 && node_count >= 1 && node_count <= max_nodes && edges_ok(&ps))
         status = ws_build(node_count, (int64_t)(ps.edges.len / sizeof(ws_edge)),
                           (ws_edge *)ps.edges.data, (int64_t)(ps.ys.len / sizeof(double)),

@@ -23,8 +23,10 @@ from .reference import ORACLE_NODE_LIMIT
 from .solver import STATUS_OK, solve
 from .traversal import Query, QueryError, build_query
 
-# bench and datagen import numpy, which takes longer to import than a short
-# query takes to answer, so only the commands that use them import them.
+# bench imports numpy, and datagen takes about 6 ms to import (its
+# dataclasses; its generators import numpy when called): both take longer
+# than a short query takes to answer, so only the commands that use them
+# import them.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,7 +165,10 @@ def build_parser() -> _Parser:
     # ORACLE_NODE_LIMIT, with at most ORACLE_NODE_LIMIT - 1 out-edges each.  A
     # breakpoint count needs no upper bound: 1000 takes under a second.
     p.add_argument("--max-nodes", type=_int_in(4, ORACLE_NODE_LIMIT), default=12)
-    p.add_argument("--out-degree", type=_int_in(1, ORACLE_NODE_LIMIT - 1), default=3)
+    p.add_argument("--out-degree", type=_int_in(1, ORACLE_NODE_LIMIT - 1), default=3,
+                   help="the oracle walks every loopless path, so near the full "
+                        "degree it takes long: --instances 30 --max-nodes 14 "
+                        "--out-degree 13 takes about 45 s")
     p.add_argument("--max-breakpoints", type=_int_in(1), default=4)
     p.add_argument("--threads", type=_thread_count, default=1)
     return parser

@@ -19,6 +19,11 @@ A fraction ``score_density`` of edges, chosen uniformly without
 replacement, receives a constant integer score from ``score_range``; the
 rest score zero.  All randomness derives from one seed, so the same
 configuration reproduces the same network byte for byte.
+
+Only :func:`generate_network` and :func:`generate_query_sets` draw with
+numpy, so they import it when called: a process that reads query files or
+uses this module's settings (benchmark drivers among them) answers queries
+without the memory and import time numpy takes.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .network import Edge, RoadNetwork, build_network
 from .profiles import ArrivalProfile, ScoreProfile
@@ -212,6 +215,8 @@ def generate_network(config: GenConfig) -> GenResult:
     else:
         arcs = _grid_topology(config.rows, config.cols, config.edge_length_m)
         node_count = config.rows * config.cols
+    import numpy as np  # here, not at the top: see the module docstring
+
     windows = tuple(sorted(config.rush_windows, key=lambda w: w.start))
     seed_root = np.random.SeedSequence(config.seed)
     speed_rng, peak_rng, score_rng = (
@@ -321,6 +326,8 @@ def generate_query_sets(
     _check_seed(seed)
     if attempt_cap is None:
         attempt_cap = max(10_000, 500 * count_per_set * len(buckets))
+    import numpy as np  # here, not at the top: see the module docstring
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     windows = list(rush_windows)
     spans = [float(w.end - w.start) for w in windows]

@@ -409,14 +409,19 @@ def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork
 
     Everything the Python loader checks has passed: ``node_count`` in
     ``[1, max_nodes]``, each profile by :func:`wayscore.profiles.check_fifo`'s
-    rules, each score as ``ScoreProfile`` checks it, each ``length_m``,
-    endpoints in range and apart, and no two edges between one pair of
-    nodes.  None means no kernel, a path that is not a string or bytes
+    rules, each score as ``ScoreProfile`` checks it, the sum of the edges'
+    largest scores (:data:`wayscore.network.MAX_SCORE_TOTAL`), each
+    ``length_m``, endpoints in range and apart, and no two edges between one
+    pair of nodes.  None means no kernel, a path that is not a string or bytes
     without a NUL, or what ``ws_load`` defers: a file that is not a regular
     file, is not JSON, holds anything that ``save_network`` does not write
     for a network without labels, or fails a check.  The file is read
     through a memory map, so it must not shrink while it loads: a read past
-    its new end raises SIGBUS.
+    its new end raises SIGBUS.  The map is a window that slides forward:
+    between edges, the parser unmaps the pages it has moved past, a
+    megabyte at a time, and it never reads behind them again.  So a load
+    holds about a megabyte of the file at a time, plus the edge being read,
+    whatever the file's size.
     """
     lib = library()
     if lib is None or not isinstance(path, (str, bytes, os.PathLike)):

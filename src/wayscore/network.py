@@ -24,8 +24,9 @@ File format (JSON document)::
 Times are decimal minutes with at most six fractional digits; the loader
 preserves that precision exactly.  A single-breakpoint "arrival" encodes a
 static edge.  Node ids are JSON integers, ``node_count`` is at most
-``MAX_NODES``, every number is finite, a length is a number >= 0, and
-labels name nodes in range.
+``MAX_NODES``, every number is finite, a length is a number >= 0, the
+edges' largest scores sum to at most ``MAX_SCORE_TOTAL``, so that no path's
+score overflows, and labels name nodes in range.
 
 Where the compiled kernel is available, :func:`load_network` loads a file
 as ``save_network`` writes it for a network without labels in C
@@ -67,6 +68,13 @@ from .profiles import ArrivalProfile, ProfileError, ScoreProfile, check_fifo
 # declared node, about 130 bytes each, so the bound keeps a file's count
 # from taking memory without limit; 2**24 nodes already take about 2 GB.
 MAX_NODES = 2**24
+
+# The most that the edges' largest scores (each edge's default or value,
+# whichever is larger) may sum to, added in edge order.  A path's score adds
+# at most each of those once, in another order, and rounding can move a sum
+# of m non-negative floats by a factor of at most about 1 + m * 2**-53 either
+# way, so half the float range keeps every path's score finite.
+MAX_SCORE_TOTAL = sys.float_info.max / 2
 
 
 class NetworkError(ValueError):
@@ -176,9 +184,10 @@ def build_network(
 
     Rejects a ``node_count`` outside ``[1, MAX_NODES]`` before allocating
     anything, and self-loops, endpoints outside ``[0, node_count)``,
-    duplicate ``(tail, head)`` pairs, and non-FIFO arrival profiles, naming
-    the offending edge in each case.  The edges' profiles are checked again
-    here, since an ``Edge`` can carry one altered after it was built.
+    duplicate ``(tail, head)`` pairs, non-FIFO arrival profiles, and the
+    first edge at which the largest scores sum past ``MAX_SCORE_TOTAL``,
+    naming the offending edge in each case.  The edges' profiles are checked
+    again here, since an ``Edge`` can carry one altered after it was built.
     """
 
     def fifo_checked():
@@ -212,7 +221,8 @@ def _index(
     labels: Optional[dict[int, str]],
 ) -> RoadNetwork:
     """The network of ``rows``, ``(tail, head, arrival, score, length_m)``
-    per edge, with ``node_count`` and each edge's endpoints checked.  The
+    per edge, with ``node_count``, each edge's endpoints and the sum of the
+    edges' largest scores (:data:`MAX_SCORE_TOTAL`) checked.  The arrival
     profiles are not looked at: :func:`load_network` builds every
     ``ArrivalProfile`` itself, and its constructor has run ``check_fifo``.
     """
@@ -221,6 +231,7 @@ def _index(
     out_edges: list[list[int]] = [[] for _ in range(node_count)]
     in_edges: list[list[int]] = [[] for _ in range(node_count)]
     seen: set[tuple[int, int]] = set()
+    total = 0.0
     for idx, row in enumerate(rows):
         tail, head, arrival, score, length = row
         if not (0 <= tail < node_count and 0 <= head < node_count):
@@ -229,6 +240,12 @@ def _index(
             raise EdgeError(f"{_where(idx, row)}: self-loops are not allowed")
         if (tail, head) in seen:
             raise EdgeError(f"{_where(idx, row)}: duplicate edge for this node pair")
+        total += max((score.default, *score.values))
+        if total > MAX_SCORE_TOTAL:
+            raise EdgeError(
+                f"{_where(idx, row)}: the largest scores up to this edge sum past "
+                f"{MAX_SCORE_TOTAL!r}, so a path's score could overflow"
+            )
         seen.add((tail, head))
         out_edges[tail].append(idx)
         in_edges[head].append(idx)

@@ -148,6 +148,23 @@ class TestQueryCommand:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["nodes"] == ["A", "B"]
 
+    def test_datagen_imports_numpy_only_to_generate(self):
+        """The settings and the query reader of ``wayscore.datagen`` leave
+        numpy unimported: a process that only reads query files, a benchmark
+        driver among them, does not pay for it."""
+        code = (
+            "import sys\n"
+            "from wayscore import datagen\n"
+            "datagen.GenConfig(rows=3, cols=3).validate()\n"
+            "assert datagen.DEFAULT_WINDOWS and callable(datagen.read_queries_csv)\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(wayscore.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_percent_overhead_budget_printed(self, toy_file, capsys):
         rc = main(["query", "--graph", toy_file, "--from", "A", "--to", "B",
                    "--depart", "0", "--overhead-pct", "30"])
@@ -253,6 +270,12 @@ class TestQueryCommand:
         # an integer longer than int() converts
         pytest.param('{"node_count": 2, "edges": [], "x": ' + "9" * 5000 + "}",
                      "not valid JSON", id="doc26-not valid JSON"),
+        # two paths whose scores each sum to inf: the answer was one of them
+        ({"node_count": 4, "edges": [
+            {"from": u, "to": v, "arrival": [[0.0, tt]], "score": {"default": s}}
+            for u, v, tt, s in ((0, 1, 1.5, 1.7e308), (1, 2, 1.5, 1.7e308),
+                                (0, 3, 1.0, 1.0e308), (3, 2, 1.0, 0.9e308))
+        ]}, "could overflow"),
     ])
     def test_malformed_network_is_data_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"

@@ -3,11 +3,16 @@ import gc
 import hashlib
 import json
 import math
+import mmap
 import os
 import random
+import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +23,7 @@ from wayscore import kernel, network, profiles
 from wayscore.datagen import GenConfig, generate_network
 from wayscore.network import (
     MAX_NODES,
+    MAX_SCORE_TOTAL,
     Edge,
     EdgeError,
     FormatError,
@@ -83,6 +89,20 @@ class TestBuild:
     def test_self_loop_rejected(self):
         with pytest.raises(EdgeError, match="self-loop"):
             build_network(2, [_edge(1, 1)])
+
+    def test_scores_that_could_sum_past_the_float_range_are_rejected(self):
+        """Paths 0-1-2 (3.4e308) and 0-3-2 (1.9e308) both summed to inf, and
+        the tie-break then answered 0-3-2 with a score of inf."""
+        edges = [_edge(0, 1, 1.5, 1.7e308), _edge(1, 2, 1.5, 1.7e308),
+                 _edge(0, 3, 1.0, 1.0e308), _edge(3, 2, 1.0, 0.9e308)]
+        with pytest.raises(EdgeError, match="edge 0 \\(0->1\\).*could overflow"):
+            build_network(4, edges)
+        # each edge's largest score counts, a value as well as the default
+        ramp = Edge(0, 1, ArrivalProfile.constant(1.0),
+                    ScoreProfile((0.0, 1.0), (6e307,), 1.0))
+        with pytest.raises(EdgeError, match="edge 1 \\(1->2\\).*could overflow"):
+            build_network(3, [ramp, _edge(1, 2, score=5e307)])
+        assert build_network(3, [ramp, _edge(1, 2, score=2e307)]).node_count == 3
 
     def test_every_edge_indexed_exactly_once(self, toy_network):
         net = toy_network
@@ -715,6 +735,26 @@ class TestKernelParser:
         assert got == passes
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _straddling(text: str, every: int) -> str:
+    """``text`` with spaces put in before some of its number tokens, so that
+    a token of two or more bytes straddles each multiple of ``every``: the
+    last such token before a multiple that no token straddles is moved over
+    it.  Tokens must lie closer together than ``every``."""
+    tokens = [m.span() for m in _NUMBER.finditer(text) if m.end() - m.start() > 1]
+    out, at, shift, boundary = [], 0, 0, every
+    for (s, e), (following, _) in zip(tokens, tokens[1:] + [(len(text), 0)]):
+        if s + shift < boundary < e + shift:
+            boundary += every
+        elif e + shift <= boundary <= following + shift:
+            pad = boundary + 1 - (e + shift)
+            out += [text[at:s], " " * pad]
+            at, shift, boundary = s, shift + pad, boundary + every
+    return "".join(out) + text[at:]
+
+
 def _kernel_arrays(flat) -> dict:
     """The arrays a ``FlatNetwork`` searches, as bytes by name, with each
     edge's departures read through its ``xs_start`` and joined in edge order
@@ -786,6 +826,18 @@ _FAULTS = [
     ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
      '"score": {"default": -2}}]}',
      EdgeError, "{path}: edges[0]: scores must be non-negative"),
+    ('{"node_count": 4, "edges": ['
+     '{"from": 0, "to": 1, "arrival": [[0.0, 1.5]], "score": {"default": 1.7e308}}, '
+     '{"from": 1, "to": 2, "arrival": [[0.0, 1.5]], "score": {"default": 1.7e308}}, '
+     '{"from": 0, "to": 3, "arrival": [[0.0, 1.0]], "score": {"default": 1e308}}, '
+     '{"from": 3, "to": 2, "arrival": [[0.0, 1.0]], "score": {"default": 9e307}}]}',
+     EdgeError, "edge 0 (0->1): the largest scores up to this edge sum past "
+     "8.988465674311579e+307, so a path's score could overflow"),
+    ('{"node_count": 3, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+     '"score": {"boundaries": [0.0, 1.0], "values": [6e307], "default": 1.0}}, '
+     '{"from": 1, "to": 2, "arrival": [[0.0, 1.0]], "score": {"default": 5e307}}]}',
+     EdgeError, "edge 1 (1->2): the largest scores up to this edge sum past "
+     "8.988465674311579e+307, so a path's score could overflow"),
 ]
 
 
@@ -873,6 +925,48 @@ class TestKernelLoad:
             loaded_both_ways(str(path))
         assert str(exc.value) == message.format(path=path)
 
+    def test_a_score_total_at_the_bound_loads_and_one_past_it_does_not(
+        self, tmp_path, kernel_loads
+    ):
+        doc = {"node_count": 2, "edges": [_one_edge(score={"default": MAX_SCORE_TOTAL})]}
+        assert loaded_both_ways(_written(tmp_path, doc)).scores[0].default == (
+            MAX_SCORE_TOTAL
+        )
+        assert kernel_loads[0] is True
+        doc["edges"][0]["score"]["default"] = math.nextafter(MAX_SCORE_TOTAL, math.inf)
+        with pytest.raises(EdgeError, match="could overflow"):
+            loaded_both_ways(_written(tmp_path, doc))
+        assert kernel_loads[2] is False
+
+    def test_a_file_of_several_release_steps_loads_alike(self, tmp_path, kernel_loads):
+        """``ws_load`` unmaps the file behind its parser at each multiple of
+        its step in memory, which falls on a page boundary of the file
+        wherever the file is mapped.  The file spans several steps, and a
+        number token straddles every page boundary in it."""
+        step = 1 << int(re.search(
+            r"#define WS_RELEASE_STEP \(\(uintptr_t\)1 << (\d+)\)", kernel.SOURCE.read_text()
+        ).group(1))
+        rng = random.Random(26)
+        edges = []
+        for e in range(int(3.5 * step) // 4400):
+            x = sorted(rng.uniform(0.0, 1440.0) for _ in range(100))
+            travel = rng.uniform(0.5, 9.0)
+            edges.append(_one_edge(**{"from": e % 50, "to": 50 + e // 50,
+                                      "arrival": [[t, t + travel] for t in x]}))
+        text = _straddling(
+            json.dumps({"node_count": 50 + len(edges) // 50 + 1, "edges": edges}),
+            mmap.PAGESIZE,
+        )
+        spans = [m.span() for m in _NUMBER.finditer(text)]
+        page = mmap.PAGESIZE
+        covered = {b for s, e in spans for b in range(s // page * page + page, e, page)}
+        assert covered == set(range(page, len(text), page))
+        assert len(text) > 3 * step
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        net = loaded_both_ways(str(path))
+        assert kernel_loads[0] is True and len(net.arrivals) == len(edges)
+
     def test_the_network_adopts_the_loads_arrays(self, grid_file, monkeypatch):
         """No Python check, no index pass and no flatten run on the kernel
         path, and the first solve packs nothing."""
@@ -899,6 +993,49 @@ class TestKernelLoad:
         assert _kernel_arrays(net.flat()) == want
         query = build_query(net, 0, 63, 480.0, overhead_percent=30.0)
         assert solve(net, query).status == STATUS_OK
+
+
+# Measured with five loads of the benchmark grid: VmHWM rose 0.0 MB above
+# the first load's RSS (3 processes), against 4.3 MB while ws_load held the
+# whole file mapped until its parse ended.
+_REPEATED_LOAD_MARGIN_MB = 2.0
+
+
+@pytest.mark.slow
+def test_repeated_loads_peak_near_one_load(tmp_path):
+    """Five loads of the 8.1 MB benchmark grid in a fresh process, each
+    dropping the last network first, as perfbench's set-ups do: the peak
+    RSS stays within a margin of the RSS after the first load.  A later
+    load's ws_load maps its memory on top of what the freed network leaves
+    in the heap, so what it holds at once sets how far the peak rises."""
+    _kernel_or_skip()
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmRSS and VmHWM from /proc/self/status")
+    path = tmp_path / "grid.json"
+    save_network(
+        generate_network(GenConfig(rows=50, cols=50, score_density=0.2, seed=101)).network,
+        str(path),
+    )
+    code = (
+        "import sys\n"
+        "from wayscore.network import load_network\n"
+        "def kb(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith(key + ':'))\n"
+        "net = load_network(sys.argv[1])\n"
+        "first = kb('VmRSS')\n"
+        "for _ in range(4):\n"
+        "    net = None\n"
+        "    net = load_network(sys.argv[1])\n"
+        "print(first / 1024, kb('VmHWM') / 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(network.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    first, peak = map(float, done.stdout.split())
+    assert peak <= first + _REPEATED_LOAD_MARGIN_MB, (first, peak)
 
 
 def _outcome(net, query, engine):
