@@ -16,10 +16,12 @@
  * parser reads one, in one block that ws_free unmaps: the kernel's arrays,
  * each distinct row of departures stored once, and the columns
  * wayscore.network.load_network builds a network's lists from.  ws_load
- * parses a memory-mapped network file, makes the Python loader's checks as
- * yes/no predicates (ws_fifo is check_fifo; edges_ok, has_duplicate and
- * ws_build's the rest) and hands it to ws_build; a file it defers is read in
- * Python.  wayscore.kernel.flatten packs a network built in Python for it.
+ * parses a memory-mapped network file, scanning each number once to check it
+ * and compute its value, makes the Python loader's checks as yes/no
+ * predicates, each edge's as the edge is read (ws_fifo is check_fifo;
+ * edge_ok, has_duplicate and ws_build's the rest), and hands it to ws_build;
+ * a file it defers is read in Python.  wayscore.kernel.flatten packs a
+ * network built in Python for it.
  *
  * ws_build's checks give the search's preconditions: node ids and edge
  * indices in range, every offset array non-decreasing and one longer than
@@ -587,7 +589,7 @@ out:
  * departure; departures strictly increasing and arrivals non-decreasing; no
  * travel time, gap to the previous breakpoint, or product of the two gaps
  * that overflows to infinity. */
-int ws_fifo(int64_t k, const double *xs, const double *ys)
+static int ws_fifo(int64_t k, const double *xs, const double *ys)
 {
     if (k < 1)
         return 0;
@@ -683,10 +685,12 @@ WS_INLINE int append(ws_pool *pool, const void *item, size_t size)
 }
 
 /* The parser reads the mapped file forward from p; kept is the first byte
- * of it still mapped (release). */
+ * of it still mapped (release).  total is the sum, in edge order, of each
+ * edge read so far's largest score (edge_ok). */
 typedef struct {
     const char *p, *end, *kept;
     ws_pool edges, xs, ys, scores;
+    double total;
 } ws_parser;
 
 #define WS_RELEASE_STEP ((uintptr_t)1 << 20)
@@ -757,30 +761,51 @@ WS_INLINE int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* A JSON number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?, as
- * Python's json module reads it.  Sets its extent, and whether it is an
- * integer, which the parser gives as an int rather than a float. */
-WS_INLINE int number(ws_parser *ps, const char **start, size_t *len, int *integer)
+/* Past the digits at p, each added to *mantissa while it is at most 2**53:
+ * past that, it stays past.  The compiler inlines it unasked; marked
+ * WS_INLINE, it would put int_token and reals ahead of search in the built
+ * library, and so move search. */
+static const char *digits(const char *p, const char *end, uint64_t *mantissa)
 {
+    for (; p < end && is_digit(*p); p++) {
+        if (*mantissa <= UINT64_C(1) << 53)
+            *mantissa = 10 * *mantissa + (uint64_t)(*p - '0');
+    }
+    return p;
+}
+
+/* The next number, checked against the grammar of a JSON number,
+ * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?, and converted in the same
+ * pass to what Python's json module reads from it.  A token with neither
+ * fraction nor exponent is an integer, which Python gives as an int: it sets
+ * *integer, and one past 2**53 in magnitude, which a double may not hold
+ * exactly, is refused.  Any other token is the double float(token) gives.
+ * When its mantissa is below 2**53, with at most 22 fractional digits and no
+ * exponent, both the mantissa and the power of ten are exact, so one
+ * correctly rounded division gives it (Clinger's fast path).  strtod
+ * converts a copy of any other token, which is refused unless strtod takes
+ * it whole (in a locale with a decimal comma, say). */
+WS_INLINE int number(ws_parser *ps, double *out, int *integer)
+{
+    static const double powers[] = {
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+        1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    };
+    const uint64_t limit = UINT64_C(1) << 53;
     skip_space(ps);
-    const char *p = ps->p, *end = ps->end;
-    *start = p;
-    *integer = 1;
-    if (p < end && *p == '-')
-        p++;
+    const char *const start = ps->p, *const end = ps->end, *p = start, *point = NULL;
+    const int negative = p < end && *p == '-';
+    uint64_t mantissa = 0;
+    int exponent = 0;
+    p += negative;
     if (p == end || !is_digit(*p))
         return -1;
-    if (*p++ != '0') {
-        while (p < end && is_digit(*p))
-            p++;
-    }
+    p = *p == '0' ? p + 1 : digits(p, end, &mantissa);
     if (p < end && *p == '.') {
-        p++;
+        point = ++p;
         if (p == end || !is_digit(*p))
             return -1;
-        while (p < end && is_digit(*p))
-            p++;
-        *integer = 0;
+        p = digits(p, end, &mantissa);
     }
     if (p < end && (*p == 'e' || *p == 'E')) {
         p++;
@@ -790,93 +815,37 @@ WS_INLINE int number(ws_parser *ps, const char **start, size_t *len, int *intege
             return -1;
         while (p < end && is_digit(*p))
             p++;
-        *integer = 0;
+        exponent = 1;
     }
-    *len = (size_t)(p - *start);
     ps->p = p;
-    return 0;
-}
-
-/* An integer token's value; -1 when it overflows int64. */
-static int int_value(const char *s, size_t len, int64_t *out)
-{
-    const int negative = *s == '-';
-    int64_t v = 0;
-    for (size_t i = negative; i < len; i++) {
-        const int d = s[i] - '0';
-        if (v > (INT64_MAX - d) / 10)
+    *integer = !point && !exponent;
+    if (*integer) {
+        if (mantissa > limit)
             return -1;
-        v = 10 * v + d;
+        *out = (double)(negative ? -(int64_t)mantissa : (int64_t)mantissa); /* -0 is 0 */
+        return 0;
     }
-    *out = negative ? -v : v;
-    return 0;
-}
-
-/* The double float(token) gives.  A mantissa below 2**53 with at most 22
- * fractional digits and no exponent is exact, as is the power of ten, so
- * one correctly rounded division gives it (Clinger's fast path); strtod
- * converts any other token, and -1 says it did not consume the token whole
- * (in a locale with a decimal comma, say). */
-WS_INLINE int float_value(const char *s, size_t len, double *out)
-{
-    static const double powers[] = {
-        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-        1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-    };
-    const int negative = *s == '-';
-    uint64_t mantissa = 0;
-    int fraction = -1; /* digits after the point, -1 before it */
-    for (size_t i = negative; i < len; i++) {
-        if (s[i] == '.') {
-            fraction = 0;
-            continue;
-        }
-        if (s[i] == 'e' || s[i] == 'E')
-            goto slow;
-        mantissa = 10 * mantissa + (uint64_t)(s[i] - '0');
-        if (mantissa >= (UINT64_C(1) << 53))
-            goto slow;
-        if (fraction >= 0 && ++fraction > 22)
-            goto slow;
+    if (!exponent && mantissa < limit && p - point <= 22) {
+        *out = (double)mantissa / powers[p - point];
+        if (negative)
+            *out = -*out;
+        return 0;
     }
-    *out = (double)mantissa / powers[fraction > 0 ? fraction : 0];
-    if (negative)
-        *out = -*out;
-    return 0;
-slow:;
-    char token[64];
-    char *stop;
+    const size_t len = (size_t)(p - start);
+    char token[64], *stop;
     if (len >= sizeof token)
         return -1;
-    memcpy(token, s, len);
+    memcpy(token, start, len);
     token[len] = '\0';
     *out = strtod(token, &stop);
     return stop == token + len ? 0 : -1;
-}
-
-/* The next number: its value, and whether it is an integer token, which
- * Python's parser gives as an int.  An integer past 2**53 in magnitude,
- * which a double may not hold exactly, is refused. */
-WS_INLINE int number_value(ws_parser *ps, double *out, int *integer)
-{
-    const char *s;
-    size_t len;
-    int64_t v;
-    if (number(ps, &s, &len, integer))
-        return -1;
-    if (!*integer)
-        return float_value(s, len, out);
-    if (int_value(s, len, &v) || v > (INT64_C(1) << 53) || v < -(INT64_C(1) << 53))
-        return -1;
-    *out = (double)v;
-    return 0;
 }
 
 /* A number that must be a float token. */
 WS_INLINE int float_token(ws_parser *ps, double *out)
 {
     int integer;
-    return number_value(ps, out, &integer) || integer ? -1 : 0;
+    return number(ps, out, &integer) || integer ? -1 : 0;
 }
 
 /* A number that must be an integer token. */
@@ -884,7 +853,7 @@ static int int_token(ws_parser *ps, int64_t *out)
 {
     int integer;
     double v;
-    if (number_value(ps, &v, &integer) || !integer)
+    if (number(ps, &v, &integer) || !integer)
         return -1;
     *out = (int64_t)v;
     return 0;
@@ -901,7 +870,7 @@ static int reals(ws_parser *ps, int64_t *count)
     do {
         double v;
         int integer;
-        if (number_value(ps, &v, &integer) || append(&ps->scores, &v, sizeof v))
+        if (number(ps, &v, &integer) || append(&ps->scores, &v, sizeof v))
             return -1;
         ++*count;
     } while ((go = more(ps, ']')) == 1);
@@ -949,10 +918,44 @@ static int parse_score(ws_parser *ps, ws_edge *e)
         if (k == 1 && reals(ps, &e->values))
             return -1;
         int integer;
-        if (k == 2 && number_value(ps, &e->score_default, &integer))
+        if (k == 2 && number(ps, &e->score_default, &integer))
             return -1;
     } while ((go = more(ps, '}')) == 1);
     return go;
+}
+
+/* The checks the Python loader makes on one edge besides ws_build's, as a
+ * yes/no predicate, made as the parser closes the edge's object, so its
+ * breakpoints and score numbers are the last in their pools:
+ * check_fifo's (ws_fifo); endpoints apart; a length_m, when there is one,
+ * finite and >= 0; a score ScoreProfile takes: finite numbers, boundaries
+ * strictly increasing, no value or default below 0; and _index's bound on
+ * the sum, in edge order, of each edge's largest score (the default or a
+ * value), DBL_MAX / 2, which keeps every path's score finite. */
+static int edge_ok(ws_parser *ps, const ws_edge *e)
+{
+    const int64_t k = e->points, nb = e->boundaries, nv = e->values;
+    const double *xs = (const double *)(ps->xs.data + ps->xs.len) - k;
+    const double *ys = (const double *)(ps->ys.data + ps->ys.len) - k;
+    /* the boundaries, then the values */
+    const double *b = (const double *)(ps->scores.data + ps->scores.len) - nb - nv;
+    double top = e->score_default;
+    if (!ws_fifo(k, xs, ys) || e->tail == e->head
+        || (e->length_kind != WS_NO_LENGTH && !(e->length >= 0.0 && e->length <= DBL_MAX))
+        || !isfinite(e->score_default) || e->score_default < 0.0)
+        return 0;
+    for (int64_t j = 0; j < nb; j++) {
+        if (!isfinite(b[j]) || (j > 0 && !(b[j] > b[j - 1])))
+            return 0;
+    }
+    for (int64_t j = nb; j < nb + nv; j++) {
+        if (!isfinite(b[j]) || b[j] < 0.0)
+            return 0;
+        if (b[j] > top)
+            top = b[j];
+    }
+    ps->total += top;
+    return ps->total <= DBL_MAX / 2;
 }
 
 static int parse_edge(ws_parser *ps)
@@ -983,13 +986,13 @@ static int parse_edge(ws_parser *ps)
             failed = parse_score(ps, &e);
             break;
         default:
-            failed = number_value(ps, &e.length, &integer);
+            failed = number(ps, &e.length, &integer);
             e.length_kind = integer ? WS_INT_LENGTH : WS_REAL_LENGTH;
         }
         if (failed)
             return -1;
     } while ((go = more(ps, '}')) == 1);
-    if (go || (seen & 7) != 7)
+    if (go || (seen & 7) != 7 || !edge_ok(ps, &e))
         return -1;
     return append(&ps->edges, &e, sizeof e);
 }
@@ -1126,47 +1129,6 @@ static size_t take(size_t *size, size_t bytes)
     return start;
 }
 
-/* The checks the Python loader makes besides ws_build's, as a yes/no
- * predicate on every edge the parser read: check_fifo's (ws_fifo); endpoints
- * apart; a length_m, when there is one, finite and >= 0; a score
- * ScoreProfile takes: finite numbers, boundaries strictly increasing, no
- * value or default below 0; and _index's bound on the sum, in edge order, of
- * each edge's largest score (the default or a value), DBL_MAX / 2, which
- * keeps every path's score finite. */
-static int edges_ok(const ws_parser *ps)
-{
-    const ws_edge *edge = (const ws_edge *)ps->edges.data;
-    const int64_t m = (int64_t)(ps->edges.len / sizeof *edge);
-    const double *xs = (const double *)ps->xs.data, *ys = (const double *)ps->ys.data;
-    const double *b = (const double *)ps->scores.data; /* boundaries, then values */
-    double total = 0.0;
-    for (int64_t i = 0, at = 0; i < m; i++) {
-        const ws_edge *e = &edge[i];
-        const int64_t nb = e->boundaries, nv = e->values;
-        double top = e->score_default;
-        if (!ws_fifo(e->points, xs + at, ys + at) || e->tail == e->head
-            || (e->length_kind != WS_NO_LENGTH && !(e->length >= 0.0 && e->length <= DBL_MAX))
-            || !isfinite(e->score_default) || e->score_default < 0.0)
-            return 0;
-        for (int64_t j = 0; j < nb; j++) {
-            if (!isfinite(b[j]) || (j > 0 && !(b[j] > b[j - 1])))
-                return 0;
-        }
-        for (int64_t j = nb; j < nb + nv; j++) {
-            if (!isfinite(b[j]) || b[j] < 0.0)
-                return 0;
-            if (b[j] > top)
-                top = b[j];
-        }
-        total += top;
-        if (!(total <= DBL_MAX / 2))
-            return 0;
-        at += e->points;
-        b += nb + nv;
-    }
-    return 1;
-}
-
 /* Build *file from a network as the parser reads one: m records at edge and,
  * in edge order, each edge's departures and arrivals in parsed_xs and
  * parsed_ys, and its boundaries, then its values, in pool.  It shares each
@@ -1281,10 +1243,11 @@ void ws_free(ws_file *file)
     *file = (ws_file){0};
 }
 
-/* Load the network file at path, memory-mapped, into *file: parse it, run
- * the Python loader's checks on it as yes/no predicates (node_count in
- * [1, max_nodes], edges_ok and ws_build's), and build the kernel's arrays
- * and the columns Python builds its network from (ws_build).  Returns
+/* Load the network file at path, memory-mapped, into *file: parse it,
+ * scanning each number token once (number), run the Python loader's checks
+ * on it as yes/no predicates (each edge's as its object closes, edge_ok;
+ * then node_count in [1, max_nodes] and ws_build's), and build the kernel's
+ * arrays and the columns Python builds its network from (ws_build).  Returns
  * WS_DONE with *file set; the caller then owns its block and releases it
  * with ws_free.
  * Anything else returns WS_DEFER, with *file empty, and the caller reads the
@@ -1337,7 +1300,7 @@ int ws_load(const char *path, int64_t max_nodes, ws_file *file)
         && reserve(&ps.scores, (size / 2 + 1) * sizeof(double)) == 0)
         parsed = parse_document(&ps, &node_count);
     munmap((void *)ps.kept, size - (size_t)(ps.kept - (const char *)map));
-    if (parsed == 0 && node_count >= 1 && node_count <= max_nodes && edges_ok(&ps))
+    if (parsed == 0 && node_count >= 1 && node_count <= max_nodes)
         status = ws_build(node_count, (int64_t)(ps.edges.len / sizeof(ws_edge)),
                           (ws_edge *)ps.edges.data, (int64_t)(ps.ys.len / sizeof(double)),
                           (double *)ps.xs.data, (const double *)ps.ys.data,

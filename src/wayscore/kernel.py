@@ -412,7 +412,10 @@ def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork
     rules, each score as ``ScoreProfile`` checks it, the sum of the edges'
     largest scores (:data:`wayscore.network.MAX_SCORE_TOTAL`), each
     ``length_m``, endpoints in range and apart, and no two edges between one
-    pair of nodes.  None means no kernel, a path that is not a string or bytes
+    pair of nodes.  ``ws_load`` scans each number token once, checking it and
+    computing its value in the same pass, and checks each edge as the parser
+    closes its object, so no second pass walks the parsed edges to check
+    them.  None means no kernel, a path that is not a string or bytes
     without a NUL, or what ``ws_load`` defers: a file that is not a regular
     file, is not JSON, holds anything that ``save_network`` does not write
     for a network without labels, or fails a check.  The file is read

@@ -500,10 +500,6 @@ _SMALL = """{"node_count": 3,
  ]}
 """
 
-_ws_fifo = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_void_p,
-                            ctypes.c_void_p)
-
-
 def _fifo_shaped(steps):
     """Breakpoints from (departure, travel) draws, shaped as a valid profile
     is shaped; sums past the double range still fail the check."""
@@ -534,6 +530,13 @@ def kernel_lib():
     """The compiled kernel; the test is skipped, before any example is
     drawn, without it."""
     return _kernel_or_skip()
+
+
+@pytest.fixture(scope="module")
+def one_edge_file(tmp_path_factory):
+    """A file to write a one-edge network to, for a test that draws
+    examples, which cannot take a function's ``tmp_path``."""
+    return tmp_path_factory.mktemp("one_edge") / "net.json"
 
 
 class TestKernelParser:
@@ -694,6 +697,43 @@ class TestKernelParser:
         '"score": {"boundaries": [0.0, 1.0], "values": [-1.0]}}]}',
         '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
         '"score": {"values": [1.0]}}]}',
+        # The number scanner's boundaries: 2**53 + 1 written with a fraction;
+        # 16 to 19 significant digits, with mantissas on each side of 2**53;
+        # 22 and 23 fractional digits; exponents; -0.0, and the integer -0,
+        # which is 0; integers at and past 2**53 in magnitude.
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, '
+        '"arrival": [[9007199254740993.0, 9007199254740994.0]]}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, '
+        '"arrival": [[0.1234567890123456, 1.2345678901234567], '
+        '[12.345678901234567, 123.4567890123456789], '
+        '[1234.56789012345678, 12345.6789012345678]]}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, '
+        '"arrival": [[0.9007199254740991, 1.0], [0.9007199254740993, 2.0]]}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, '
+        '"arrival": [[0.0000000000000000000012, 1.0], [0.00000000000000000000123, 1.5], '
+        '[1.1234567890123456789012, 2.12345678901234567890123]]}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, '
+        '"arrival": [[5e-324, 1E-2], [1e2, 1.5e+3]], '
+        '"length_m": 1.7976931348623157e308}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, '
+        '"arrival": [[-0.0, -0.0], [1.0, 2.0]], '
+        '"score": {"boundaries": [-0.0, 1.0], "values": [-0.0], "default": -0.0}}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"score": {"boundaries": [-0, 1], "values": [-0], "default": -0}, "length_m": -0}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"length_m": 9007199254740992}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"length_m": -9007199254740992}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"length_m": -9007199254740993}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"score": {"boundaries": [-9007199254740992, 9007199254740992], '
+        '"values": [1], "default": 9007199254740992}}]}',
+        '{"node_count": 2, "edges": [{"from": 0, "to": 1, "arrival": [[0.0, 1.0]], '
+        '"score": {"boundaries": [-9007199254740993, 9007199254740993], '
+        '"values": [1], "default": 9007199254740993}}]}',
+        '{"node_count": 2, "edges": [{"from": 9007199254740992, "to": 1, '
+        '"arrival": [[0.0, 1.0]]}]}',
     ])
     def test_inputs_outside_the_fast_path_load_alike(self, tmp_path, text):
         path = tmp_path / "net.json"
@@ -721,18 +761,23 @@ class TestKernelParser:
     @example(pairs=[(-1e308, -1e308), (1e308, 1e308)])
     @example(pairs=[(-1.7e308, -1.7e308), (-1e308, -1e308), (5e307, 1.7e308)])
     @example(pairs=[(-8e307, -8e307), (7e307, 8e307)])
-    def test_the_kernel_check_is_check_fifo(self, kernel_lib, pairs):
-        """``ws_fifo`` passes a profile exactly when ``check_fifo`` returns
-        None without raising."""
-        fifo = _ws_fifo(("ws_fifo", kernel_lib))
-        xs = array("d", [x for x, _ in pairs] or [0.0])
-        ys = array("d", [y for _, y in pairs] or [0.0])
+    def test_the_kernel_check_is_check_fifo(self, kernel_lib, one_edge_file, pairs):
+        """``ws_load`` takes a one-edge file exactly when ``check_fifo``
+        returns None for its profile without raising, and then reads every
+        breakpoint as Python's ``json`` module does, the sign of a zero
+        included.  ``ws_fifo`` is not exported, so a load reaches it."""
+        edge = {"from": 0, "to": 1, "arrival": [list(pair) for pair in pairs]}
+        one_edge_file.write_text(json.dumps({"node_count": 2, "edges": [edge]}))
         try:
             passes = check_fifo(pairs) is None
         except ProfileError:
             passes = False
-        got = fifo(len(pairs), xs.buffer_info()[0], ys.buffer_info()[0])
-        assert got == passes
+        loaded = kernel.parse_network(str(one_edge_file), MAX_NODES)
+        assert (loaded is not None) == passes
+        if loaded is not None:
+            columns = loaded[1]
+            assert columns["xs"].tobytes() == array("d", [x for x, _ in pairs]).tobytes()
+            assert columns["ys"].tobytes() == array("d", [y for _, y in pairs]).tobytes()
 
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
