@@ -414,11 +414,10 @@ def parse_network(path, max_nodes: int) -> Optional[tuple[int, dict, FlatNetwork
     ``length_m``, endpoints in range and apart, and no two edges between one
     pair of nodes.  ``ws_load`` scans each number token once, checking it and
     computing its value in the same pass, and checks each edge as the parser
-    closes its object, so no second pass walks the parsed edges to check
-    them.  None means no kernel, a path that is not a string or bytes
-    without a NUL, or what ``ws_load`` defers: a file that is not a regular
-    file, is not JSON, holds anything that ``save_network`` does not write
-    for a network without labels, or fails a check.  The file is read
+    closes its object.  None means no kernel, a path that is not a string
+    or bytes without a NUL, or what ``ws_load`` defers: a file that is not
+    a regular file, is not JSON, holds anything that ``save_network`` does
+    not write for a network without labels, or fails a check.  The file is read
     through a memory map, so it must not shrink while it loads: a read past
     its new end raises SIGBUS.  The map is a window that slides forward:
     between edges, the parser unmaps the pages it has moved past, a

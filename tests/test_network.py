@@ -761,13 +761,22 @@ class TestKernelParser:
     @example(pairs=[(-1e308, -1e308), (1e308, 1e308)])
     @example(pairs=[(-1.7e308, -1.7e308), (-1e308, -1e308), (5e307, 1.7e308)])
     @example(pairs=[(-8e307, -8e307), (7e307, 8e307)])
+    @example(pairs=[(-math.inf, 0.0)])
+    @example(pairs=[(-math.inf, -math.inf)])
+    @example(pairs=[(0.0, 1.0), (math.inf, math.inf)])
+    @example(pairs=[(-math.inf, -math.inf), (0.0, 1.0), (1.0, math.inf)])
     def test_the_kernel_check_is_check_fifo(self, kernel_lib, one_edge_file, pairs):
         """``ws_load`` takes a one-edge file exactly when ``check_fifo``
         returns None for its profile without raising, and then reads every
         breakpoint as Python's ``json`` module does, the sign of a zero
-        included.  ``ws_fifo`` is not exported, so a load reaches it."""
+        included.  ``ws_fifo`` is not exported, so a load reaches it.  An
+        infinity is written as a token that overflows to it (``1e400``,
+        ``-1e400``), which the kernel reads and hands to ``ws_fifo``; a NaN
+        is written as ``NaN``, which no number token reads as, so the kernel
+        defers that file before any check."""
         edge = {"from": 0, "to": 1, "arrival": [list(pair) for pair in pairs]}
-        one_edge_file.write_text(json.dumps({"node_count": 2, "edges": [edge]}))
+        text = json.dumps({"node_count": 2, "edges": [edge]})
+        one_edge_file.write_text(text.replace("Infinity", "1e400"))
         try:
             passes = check_fifo(pairs) is None
         except ProfileError:
